@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowup, RankDeficient
+from .sde import coefficient_tables
 
 __all__ = [
     "RegressionBasis",
@@ -237,34 +238,19 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
 
 def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, weights):
     """Gradient of the measure-averaged Hamiltonian with respect to the state."""
-    n, dx = states.shape
-    grad = np.zeros((n, dx))
-    active = np.flatnonzero(weights.max(axis=0) > 0.0)
-    for j in active:
-        a = model.action_grid[j]
-        wj = weights[:, j]
-        term = None
-        db = np.broadcast_to(
-            np.asarray(model.drift_dx(t, states, a), float), (n, dx, dx)
-        )
-        if db.any():
-            term = np.einsum("ni,nil->nl", y, db)
-        dc = np.broadcast_to(
-            np.asarray(model.cost_dx(t, states, a), float), (n, dx)
-        )
-        if dc.any():
-            part = yprime_k[:, None] * dc
-            term = part if term is None else term + part
-        ds = np.broadcast_to(
-            np.asarray(model.diffusion_dx(t, states, a), float),
-            (n, dx, model.dim_w, dx),
-        )
-        if ds.any():
-            part = np.einsum("nwi,niwl->nl", z, ds)
-            term = part if term is None else term + part
-        if term is not None:
-            grad += wj[:, None] * term
-    return grad
+    tabs = coefficient_tables(
+        model, t, states, ("drift_dx", "cost_dx", "diffusion_dx"), weights
+    )
+    terms = []
+    if tabs["drift_dx"].any():
+        terms.append(np.einsum("ni,anil->anl", y, tabs["drift_dx"]))
+    if tabs["cost_dx"].any():
+        terms.append(yprime_k[None, :, None] * tabs["cost_dx"])
+    if tabs["diffusion_dx"].any():
+        terms.append(np.einsum("nwi,aniwl->anl", z, tabs["diffusion_dx"]))
+    if not terms:
+        return np.zeros(states.shape)
+    return np.einsum("na,anl->nl", weights, sum(terms[1:], terms[0]))
 
 
 def solve_adjoint(model, ensemble, yprime, policy, basis, slices=None):

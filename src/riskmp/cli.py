@@ -22,9 +22,14 @@ import numpy as np
 
 from . import __version__
 from .adjoint import RegressionBasis, martingale_diagnostics, solve_adjoint_system
-from .control import MsaConfig, msa_solve
+from .control import MsaConfig, msa_solve, policy_entropy
 from .errors import ConfigInvalid, NonPositiveAdjustment, RiskmpError
-from .models import model_from_tables, on_off_volatility_model, sign_volatility_model
+from .models import (
+    CUSTOM_TABLE_KEYS,
+    model_from_tables,
+    on_off_volatility_model,
+    sign_volatility_model,
+)
 from .portfolio import PortfolioParams, build_portfolio_model, risk_premium
 from .risk import EmpiricalSample, RiskFunction, evaluate, l_derivative
 from .sde import (
@@ -40,6 +45,31 @@ from .verification import run_checks
 _PROBLEMS = ("portfolio", "example1", "example2", "custom")
 _RISKS = ("expectation", "mean_deviation", "smoothed_semideviation", "entropic")
 
+# Every key a config may set.  Anything else is a typo that would change
+# config_hash without changing the run, so load_config rejects it.
+_TOP_KEYS = {"problem", "risk", "sim", "basis", "msa", "init_policy", "seed"}
+_SECTION_KEYS = {
+    "sim": {"n_steps", "n_paths", "n_actions"},
+    "basis": {"degree", "ridge"},
+    "msa": {"max_iters", "damping_base", "damping_scale", "eta", "tol", "n_boot"},
+}
+_PROBLEM_KEYS = {
+    "portfolio": {
+        "r", "mu", "sigma", "phi_low", "phi_high", "x0", "horizon",
+        "allow_zero_lower",
+    },
+    "example1": {"horizon"},
+    "example2": {"horizon"},
+    "custom": {"horizon"} | set(CUSTOM_TABLE_KEYS),
+}
+_RISK_KEYS = {
+    "expectation": set(),
+    "mean_deviation": {"beta"},
+    "smoothed_semideviation": {"beta", "epsilon"},
+    "entropic": {"theta"},
+}
+_INIT_POLICY_KEYS = {"dirac": {"atom"}, "constant": {"weights"}}
+
 
 def config_hash(cfg):
     """Short stable hash of the effective configuration."""
@@ -49,6 +79,32 @@ def config_hash(cfg):
 
 def _fail(msg):
     raise ConfigInvalid(msg)
+
+
+def _check_keys(section, allowed, where):
+    """Reject a non-object section or any key outside allowed."""
+    if not isinstance(section, dict):
+        _fail(f"{where} must be an object")
+    for key in sorted(set(section) - set(allowed)):
+        _fail(f"unknown config key '{where + '.' if where else ''}{key}'")
+
+
+def _check_known_keys(cfg):
+    _check_keys(cfg, _TOP_KEYS, "")
+    for name, allowed in _SECTION_KEYS.items():
+        _check_keys(cfg[name], allowed, name)
+    problem = cfg["problem"]
+    _check_keys(problem, {"type"} | _PROBLEM_KEYS[problem["type"]], "problem")
+    if problem["type"] == "custom":
+        for name, allowed in CUSTOM_TABLE_KEYS.items():
+            if allowed is not None and name in problem:
+                _check_keys(problem[name], allowed, f"problem.{name}")
+    risk = cfg["risk"]
+    _check_keys(risk, {"type"} | _RISK_KEYS[risk["type"]], "risk")
+    init = cfg["init_policy"]
+    if isinstance(init, dict) and init.get("type") in _INIT_POLICY_KEYS:
+        allowed = {"type"} | _INIT_POLICY_KEYS[init["type"]]
+        _check_keys(init, allowed, "init_policy")
 
 
 def load_config(path, seed_override=None):
@@ -78,6 +134,7 @@ def load_config(path, seed_override=None):
     risk = cfg.get("risk")
     if not isinstance(risk, dict) or risk.get("type") not in _RISKS:
         _fail(f"risk.type must be one of {_RISKS}")
+    _check_known_keys(cfg)
 
     sim = cfg["sim"]
     sim.setdefault("n_steps", 50)
@@ -241,10 +298,7 @@ def _policy_step_stats(model, grid, policy, ensemble):
         w = policy.weights_at(k, grid.nodes[k], ensemble.states[:, k])
         mean_w = w.mean(axis=0)
         mean_action = float(mean_w @ atoms[:, 0]) if model.dim_a == 1 else float("nan")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.where(w > 0, np.log(np.maximum(w, 1e-300)), 0.0)
-        entropy = float(np.mean(-(w * logw).sum(axis=1)))
-        rows.append((k, float(grid.nodes[k]), mean_action, entropy))
+        rows.append((k, float(grid.nodes[k]), mean_action, policy_entropy(w)))
         tables.append(mean_w)
     return rows, tables
 
@@ -490,7 +544,7 @@ def main(argv=None):
         "--threads",
         type=int,
         default=1,
-        help="worker hint; results are identical for any value",
+        help="ignored; accepted for interface compatibility",
     )
     try:
         args = parser.parse_args(argv)

@@ -4,6 +4,7 @@ Two canonical pure-diffusion problems where the action sets the volatility
 directly, plus a coefficient-table escape hatch for simple custom dynamics.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "sign_volatility_model",
     "on_off_volatility_model",
     "model_from_tables",
+    "CUSTOM_TABLE_KEYS",
 ]
 
 
@@ -47,6 +49,7 @@ def _pure_diffusion_model(atoms, x0=0.0):
         initial=dirac_initial(x0),
         action_grid=np.asarray(atoms, float)[:, None],
         growth=growth,
+        constant_coefficients=True,
     )
 
 
@@ -69,6 +72,21 @@ def on_off_volatility_model():
     return _pure_diffusion_model([0.0, 1.0])
 
 
+# The keys model_from_tables reads, each with the sub-keys it reads (None for
+# a plain value).
+CUSTOM_TABLE_KEYS = {
+    "dim_x": None,
+    "dim_w": None,
+    "action_grid": None,
+    "x0": None,
+    "drift": {"const", "x"},
+    "diffusion": {"const"},
+    "cost": {"const", "x"},
+    "terminal": {"const", "x"},
+    "growth": {f.name for f in dataclasses.fields(FeasibilityConfig)},
+}
+
+
 def model_from_tables(tables):
     """Build a ModelSpec from plain coefficient tables.
 
@@ -81,9 +99,12 @@ def model_from_tables(tables):
       x0:        (dim_x,) initial point mass
       growth:    optional feasibility exponent dict
 
-    Drift is affine in the state with a per-atom intercept; diffusion and the
-    cost intercept are per-atom constants.  Gradients are exact by
-    construction.
+    CUSTOM_TABLE_KEYS lists these keys and their sub-keys.  Atoms must be
+    distinct.
+
+    Drift and cost are affine in the state with per-atom intercepts;
+    diffusion is a per-atom constant.  Gradients are exact by construction,
+    and the model's tables hook evaluates all atoms in closed form.
     """
     try:
         dim_x = int(tables["dim_x"])
@@ -116,6 +137,10 @@ def model_from_tables(tables):
         raise ConfigInvalid(f"bad coefficient tables: {exc}") from exc
 
     index = {tuple(a): j for j, a in enumerate(atoms)}
+    if len(index) < n_atoms:
+        raise ConfigInvalid(
+            "action_grid repeats an atom; each atom needs its own coefficients"
+        )
 
     def atom_of(a):
         return index[tuple(np.atleast_1d(a))]
@@ -126,6 +151,21 @@ def model_from_tables(tables):
             k: (math.inf if v in ("inf", "Infinity") else float(v))
             for k, v in tables["growth"].items()
         })
+
+    diffusion_tab = diff_const[:, None]
+    drift_dx_tab = drift_x[None, None]
+    diffusion_dx_tab = np.zeros((1, 1, dim_x, dim_w, dim_x))
+    cost_dx_tab = cost_x[None, None]
+
+    def atom_tables(t, x):
+        return {
+            "drift": drift_const[:, None] + np.einsum("nl,il->ni", x, drift_x),
+            "diffusion": diffusion_tab,
+            "cost": cost_const[:, None] + np.einsum("nl,l->n", x, cost_x),
+            "drift_dx": drift_dx_tab,
+            "diffusion_dx": diffusion_dx_tab,
+            "cost_dx": cost_dx_tab,
+        }
 
     return ModelSpec(
         dim_x=dim_x,
@@ -146,4 +186,5 @@ def model_from_tables(tables):
         initial=dirac_initial(x0),
         action_grid=atoms,
         growth=growth,
+        tables=atom_tables,
     )

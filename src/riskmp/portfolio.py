@@ -103,6 +103,7 @@ def _model_on_atoms(params, atoms):
         initial=dirac_initial(p.x0),
         action_grid=atoms,
         growth=growth,
+        constant_coefficients=True,
     )
 
 

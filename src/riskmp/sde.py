@@ -14,7 +14,7 @@ and independent of thread count (reductions are fixed-order numpy ops).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "simulate_forward",
     "total_cost",
     "convex_combine",
+    "coefficient_tables",
     "simulate_variational",
     "check_feasibility",
     "validate_gradients",
@@ -104,6 +105,15 @@ class ModelSpec:
     action_grid holds the finite set of atoms, shape (n_atoms, dim_a);
     measure-valued policies place weights on these atoms.  growth carries the
     integrability exponents used by check_feasibility, when known.
+
+    tables, when set, is the coefficient-table hook tables(t, x) -> dict that
+    evaluates every atom at once; see coefficient_tables.  It is
+    authoritative: the solver then never calls drift, diffusion, cost or their
+    Jacobians, which remain the reference validate_gradients checks.
+    constant_coefficients declares that drift, diffusion, cost and their
+    Jacobians depend on neither t nor x and are finite on every atom; the
+    solver then calls each callable once per atom, on first use, and reuses
+    the tables.
     """
 
     dim_x: int
@@ -120,6 +130,13 @@ class ModelSpec:
     initial: callable
     action_grid: np.ndarray
     growth: "FeasibilityConfig | None" = None
+    tables: "callable | None" = None
+    constant_coefficients: bool = False
+    # Filled by coefficient_tables for constant-coefficient models.  Not an
+    # init field, so dataclasses.replace starts an empty one.
+    _constant_tables: dict = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         grid = np.asarray(self.action_grid, dtype=float)
@@ -139,6 +156,63 @@ class ModelSpec:
 def _coef(fn, t, x, a, shape):
     out = np.asarray(fn(t, x, a), dtype=float)
     return np.broadcast_to(out, shape)
+
+
+TABLE_KEYS = ("drift", "diffusion", "cost", "drift_dx", "diffusion_dx", "cost_dx")
+
+
+def _trailing_shapes(model):
+    dx, dw = model.dim_x, model.dim_w
+    return {
+        "drift": (dx,),
+        "diffusion": (dx, dw),
+        "cost": (),
+        "drift_dx": (dx, dx),
+        "diffusion_dx": (dx, dw, dx),
+        "cost_dx": (dx,),
+    }
+
+
+def coefficient_tables(model, t, x, keys=TABLE_KEYS, weights=None):
+    """Coefficients of every atom at (t, x), stacked along a leading atom axis.
+
+    This is the only place that evaluates model coefficients over atoms.  For
+    each name in keys (a subset of TABLE_KEYS) it returns an array with shape
+    (n_atoms or 1, n or 1) + the per-atom callable's trailing shape; a size-1
+    axis means the coefficient does not depend on the atom or the state.
+
+    A model's tables hook is authoritative when set.  A constant-coefficient
+    model gets read-only (n_atoms, 1, ...) tables, evaluated once at t = 0,
+    x = 0.  Otherwise the per-atom callables are looped over, only for atoms
+    whose nonnegative weight (n, n_atoms) is positive on some path (all atoms
+    when weights is None); the other atoms stay zero, so an unused atom
+    cannot leak NaN into a weighted sum.
+    """
+    if model.tables is not None:
+        tabs = model.tables(t, x)
+        return {key: tabs[key] for key in keys}
+    if model.constant_coefficients:
+        cache = model._constant_tables
+        for key in keys:
+            if key not in cache:
+                tab = _atom_loop(model, key, 0.0, np.zeros((1, model.dim_x)))
+                tab.flags.writeable = False
+                cache[key] = tab
+        return {key: cache[key] for key in keys}
+    if weights is None:
+        active = range(model.n_atoms)
+    else:
+        active = np.flatnonzero(weights.max(axis=0) > 0.0)
+    return {key: _atom_loop(model, key, t, x, active) for key in keys}
+
+
+def _atom_loop(model, key, t, x, active=None):
+    """(n_atoms, n) + trailing table of one coefficient, zero off active."""
+    fn = getattr(model, key)
+    tab = np.zeros((model.n_atoms, x.shape[0]) + _trailing_shapes(model)[key])
+    for j in range(model.n_atoms) if active is None else active:
+        tab[j] = np.asarray(fn(t, x, model.action_grid[j]), dtype=float)
+    return tab
 
 
 @dataclass(frozen=True)
@@ -370,23 +444,11 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
-def _averaged_coefficients(model, t, x, weights, need_cost=True):
-    """Measure-average drift/diffusion/cost over atoms with nonzero weight."""
-    n = x.shape[0]
-    bbar = np.zeros((n, model.dim_x))
-    sbar = np.zeros((n, model.dim_x, model.dim_w))
-    cbar = np.zeros(n) if need_cost else None
-    active = np.flatnonzero(weights.max(axis=0) > 0.0)
-    for j in active:
-        a = model.action_grid[j]
-        wj = weights[:, j]
-        bbar += wj[:, None] * _coef(model.drift, t, x, a, (n, model.dim_x))
-        sbar += wj[:, None, None] * _coef(
-            model.diffusion, t, x, a, (n, model.dim_x, model.dim_w)
-        )
-        if need_cost:
-            cbar += wj * _coef(model.cost, t, x, a, (n,))
-    return bbar, sbar, cbar
+def _averaged_coefficients(model, t, x, weights):
+    """Measure-averaged drift, diffusion and cost: sum_a w[n, a] f(t, x_n, a)."""
+    keys = ("drift", "diffusion", "cost")
+    tabs = coefficient_tables(model, t, x, keys, weights)
+    return [np.einsum("na,an...->n...", weights, tabs[key]) for key in keys]
 
 
 def simulate_forward(model, policy, driver, grid, keep_weights=False):
@@ -479,9 +541,8 @@ def simulate_variational(model, ensemble, q):
     driver = ensemble.driver
     n = ensemble.n_paths
     dt = grid.dt
-    dx, dw = model.dim_x, model.dim_w
 
-    delta = np.zeros((n, grid.n_steps + 1, dx))
+    delta = np.zeros((n, grid.n_steps + 1, model.dim_x))
     delta_p = np.zeros((n, grid.n_steps + 1))
 
     for k in range(grid.n_steps):
@@ -491,34 +552,17 @@ def simulate_variational(model, ensemble, q):
         wpi = pi.weights_at(k, t, xk)
         wq = q.weights_at(k, t, xk)
         wdiff = wq - wpi
-
-        jac_b = np.zeros((n, dx, dx))
-        jac_s = np.zeros((n, dx, dw, dx))
-        jac_c = np.zeros((n, dx))
-        b_diff = np.zeros((n, dx))
-        s_diff = np.zeros((n, dx, dw))
-        c_diff = np.zeros(n)
-        active = np.flatnonzero(
-            np.maximum(wpi.max(axis=0), np.abs(wdiff).max(axis=0)) > 0.0
+        tabs = coefficient_tables(
+            model, t, xk, weights=np.maximum(wpi, np.abs(wdiff))
         )
-        for j in active:
-            a = model.action_grid[j]
-            wj = wpi[:, j]
-            dj = wdiff[:, j]
-            if wj.max() > 0.0:
-                jac_b += wj[:, None, None] * _coef(
-                    model.drift_dx, t, xk, a, (n, dx, dx)
-                )
-                jac_s += wj[:, None, None, None] * _coef(
-                    model.diffusion_dx, t, xk, a, (n, dx, dw, dx)
-                )
-                jac_c += wj[:, None] * _coef(model.cost_dx, t, xk, a, (n, dx))
-            if np.abs(dj).max() > 0.0:
-                b_diff += dj[:, None] * _coef(model.drift, t, xk, a, (n, dx))
-                s_diff += dj[:, None, None] * _coef(
-                    model.diffusion, t, xk, a, (n, dx, dw)
-                )
-                c_diff += dj * _coef(model.cost, t, xk, a, (n,))
+        jac_b, jac_s, jac_c = (
+            np.einsum("na,an...->n...", wpi, tabs[key])
+            for key in ("drift_dx", "diffusion_dx", "cost_dx")
+        )
+        b_diff, s_diff, c_diff = (
+            np.einsum("na,an...->n...", wdiff, tabs[key])
+            for key in ("drift", "diffusion", "cost")
+        )
 
         drift_term = np.einsum("nil,nl->ni", jac_b, dk) + b_diff
         diff_term = np.einsum("niwl,nl->niw", jac_s, dk) + s_diff

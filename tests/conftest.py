@@ -1,9 +1,16 @@
-"""Shared builders for small test models."""
+"""Shared builders for small test models, and a CLI run in a fresh process."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import riskmp
 from riskmp import ModelSpec, dirac_initial
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(riskmp.__file__)))
 
 
 def make_model(
@@ -47,3 +54,25 @@ def make_model(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def solve_in_subprocess(config_path, out_dir, blas_threads):
+    """Run `python -m riskmp.cli solve` with OpenBLAS pinned to blas_threads.
+
+    The BLAS thread count is fixed when numpy loads, so only a fresh process
+    can vary it.  Returns the output file names.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskmp.cli", "solve",
+         "--config", str(config_path), "--out", str(out_dir)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return sorted(os.listdir(out_dir))

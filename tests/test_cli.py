@@ -3,7 +3,12 @@
 import json
 import os
 
+import pytest
+
 from riskmp.cli import config_hash, load_config, main
+from riskmp.errors import ConfigInvalid
+
+from conftest import solve_in_subprocess
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -150,14 +155,38 @@ def test_repeated_runs_byte_identical(tmp_path):
     path, _ = _small_portfolio_config(
         tmp_path, risk={"type": "entropic", "theta": 1.0}
     )
-    outs = [str(tmp_path / f"d{i}") for i in range(3)]
-    assert main(["solve", "--config", path, "--out", outs[0], "--threads", "1"]) == 0
-    assert main(["solve", "--config", path, "--out", outs[1], "--threads", "4"]) == 0
-    assert main(["solve", "--config", path, "--out", outs[2]]) == 0
-    for name in os.listdir(outs[0]):
-        base = _read_lines(os.path.join(outs[0], name))
-        for other in outs[1:]:
-            assert base == _read_lines(os.path.join(other, name)), name
+    outs = [tmp_path / "blas1", tmp_path / "blas2"]
+    names = [solve_in_subprocess(path, out, n) for out, n in zip(outs, (1, 2))]
+    assert names[0] == names[1]
+    for name in names[0]:
+        assert _read_lines(outs[0] / name) == _read_lines(outs[1] / name), name
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"msa": {"max_iter": 6}}, "msa.max_iter"),
+        ({"sim": {"n_path": 2000}}, "sim.n_path"),
+        ({"risk": {"type": "expectation", "theta": 1.0}}, "risk.theta"),
+        (
+            {"init_policy": {"type": "dirac", "atom": 0, "weight": 1}},
+            "init_policy.weight",
+        ),
+        ({"sed": 1}, "sed"),
+        (
+            {"problem": {"type": "custom", "dim_x": 1, "dim_w": 1,
+                         "action_grid": [0.0], "drift": {"const": [[0.0]], "xx": 1},
+                         "diffusion": {"const": [[[0.1]]]}}},
+            "problem.drift.xx",
+        ),
+    ],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, overrides, key):
+    path, _ = _small_portfolio_config(tmp_path, **overrides)
+    with pytest.raises(ConfigInvalid, match=f"'{key}'"):
+        load_config(path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_bundled_configs_parse():
