@@ -111,6 +111,16 @@ class _SliceRegression:
         self._mu = mu
         self._scale = scale
 
+    def _solve(self, t):
+        """(ybar, beta, coef, intercept) of the (n, r) targets t."""
+        ybar = t.mean(axis=0)
+        if self.m == 0:
+            return ybar, None, np.empty((0, t.shape[1])), ybar
+        rhs = np.einsum("ni,nr->ir", self._phi_centered, t - ybar)
+        beta = np.linalg.solve(self._solve_mat, rhs)
+        coef = beta / self._scale[:, None]
+        return ybar, beta, coef, ybar - self._mu @ coef
+
     def fit(self, targets):
         """Least squares of targets on the slice features.
 
@@ -121,20 +131,19 @@ class _SliceRegression:
         squeeze = t.ndim == 1
         if squeeze:
             t = t[:, None]
-        ybar = t.mean(axis=0)
-        if self.m == 0:
+        ybar, beta, coef, intercept = self._solve(t)
+        if beta is None:
             fitted = np.broadcast_to(ybar, t.shape).copy()
-            coef = np.empty((0, t.shape[1]))
-            intercept = ybar
         else:
-            rhs = np.einsum("ni,nr->ir", self._phi_centered, t - ybar)
-            beta = np.linalg.solve(self._solve_mat, rhs)
             fitted = ybar + self._phi_centered @ beta
-            coef = beta / self._scale[:, None]
-            intercept = ybar - self._mu @ coef
         if squeeze:
             return fitted[:, 0], intercept, coef
         return fitted, intercept, coef
+
+    def fit_coefficients(self, targets):
+        """(intercept, coef) of fit() for (n, r) targets, skipping the fitted values."""
+        _, _, coef, intercept = self._solve(np.asarray(targets, dtype=float))
+        return intercept, coef
 
 
 @dataclass(frozen=True)
@@ -295,8 +304,8 @@ def solve_adjoint(model, ensemble, yprime, policy, basis, slices=None):
         )
         zfit, _, _ = reg.fit(ztarget)
         z[:, k] = zfit.reshape(n, dim_w, dx)
-        if ensemble.policy_weights is not None and policy is ensemble.policy:
-            w = ensemble.policy_weights[k]
+        if policy is ensemble.policy:
+            w = ensemble.weights_at(k)
         else:
             w = policy.weights_at(k, t, xk)
         grad_h = _policy_grad_hamiltonian(

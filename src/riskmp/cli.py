@@ -290,12 +290,19 @@ def _read_stamp(path):
 # ----------------------------------------------------------------- commands
 
 def _policy_step_stats(model, grid, policy, ensemble):
-    """Per-step mean action, mean weights, and entropy under the policy."""
+    """Per-step mean action, mean weights, and entropy under the policy.
+
+    Reads the ensemble's kept weights when policy is the one it was simulated
+    under.
+    """
     atoms = model.action_grid
     rows = []
     tables = []
     for k in range(grid.n_steps):
-        w = policy.weights_at(k, grid.nodes[k], ensemble.states[:, k])
+        if policy is ensemble.policy:
+            w = ensemble.weights_at(k)
+        else:
+            w = policy.weights_at(k, grid.nodes[k], ensemble.states[:, k])
         mean_w = w.mean(axis=0)
         mean_action = float(mean_w @ atoms[:, 0]) if model.dim_a == 1 else float("nan")
         rows.append((k, float(grid.nodes[k]), mean_action, policy_entropy(w)))
@@ -374,7 +381,7 @@ def cmd_solve(cfg, out_dir, stamp):
         ],
     )
 
-    ens = simulate_forward(model, policy, driver, grid)
+    ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
     costs = total_cost(ens, model)
     deriv = l_derivative(risk, EmpiricalSample(costs))
     adj = solve_adjoint_system(model, ens, deriv, basis)

@@ -115,10 +115,20 @@ def minimize_hamiltonian(ctx, model, eta):
 
 
 def policy_entropy(weights):
-    """Path mean of the Shannon entropy of (n, n_atoms) policy weights."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(weights > 0.0, np.log(np.maximum(weights, 1e-300)), 0.0)
-    return float(np.mean(-(weights * logw).sum(axis=1)))
+    """Path mean of the Shannon entropy of (n, n_atoms) policy weights.
+
+    Zero weights contribute 0 log 0 = 0: the log is taken only where w > 0.
+    The log's output array copies the layout of the mask, which is the
+    layout an elementwise ufunc gives (C order for a broadcast row, where
+    zeros_like(weights) would pick F order), since the row sums round
+    differently by layout.
+    """
+    positive = weights > 0.0
+    wlogw = np.log(
+        weights, out=np.zeros_like(positive, dtype=float), where=positive
+    )
+    wlogw *= weights
+    return float(np.mean(-wlogw.sum(axis=1)))
 
 
 def objective(model, risk, policy, driver, grid):
@@ -255,8 +265,13 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         for k in range(n_steps):
             t = grid.nodes[k]
             xk = ens.states[:, k]
-            table = _hamiltonian_atoms(
-                model, t, xk, adj.y[:, k], adj.yprime[:, k], adj.z[:, k]
+            # Pinned layout: the reductions below round differently on a
+            # C-ordered table, so output bits must not depend on the layout
+            # _hamiltonian_atoms happens to return.
+            table = np.asfortranarray(
+                _hamiltonian_atoms(
+                    model, t, xk, adj.y[:, k], adj.yprime[:, k], adj.z[:, k]
+                )
             )
             wstar = _near_min_weights(table, cfg.eta)
             wpi = ens.policy_weights[k]
@@ -265,8 +280,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
             )
             change_sum += float(np.mean(np.abs(wstar - wpi)))
             entropy_sum += policy_entropy(wpi)
-            _, intercept, coef = slices[k].fit(wstar)
-            fitted_steps.append((intercept, coef))
+            fitted_steps.append(slices[k].fit_coefficients(wstar))
 
         report.objectives.append(obj)
         report.objective_ses.append(se)

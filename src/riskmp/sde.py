@@ -307,10 +307,21 @@ class MeasurePolicy:
         return _RulePolicy(rule, n_atoms)
 
 
-def _check_weight_rows(w, where):
+def _check_weight_rows(w, where, step=None):
+    """Reject negative weights and rows not summing to 1.
+
+    A NaN or infinite weight makes its row sum non-finite, which the sum check
+    alone would let through, since comparisons with NaN are false.  Such rows
+    raise NumericalBlowup(step, "policy weights") when the weights belong to
+    a time step, and ValueError otherwise.
+    """
     if np.any(w < 0.0):
         raise ValueError(f"negative policy weight at {where}")
     sums = w.sum(axis=-1)
+    if not np.isfinite(sums).all():
+        if step is not None:
+            raise NumericalBlowup(step, "policy weights")
+        raise ValueError(f"non-finite policy weight at {where}")
     if np.any(np.abs(sums - 1.0) > _WEIGHT_TOL):
         worst = float(np.max(np.abs(sums - 1.0)))
         raise ValueError(f"policy weights at {where} sum off by {worst:.2e}")
@@ -323,9 +334,11 @@ class _ConstantPolicy(MeasurePolicy):
         self.weights = w
         self.n_atoms = w.shape[1]
 
+    def row(self, k):
+        return self.weights[k] if self.weights.shape[0] > 1 else self.weights[0]
+
     def weights_at(self, k, t, states):
-        row = self.weights[k] if self.weights.shape[0] > 1 else self.weights[0]
-        return np.broadcast_to(row, (states.shape[0], self.n_atoms))
+        return np.broadcast_to(self.row(k), (states.shape[0], self.n_atoms))
 
 
 class _RulePolicy(MeasurePolicy):
@@ -336,39 +349,60 @@ class _RulePolicy(MeasurePolicy):
     def weights_at(self, k, t, states):
         w = np.asarray(self.rule(k, t, states), dtype=float)
         w = np.broadcast_to(w, (states.shape[0], self.n_atoms))
-        _check_weight_rows(w, f"feedback policy, step {k}")
+        _check_weight_rows(w, f"feedback policy, step {k}", step=k)
         return w
 
 
-def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
-    """Evaluate a batch of clipped-affine weight maps in one design pass.
+# Element budget of the per-block (rows, components, atoms) pre-weight array:
+# 2**15 float64 = 256 KB, small enough to stay in cache through the block's
+# passes.
+_BLOCK_ELEMENTS = 1 << 15
 
-    Each component maps raw features to pre-weights via (intercept, coef),
-    then clips negatives and renormalizes per path (uniform fallback on
-    vanished rows); the batch shares the feature matrix and a single matmul.
+
+def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
+    """Mix a batch of clipped-affine weight maps, one row block at a time.
+
+    Component c maps the raw features phi to pre-weights
+    intercepts[c] + phi @ coefs[c], clips negatives and renormalizes per path
+    (uniform fallback on vanished rows); the result is the (n, n_atoms)
+    mixture sum_c scales[c] * weights_c.  Rows are processed in blocks whose
+    (rows, C, n_atoms) pre-weights hold at most _BLOCK_ELEMENTS elements, and
+    each block is one matmul, an in-place intercept add and clip, one mass
+    contraction and one mixing contraction with the normalization folded
+    into the scales.
     """
     phi = basis.design(states)
     n = states.shape[0]
     n_comp = len(scales)
-    raw = np.tile(np.concatenate(intercepts), (n, 1))
-    if phi.shape[1]:
-        raw += phi @ np.concatenate(coefs, axis=1)
-    raw = raw.reshape(n, n_comp, n_atoms)
-    np.clip(raw, 0.0, None, out=raw)
-    mass = raw.sum(axis=2, keepdims=True)
-    empty = mass[:, :, 0] <= 1e-300
-    if empty.any():
-        raw[empty] = 1.0
-        mass = raw.sum(axis=2, keepdims=True)
-    raw /= mass
-    return np.einsum("c,nca->na", np.asarray(scales, dtype=float), raw)
+    scales = np.asarray(scales, dtype=float)
+    intercept = np.concatenate(intercepts)
+    coef = np.concatenate(coefs, axis=1)
+    rows = max(1, _BLOCK_ELEMENTS // (n_comp * n_atoms))
+    raw_buf = np.empty((min(rows, n), n_comp * n_atoms))
+    mass_buf = np.empty((min(rows, n), n_comp))
+    out = np.empty((n, n_atoms))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        raw = np.matmul(phi[lo:hi], coef, out=raw_buf[: hi - lo])
+        raw += intercept
+        np.clip(raw, 0.0, None, out=raw)
+        raw = raw.reshape(hi - lo, n_comp, n_atoms)
+        mass = np.einsum("nca->nc", raw, out=mass_buf[: hi - lo])
+        empty = mass <= 1e-300
+        if empty.any():
+            raw[empty] = 1.0
+            mass[empty] = n_atoms
+        np.divide(scales, mass, out=mass)
+        np.einsum("nca,nc->na", raw, mass, out=out[lo:hi])
+    return out
 
 
 class _MixturePolicy(MeasurePolicy):
     """Flat convex mixture of component policies.
 
     Components exposing an affine step representation (fitted feedback
-    policies) are stacked into one shared design pass per call, keeping
+    policies) are stacked into one shared design pass per call, and
+    state-independent components are summed into one weight row, keeping
     evaluation cost flat as the mixture grows.
     """
 
@@ -377,7 +411,8 @@ class _MixturePolicy(MeasurePolicy):
         self.n_atoms = components[0][1].n_atoms
 
     def weights_at(self, k, t, states):
-        out = None
+        row = None  # the constant components, summed
+        out = None  # the other components, summed
         batches = {}
         for scale, comp in self.components:
             probe = getattr(comp, "_affine_step", None)
@@ -387,6 +422,9 @@ class _MixturePolicy(MeasurePolicy):
                 entry[1].append(scale)
                 entry[2].append(intercept)
                 entry[3].append(coef)
+            elif isinstance(comp, _ConstantPolicy):
+                w = scale * comp.row(k)
+                row = w if row is None else row + w
             else:
                 w = scale * comp.weights_at(k, t, states)
                 out = w if out is None else out + w
@@ -395,6 +433,10 @@ class _MixturePolicy(MeasurePolicy):
                 basis, states, scales, intercepts, coefs, self.n_atoms
             )
             out = w if out is None else out + w
+        if out is None:
+            return np.broadcast_to(row, (states.shape[0], self.n_atoms))
+        if row is not None:
+            out += row
         return out
 
 
@@ -443,6 +485,16 @@ class PathEnsemble:
     def n_paths(self):
         return self.states.shape[0]
 
+    def weights_at(self, k):
+        """Step-k weights of the ensemble's policy on its states.
+
+        Returns the kept array when the simulation stored one, so no pass
+        over the same states evaluates the policy twice.
+        """
+        if self.policy_weights is not None:
+            return self.policy_weights[k]
+        return self.policy.weights_at(k, self.grid.nodes[k], self.states[:, k])
+
 
 def _averaged_coefficients(model, t, x, weights):
     """Measure-averaged drift, diffusion and cost: sum_a w[n, a] f(t, x_n, a)."""
@@ -485,7 +537,7 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False):
         t = grid.nodes[k]
         xk = x[:, k]
         w = policy.weights_at(k, t, xk)
-        _check_weight_rows(w, f"step {k}")
+        _check_weight_rows(w, f"step {k}", step=k)
         if keep_weights:
             kept.append(w)
         bbar, sbar, cbar = _averaged_coefficients(model, t, xk, w)
@@ -537,7 +589,6 @@ def simulate_variational(model, ensemble, q):
       (delta, delta_prime) of shapes (n, n_steps + 1, dim_x) and (n, n_steps + 1).
     """
     grid = ensemble.grid
-    pi = ensemble.policy
     driver = ensemble.driver
     n = ensemble.n_paths
     dt = grid.dt
@@ -549,7 +600,7 @@ def simulate_variational(model, ensemble, q):
         t = grid.nodes[k]
         xk = ensemble.states[:, k]
         dk = delta[:, k]
-        wpi = pi.weights_at(k, t, xk)
+        wpi = ensemble.weights_at(k)
         wq = q.weights_at(k, t, xk)
         wdiff = wq - wpi
         tabs = coefficient_tables(
