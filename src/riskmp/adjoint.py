@@ -14,8 +14,9 @@ Centering the increment targets is what makes the risk-neutral case collapse
 exactly: constant D fits with zero residual, so z' vanishes identically
 instead of inheriting O(1/sqrt(n dt)) regression noise.
 
-Normal matrices are accumulated with fixed-order einsum contractions, so
-results do not depend on BLAS thread count.
+Normal matrices are accumulated with fixed-order einsum contractions and
+residual norms with numpy's pairwise sum, so results do not depend on BLAS
+thread count.
 """
 
 import itertools
@@ -83,6 +84,16 @@ class RegressionBasis:
         if not cols:
             return np.empty((n, 0))
         return np.stack(cols, axis=1)
+
+
+def _norm(x):
+    """Euclidean norm of all entries of x, summed in a fixed order.
+
+    np.linalg.norm reduces with BLAS ddot, which splits vectors longer than
+    10,000 entries across threads and so rounds by the thread count.
+    """
+    x = np.ravel(x)
+    return math.sqrt(float(np.add.reduce(x * x)))
 
 
 class _SliceRegression:
@@ -168,8 +179,8 @@ def fit_conditional(basis, states, targets):
     reg = _SliceRegression(states, basis)
     fitted, intercept, coef = reg.fit(targets)
     t = np.asarray(targets, dtype=float)
-    resid = float(np.linalg.norm(t - fitted))
-    denom = float(np.linalg.norm(t))
+    resid = _norm(t - fitted)
+    denom = _norm(t)
     rel = resid / denom if denom > 0.0 else resid
     single = t.ndim == 1
 
@@ -235,7 +246,7 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
         reg = slices[k]
         fitted, _, _ = reg.fit(d)
         yprime[:, k] = fitted
-        residuals[k] = float(np.linalg.norm(d - fitted) / math.sqrt(n))
+        residuals[k] = _norm(d - fitted) / math.sqrt(n)
         # Martingale increment between fitted slices; using the fitted
         # (k+1)-values rather than raw D strips the future-noise spread from
         # the projection target, without which z' carries O(1/sqrt(n dt))
@@ -295,10 +306,8 @@ def solve_adjoint(model, ensemble, yprime, policy, basis, slices=None):
         xk = ensemble.states[:, k]
         reg = slices[k]
         yhat, _, _ = reg.fit(y[:, k + 1])
-        residuals[k] = float(
-            np.linalg.norm(y[:, k + 1] - yhat) / math.sqrt(n)
-        )
         centered = y[:, k + 1] - yhat
+        residuals[k] = _norm(centered) / math.sqrt(n)
         ztarget = (centered[:, None, :] * dw[:, k, :, None] / dt).reshape(
             n, dim_w * dx
         )

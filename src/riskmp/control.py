@@ -162,6 +162,8 @@ class MsaConfig:
             raise ValueError("damping schedule must start in (0, 1] and decay")
         if self.eta <= 0.0 or self.tol < 0.0:
             raise ValueError("eta must be > 0 and tol >= 0")
+        if self.n_boot < 2:
+            raise ValueError(f"n_boot must be >= 2, got {self.n_boot}")
 
     def alpha(self, k):
         return self.damping_base / (1.0 + k / self.damping_scale)

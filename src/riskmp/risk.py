@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateSample
+from .sde import _BLOCK_ELEMENTS
 
 __all__ = [
     "RiskFunction",
@@ -111,35 +112,74 @@ class EmpiricalSample:
         return self.values.size
 
 
+def _weighted_sum(values, weights, scratch=None):
+    """Sum of values * weights over the last axis, one result per row.
+
+    np.add.reduce runs numpy's pairwise summation along each row and calls no
+    BLAS, so a row's sum depends neither on the BLAS thread count nor on how
+    many rows share the call (a BLAS dot splits long vectors across threads).
+    scratch, shaped like values and possibly values itself, takes the product.
+    """
+    return np.add.reduce(np.multiply(values, weights, out=scratch), axis=-1)
+
+
 def _mean(sample):
-    return float(sample.weights @ sample.values)
+    return float(_weighted_sum(sample.values, sample.weights))
 
 
-def _deviation(sample, mean):
-    return math.sqrt(float(sample.weights @ (sample.values - mean) ** 2))
+def _softplus(u, out, tail):
+    """log(1 + exp(u)) elementwise into out, with tail as scratch.
+
+    max(u, 0) + log1p(exp(-|u|)) is the branch arithmetic of
+    np.logaddexp(0, u), computed with numpy's vectorised exp and log1p; it
+    agrees with logaddexp to within one ulp and is exact at u = +-inf.  out
+    may be u itself.
+    """
+    np.abs(u, out=tail)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(u, 0.0, out=out)
+    out += tail
+    return out
 
 
-def _smoothed_positive_part(x, epsilon):
-    # eps * softplus(x / eps), computed stably via logaddexp.
-    return epsilon * np.logaddexp(0.0, x / epsilon)
+def _evaluate_rows(risk, values, weights, work=None):
+    """Risk of each row of values, a (rows, n) block of equally weighted samples.
 
-
-def _entropic_log_mean_exp(values, weights, theta):
-    shift = float(np.max(theta * values))
-    return (shift + math.log(float(weights @ np.exp(theta * values - shift))))
+    weights (n,) is shared by all rows.  Every reduction runs along a row, so
+    row i's result is bit-identical to evaluating that row alone.  work is
+    (2, rows, n) scratch the kernel overwrites; callers that evaluate many
+    blocks pass one, so that no block allocates (and page-faults) its own.
+    """
+    if work is None:
+        work = np.empty((2,) + values.shape)
+    buf, tail = work
+    m = _weighted_sum(values, weights, buf)
+    if risk.kind == EXPECTATION:
+        return m
+    if risk.kind == MEAN_DEVIATION:
+        dev = np.subtract(values, m[:, None], out=buf)
+        np.square(dev, out=dev)
+        return m + risk.beta * np.sqrt(_weighted_sum(dev, weights, dev))
+    if risk.kind == SMOOTHED_SEMIDEVIATION:
+        # eps * softplus((X - mean) / eps), the smoothed positive part.
+        u = np.subtract(values, m[:, None], out=buf)
+        u /= risk.epsilon
+        smooth = _softplus(u, u, tail)
+        smooth *= risk.epsilon
+        return m + risk.beta * _weighted_sum(smooth, weights, smooth)
+    # Entropic: log-mean-exp shifted by the row maximum, overflow-safe.
+    z = np.multiply(values, risk.theta, out=buf)
+    shift = z.max(axis=-1)
+    z -= shift[:, None]
+    np.exp(z, out=z)
+    return (shift + np.log(_weighted_sum(z, weights, z))) / risk.theta
 
 
 def evaluate(risk, sample):
     """Risk of the empirical sample; total on finite samples."""
-    m = _mean(sample)
-    if risk.kind == EXPECTATION:
-        return m
-    if risk.kind == MEAN_DEVIATION:
-        return m + risk.beta * _deviation(sample, m)
-    if risk.kind == SMOOTHED_SEMIDEVIATION:
-        smooth = _smoothed_positive_part(sample.values - m, risk.epsilon)
-        return m + risk.beta * float(sample.weights @ smooth)
-    return _entropic_log_mean_exp(sample.values, sample.weights, risk.theta) / risk.theta
+    return float(_evaluate_rows(risk, sample.values[None, :], sample.weights)[0])
 
 
 def l_derivative(risk, sample):
@@ -154,7 +194,7 @@ def l_derivative(risk, sample):
         return np.ones_like(v)
     m = _mean(sample)
     if risk.kind == MEAN_DEVIATION:
-        dev = _deviation(sample, m)
+        dev = math.sqrt(float(_weighted_sum((v - m) ** 2, w)))
         if dev <= risk.tol_sigma * (1.0 + abs(m)):
             raise DegenerateSample(
                 f"deviation {dev:.3e} below floor; derivative undefined at constants"
@@ -162,10 +202,10 @@ def l_derivative(risk, sample):
         return 1.0 + risk.beta * (v - m) / dev
     if risk.kind == SMOOTHED_SEMIDEVIATION:
         u = expit((v - m) / risk.epsilon)
-        return 1.0 + risk.beta * (u - float(w @ u))
+        return 1.0 + risk.beta * (u - float(_weighted_sum(u, w)))
     shift = float(np.max(risk.theta * v))
     e = np.exp(risk.theta * v - shift)
-    return e / float(w @ e)
+    return e / float(_weighted_sum(e, w))
 
 
 @dataclass(frozen=True)
@@ -191,7 +231,7 @@ def directional_derivative_check(risk, sample, direction, h):
     up = EmpiricalSample(sample.values + h * d, sample.weights)
     dn = EmpiricalSample(sample.values - h * d, sample.weights)
     fd = (evaluate(risk, up) - evaluate(risk, dn)) / (2.0 * h)
-    ip = float(sample.weights @ (deriv * d))
+    ip = float(_weighted_sum(deriv * d, sample.weights))
     return DirectionalCheck(fd_value=fd, inner_product=ip, abs_error=abs(fd - ip))
 
 
@@ -199,17 +239,32 @@ def bootstrap_standard_error(risk, sample, n_boot=200, seed=0):
     """Monte Carlo standard error of evaluate(risk, sample) by resampling.
 
     Nonparametric bootstrap with a fixed seed so repeated runs agree exactly.
+    Resamples are drawn and evaluated a block of rows at a time; one
+    (rows, n) draw takes the same generator output as rows draws of n, so
+    the resamples, and each one's risk value, match a draw-per-resample loop.
     """
+    if n_boot < 2:
+        raise ValueError(f"n_boot must be >= 2, got {n_boot}")
     rng = np.random.default_rng(seed)
     n = sample.n
     if n < 2:
         return float("nan")
     uniform = np.allclose(sample.weights, 1.0 / n, rtol=0.0, atol=1e-15)
+    # A resample is an equally weighted sample of n draws from a finite,
+    # already validated parent.
+    weights = np.full(n, 1.0 / n)
+    rows = min(max(1, _BLOCK_ELEMENTS // n), n_boot)
+    block = np.empty((rows, n))
+    work = np.empty((2, rows, n))
     vals = np.empty(n_boot)
-    for b in range(n_boot):
+    for start in range(0, n_boot, rows):
+        b = min(rows, n_boot - start)
         if uniform:
-            idx = rng.integers(0, n, n)
+            idx = rng.integers(0, n, (b, n))
         else:
-            idx = rng.choice(n, size=n, p=sample.weights)
-        vals[b] = evaluate(risk, EmpiricalSample(sample.values[idx]))
+            idx = rng.choice(n, size=(b, n), p=sample.weights)
+        np.take(sample.values, idx, out=block[:b])
+        vals[start:start + b] = _evaluate_rows(
+            risk, block[:b], weights, work[:, :b]
+        )
     return float(vals.std(ddof=1))

@@ -262,9 +262,23 @@ def sample_brownian(grid, n_paths, dim_w, seed):
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     out = np.empty((n_paths, grid.n_steps, int(dim_w)))
+    # One Philox re-keyed per path gives _path_stream(seed, i)'s draws without
+    # building a generator, and seeding it from OS entropy, for every path.
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = np.array([0, int(seed) % (1 << 64)], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for i in range(n_paths):
-        gen = _path_stream(seed, i)
-        out[i] = gen.standard_normal((grid.n_steps, int(dim_w)))
+        key[0] = i
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
     out *= math.sqrt(grid.dt)
     return BrownianDriver(
         increments=out,
@@ -353,9 +367,10 @@ class _RulePolicy(MeasurePolicy):
         return w
 
 
-# Element budget of the per-block (rows, components, atoms) pre-weight array:
-# 2**15 float64 = 256 KB, small enough to stay in cache through the block's
-# passes.
+# Element budget of one row block, here the (rows, components, atoms)
+# pre-weight array and in risk.bootstrap_standard_error the (rows, n) resample
+# block: 2**15 float64 = 256 KB, small enough to stay in cache through the
+# block's passes.
 _BLOCK_ELEMENTS = 1 << 15
 
 

@@ -1,4 +1,4 @@
-"""Shared builders for small test models, and a CLI run in a fresh process."""
+"""Shared builders for small test models, and runs in a fresh process."""
 
 import os
 import subprocess
@@ -56,23 +56,34 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def solve_in_subprocess(config_path, out_dir, blas_threads):
-    """Run `python -m riskmp.cli solve` with OpenBLAS pinned to blas_threads.
+def python_in_subprocess(args, blas_threads):
+    """Run `python <args>` with OpenBLAS pinned to blas_threads; return stdout.
 
     The BLAS thread count is fixed when numpy loads, so only a fresh process
-    can vary it.  Returns the output file names.
+    can vary it.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "riskmp.cli", "solve",
-         "--config", str(config_path), "--out", str(out_dir)],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def solve_in_subprocess(config_path, out_dir, blas_threads):
+    """Run `python -m riskmp.cli solve` in a fresh process with OpenBLAS
+    pinned to blas_threads.  Returns the output file names.
+    """
+    python_in_subprocess(
+        ["-m", "riskmp.cli", "solve",
+         "--config", str(config_path), "--out", str(out_dir)],
+        blas_threads,
+    )
     return sorted(os.listdir(out_dir))

@@ -162,6 +162,36 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert _read_lines(outs[0] / name) == _read_lines(outs[1] / name), name
 
 
+def test_solve_above_blas_split_size_is_thread_independent(tmp_path):
+    # OpenBLAS splits a dot product across threads above 10,000 entries, so
+    # only a solve with more paths than that shows a cross-path reduction
+    # that goes through BLAS.
+    cfg = json.load(open(os.path.join(CONFIGS, "custom_linear.json")))
+    cfg["sim"]["n_paths"] = 12_000
+    cfg["msa"]["max_iters"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    outs = [tmp_path / "blas1", tmp_path / "blas2"]
+    names = [solve_in_subprocess(path, out, n) for out, n in zip(outs, (1, 2))]
+    assert names[0] == names[1]
+    differ = [
+        name for name in names[0]
+        if _read_lines(outs[0] / name) != _read_lines(outs[1] / name)
+    ]
+    assert not differ
+
+
+@pytest.mark.parametrize("n_boot", [-1, 0, 1])
+def test_too_few_bootstrap_resamples_is_config_error(tmp_path, capsys, n_boot):
+    path, _ = _small_portfolio_config(
+        tmp_path, msa={"max_iters": 2, "n_boot": n_boot}
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "n_boot must be >= 2" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

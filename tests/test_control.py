@@ -194,6 +194,9 @@ def test_msa_config_validation():
         MsaConfig(damping_base=1.5)
     with pytest.raises(ValueError):
         MsaConfig(eta=0.0)
+    for n_boot in (-1, 0, 1):
+        with pytest.raises(ValueError, match="n_boot"):
+            MsaConfig(n_boot=n_boot)
     cfg = MsaConfig()
     alphas = [cfg.alpha(k) for k in range(30)]
     assert all(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmp import (
     DegenerateSample,
@@ -14,6 +16,10 @@ from riskmp import (
     evaluate,
     l_derivative,
 )
+from riskmp.risk import _evaluate_rows, _softplus
+from riskmp.sde import _BLOCK_ELEMENTS
+
+from conftest import python_in_subprocess
 
 RISKS = {
     "expectation": RiskFunction.expectation(),
@@ -194,6 +200,214 @@ def test_law_invariance_under_permutation(rng):
             d1 = l_derivative(risk, EmpiricalSample(x))
             d2 = l_derivative(risk, EmpiricalSample(x[perm]))
             np.testing.assert_allclose(np.sort(d1), np.sort(d2), atol=1e-12)
+
+
+# ----------------------------------------------- risk axioms, property-based
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RISKS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    a=st.floats(-5.0, 5.0),
+)
+def test_translation_invariance_property(name, seed, n, a):
+    x = np.random.default_rng(seed).standard_normal(n)
+    risk = RISKS[name]
+    shifted = evaluate(risk, EmpiricalSample(x + a))
+    assert shifted == pytest.approx(evaluate(risk, EmpiricalSample(x)) + a, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["expectation", "mean_deviation"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    lam=st.floats(0.01, 10.0),
+)
+def test_positive_homogeneity_property(name, seed, n, lam):
+    x = np.random.default_rng(seed).standard_normal(n)
+    risk = RISKS[name]
+    lhs = evaluate(risk, EmpiricalSample(lam * x))
+    rhs = lam * evaluate(risk, EmpiricalSample(x))
+    assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["expectation", "smoothed_semideviation", "entropic"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+)
+def test_monotonicity_property(name, seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = x + rng.uniform(0.0, 1.0, n)
+    risk = RISKS[name]
+    assert evaluate(risk, EmpiricalSample(x)) <= evaluate(risk, EmpiricalSample(y)) + 1e-12
+
+
+def test_mean_deviation_is_not_monotone():
+    # mean + beta * std is convex and translation invariant but not
+    # monotone: lifting one low outlier to the bulk removes more deviation
+    # than it adds mean once beta * sqrt(n) > 1, so the monotonicity
+    # properties leave it out.
+    x = np.zeros(10)
+    x[0] = -10.0
+    risk = RISKS["mean_deviation"]
+    assert evaluate(risk, EmpiricalSample(x)) > evaluate(risk, EmpiricalSample(np.zeros(10)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RISKS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    lam=st.floats(0.0, 1.0),
+)
+def test_convexity_property(name, seed, n, lam):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    risk = RISKS[name]
+    lhs = evaluate(risk, EmpiricalSample(lam * x + (1 - lam) * y))
+    rhs = lam * evaluate(risk, EmpiricalSample(x)) + (1 - lam) * evaluate(
+        risk, EmpiricalSample(y)
+    )
+    assert lhs <= rhs + 1e-12
+
+
+# ------------------------------------------------------------- row kernel
+
+def _weights(rng, n, weighted):
+    if not weighted:
+        return None
+    w = rng.uniform(0.0, 1.0, n) + 0.01
+    return w / w.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RISKS)),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 24),
+    n=st.one_of(st.integers(1, 300), st.integers(300, 5000)),
+    weighted=st.booleans(),
+    scale=st.sampled_from([1e-6, 1.0, 1e3]),
+)
+def test_row_kernel_rows_equal_single_evaluations(name, seed, rows, n, weighted, scale):
+    rng = np.random.default_rng(seed)
+    block = scale * rng.standard_normal((rows, n))
+    sample0 = EmpiricalSample(block[0], _weights(rng, n, weighted))
+    got = _evaluate_rows(RISKS[name], block, sample0.weights)
+    assert got.shape == (rows,)
+    for i in range(rows):
+        one = evaluate(RISKS[name], EmpiricalSample(block[i], sample0.weights))
+        assert got[i] == one, (i, got[i], one)
+
+
+def _loop_bootstrap(risk, sample, n_boot, seed):
+    """The per-resample reference: one draw and one EmpiricalSample each."""
+    rng = np.random.default_rng(seed)
+    n = sample.n
+    uniform = np.allclose(sample.weights, 1.0 / n, rtol=0.0, atol=1e-15)
+    vals = np.empty(n_boot)
+    for b in range(n_boot):
+        if uniform:
+            idx = rng.integers(0, n, n)
+        else:
+            idx = rng.choice(n, size=n, p=sample.weights)
+        vals[b] = evaluate(risk, EmpiricalSample(sample.values[idx]))
+    return float(vals.std(ddof=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RISKS)),
+    weighted=st.booleans(),
+    which_n=st.integers(0, 4),
+    k=st.integers(1, 40),
+    full_blocks=st.integers(0, 1),
+    partial=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_bootstrap_matches_per_resample_loop(
+    name, weighted, which_n, k, full_blocks, partial, seed
+):
+    n = (2, 3, _BLOCK_ELEMENTS // k - 1, _BLOCK_ELEMENTS // k + 1, 20_000)[which_n]
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    # The last block is partial whenever a block holds more than one row.
+    n_boot = max(2, full_blocks * rows + 1 + partial % max(rows - 1, 1))
+    rng = np.random.default_rng(seed)
+    sample = EmpiricalSample(rng.standard_normal(n), _weights(rng, n, weighted))
+    got = bootstrap_standard_error(RISKS[name], sample, n_boot=n_boot, seed=seed)
+    assert got == _loop_bootstrap(RISKS[name], sample, n_boot, seed)
+
+
+def test_block_bootstrap_crosses_block_boundaries():
+    # Three full blocks plus a partial one, against the reference loop.
+    n = 3000
+    rows = _BLOCK_ELEMENTS // n
+    sample = EmpiricalSample(np.random.default_rng(4).standard_normal(n))
+    for risk in RISKS.values():
+        got = bootstrap_standard_error(risk, sample, n_boot=3 * rows + 2, seed=9)
+        assert got == _loop_bootstrap(risk, sample, 3 * rows + 2, 9)
+
+
+_SOFTPLUS_EDGES = [0.0, -0.0, 40.0, -40.0, 750.0, -750.0, 1e308 / 1e-10, -1e308 / 1e-10]
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+def test_softplus_within_one_ulp_of_logaddexp(u):
+    u = np.array(u + _SOFTPLUS_EDGES)
+    got = _softplus(u, np.empty_like(u), np.empty_like(u))
+    ref = np.logaddexp(0.0, u)
+    with np.errstate(over="ignore"):  # the float maximum's upper neighbour
+        within_ulp = (
+            (got == ref)
+            | (got == np.nextafter(ref, np.inf))
+            | (got == np.nextafter(ref, -np.inf))
+        )
+    assert within_ulp.all(), u[~within_ulp]
+
+
+def test_bootstrap_rejects_fewer_than_two_resamples():
+    sample = EmpiricalSample([0.0, 1.0, 2.0])
+    for n_boot in (-1, 0, 1):
+        with pytest.raises(ValueError, match="n_boot"):
+            bootstrap_standard_error(RISKS["expectation"], sample, n_boot=n_boot)
+
+
+_KERNEL_SCRIPT = """
+import hashlib
+import numpy as np
+from riskmp import EmpiricalSample, RiskFunction, RegressionBasis
+from riskmp import bootstrap_standard_error, evaluate, fit_conditional, l_derivative
+
+rng = np.random.default_rng(11)
+x = rng.standard_normal(20_000)
+w = rng.uniform(0.0, 1.0, x.size)
+for sample in (EmpiricalSample(x), EmpiricalSample(x, w / w.sum())):
+    for risk in (
+        RiskFunction.expectation(),
+        RiskFunction.mean_deviation(0.5),
+        RiskFunction.smoothed_semideviation(0.5, 0.1),
+        RiskFunction.entropic(1.0),
+    ):
+        print(repr(evaluate(risk, sample)))
+        print(hashlib.sha256(l_derivative(risk, sample).tobytes()).hexdigest())
+        print(repr(bootstrap_standard_error(risk, sample, n_boot=20, seed=3)))
+states = rng.standard_normal((x.size, 1))
+print(repr(fit_conditional(RegressionBasis(degree=2), states, x + states[:, 0]).residual))
+"""
+
+
+def test_risk_kernel_is_blas_thread_independent():
+    # 20k entries is above the 10,000-entry size where OpenBLAS splits a dot
+    # product across threads.
+    runs = [python_in_subprocess(["-c", _KERNEL_SCRIPT], n) for n in (1, 2)]
+    assert runs[0].count("\n") == 1 + 2 * 4 * 3
+    assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------- plumbing
