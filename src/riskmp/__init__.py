@@ -18,11 +18,8 @@ from .adjoint import (
     solve_risk_adjustment,
 )
 from .control import (
-    HamiltonianContext,
     MsaConfig,
     SolveReport,
-    hamiltonian,
-    minimize_hamiltonian,
     msa_solve,
     objective,
 )
@@ -31,6 +28,7 @@ from .errors import (
     ConfigInvalid,
     DegenerateSample,
     InvalidBounds,
+    InvalidPolicyWeights,
     NonPositiveAdjustment,
     NonPositiveHorizon,
     NumericalBlowup,

@@ -49,13 +49,10 @@ class RegressionBasis:
     keeps only the intercept).  The effective ridge penalty on standardized,
     non-intercept coefficients is ridge * n_samples; ridge = 0 requests plain
     least squares and raises RankDeficient on singular normal systems.
-    feature_map optionally replaces the monomials with a custom map
-    states -> (n, m).
     """
 
     degree: int = 3
     ridge: float = 1e-8
-    feature_map: "callable | None" = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -68,11 +65,6 @@ class RegressionBasis:
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
-        if self.feature_map is not None:
-            phi = np.asarray(self.feature_map(states), dtype=float)
-            if phi.ndim != 2 or phi.shape[0] != states.shape[0]:
-                raise ValueError("feature_map must return shape (n, m)")
-            return phi
         n, d = states.shape
         cols = []
         for total in range(1, self.degree + 1):

@@ -547,12 +547,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="ignored; accepted for interface compatibility",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

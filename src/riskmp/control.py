@@ -34,26 +34,12 @@ from .sde import (
 )
 
 __all__ = [
-    "HamiltonianContext",
     "MsaConfig",
     "SolveReport",
-    "hamiltonian",
-    "minimize_hamiltonian",
     "objective",
     "policy_entropy",
     "msa_solve",
 ]
-
-
-@dataclass(frozen=True)
-class HamiltonianContext:
-    """Arguments of the Hamiltonian at one (time, path) point."""
-
-    t: float
-    x: np.ndarray        # (dim_x,)
-    y: np.ndarray        # (dim_x,) row covector
-    yprime: float
-    z: np.ndarray        # (dim_w, dim_x)
 
 
 def _hamiltonian_atoms(model, t, states, y, yprime, z):
@@ -70,48 +56,12 @@ def _hamiltonian_atoms(model, t, states, y, yprime, z):
     return out.T
 
 
-def hamiltonian(ctx, a, model):
-    """H(t, x, y, y', z, a) = y.b + y'.c + tr[z sigma] at a single point."""
-    x = np.asarray(ctx.x, float)[None, :]
-    y = np.asarray(ctx.y, float)[None, :]
-    z = np.asarray(ctx.z, float)[None, :, :]
-    j = _atom_index(model, a)
-    table = _hamiltonian_atoms(model, ctx.t, x, y, np.array([ctx.yprime]), z)
-    return float(table[0, j])
-
-
-def _atom_index(model, a):
-    a = np.atleast_1d(np.asarray(a, float))
-    match = np.all(model.action_grid == a[None, :], axis=1)
-    idx = np.flatnonzero(match)
-    if idx.size == 0:
-        raise ValueError(f"action {a} is not on the model's action grid")
-    return int(idx[0])
-
-
 def _near_min_weights(table, eta):
     """Uniform mixture over atoms within eta * (1 + |H_min|) of the minimum."""
     hmin = table.min(axis=1)
     thresh = hmin + eta * (1.0 + np.abs(hmin))
     mask = table <= thresh[:, None]
     return mask / mask.sum(axis=1, keepdims=True)
-
-
-def minimize_hamiltonian(ctx, model, eta):
-    """Minimizing measure of H over the action grid at one point.
-
-    Linearity in the measure puts the infimum on atoms; all atoms within the
-    (relative) tie tolerance eta of the minimum share weight uniformly, so a
-    symmetric tie returns the mixed measure rather than an arbitrary atom.
-
-    Returns:
-      weight vector over model.action_grid.
-    """
-    x = np.asarray(ctx.x, float)[None, :]
-    y = np.asarray(ctx.y, float)[None, :]
-    z = np.asarray(ctx.z, float)[None, :, :]
-    table = _hamiltonian_atoms(model, ctx.t, x, y, np.array([ctx.yprime]), z)
-    return _near_min_weights(table, eta)[0]
 
 
 def policy_entropy(weights):

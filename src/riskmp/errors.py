@@ -26,6 +26,10 @@ class NumericalBlowup(RiskmpError):
         super().__init__(f"non-finite {what} at time step {step}")
 
 
+class InvalidPolicyWeights(RiskmpError):
+    """A policy returned negative weights, or rows not summing to 1, at a time step."""
+
+
 class AlphaOutOfRange(RiskmpError):
     """Convex-combination parameter must lie in [0, 1]."""
 

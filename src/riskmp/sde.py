@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
+    InvalidPolicyWeights,
     NonPositiveHorizon,
     NumericalBlowup,
     ZeroSteps,
@@ -226,7 +227,6 @@ class BrownianDriver:
 
     increments: np.ndarray
     seed: int
-    stream_ids: np.ndarray
 
     @property
     def n_paths(self):
@@ -280,11 +280,7 @@ def sample_brownian(grid, n_paths, dim_w, seed):
         bitgen.state = state
         gen.standard_normal(out=out[i])
     out *= math.sqrt(grid.dt)
-    return BrownianDriver(
-        increments=out,
-        seed=int(seed),
-        stream_ids=np.arange(n_paths, dtype=np.uint64),
-    )
+    return BrownianDriver(increments=out, seed=int(seed))
 
 
 class MeasurePolicy:
@@ -301,7 +297,7 @@ class MeasurePolicy:
         raise NotImplementedError
 
     @staticmethod
-    def constant(weights, n_atoms=None):
+    def constant(weights):
         """State-independent weights; one row per step or a single row."""
         return _ConstantPolicy(weights)
 
@@ -324,13 +320,16 @@ class MeasurePolicy:
 def _check_weight_rows(w, where, step=None):
     """Reject negative weights and rows not summing to 1.
 
-    A NaN or infinite weight makes its row sum non-finite, which the sum check
-    alone would let through, since comparisons with NaN are false.  Such rows
-    raise NumericalBlowup(step, "policy weights") when the weights belong to
-    a time step, and ValueError otherwise.
+    Weights that belong to a time step are a run-time fault of the policy and
+    raise InvalidPolicyWeights; other weights, such as a constant policy's,
+    raise ValueError.  A NaN or infinite weight makes its row sum non-finite,
+    which the sum check alone would let through, since comparisons with NaN
+    are false.  Such rows raise NumericalBlowup(step, "policy weights") at a
+    time step.
     """
+    error = ValueError if step is None else InvalidPolicyWeights
     if np.any(w < 0.0):
-        raise ValueError(f"negative policy weight at {where}")
+        raise error(f"negative policy weight at {where}")
     sums = w.sum(axis=-1)
     if not np.isfinite(sums).all():
         if step is not None:
@@ -338,7 +337,7 @@ def _check_weight_rows(w, where, step=None):
         raise ValueError(f"non-finite policy weight at {where}")
     if np.any(np.abs(sums - 1.0) > _WEIGHT_TOL):
         worst = float(np.max(np.abs(sums - 1.0)))
-        raise ValueError(f"policy weights at {where} sum off by {worst:.2e}")
+        raise error(f"policy weights at {where} sum off by {worst:.2e}")
 
 
 class _ConstantPolicy(MeasurePolicy):

@@ -112,7 +112,7 @@ def test_lattice_surrogate_branch_average():
             [[-root], [-root]],
         ]
     )
-    driver = BrownianDriver(increments=inc, seed=0, stream_ids=np.arange(4, dtype=np.uint64))
+    driver = BrownianDriver(increments=inc, seed=0)
     model = make_model([1.0], diffusion=lambda t, x, a: np.ones((x.shape[0], 1, 1)))
     ens = simulate_forward(model, MeasurePolicy.dirac(0, 1), driver, grid)
     d = np.array([4.0, 1.0, -2.0, 6.0])

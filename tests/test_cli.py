@@ -7,6 +7,7 @@ import pytest
 
 from riskmp.cli import config_hash, load_config, main
 from riskmp.errors import ConfigInvalid
+from riskmp.verification import CHECKS
 
 from conftest import solve_in_subprocess
 
@@ -243,7 +244,10 @@ def test_verify_command_passes_and_emits_table(tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "name,passed,detail"
     rows = lines[2:]
-    assert len(rows) >= 20
+    assert len(rows) == 26
+    assert [row.split(",")[0] for row in rows] == [
+        name for check in CHECKS for name in check.names
+    ]
     assert all(",True," in row for row in rows)
 
 

@@ -6,34 +6,33 @@ import numpy as np
 import pytest
 
 from riskmp import (
-    HamiltonianContext,
     MeasurePolicy,
     MsaConfig,
     RegressionBasis,
     RiskFunction,
     build_time_grid,
-    hamiltonian,
     merton_allocation,
-    minimize_hamiltonian,
     msa_solve,
     objective,
     sample_brownian,
     simulate_forward,
 )
-from riskmp.control import _hamiltonian_atoms
+from riskmp.control import _hamiltonian_atoms, _near_min_weights
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
 from riskmp.models import sign_volatility_model
 
 from conftest import make_model
 
 
-def _ctx(t=0.0, x=0.0, y=0.0, yprime=1.0, z=0.0):
-    return HamiltonianContext(
-        t=t,
-        x=np.atleast_1d(float(x)),
-        y=np.atleast_1d(float(y)),
-        yprime=float(yprime),
-        z=np.atleast_2d(float(z)),
+def _table(model, t=0.0, x=0.0, y=0.0, yprime=1.0, z=0.0):
+    """H at every atom for one scalar (t, x, y, y', z) point: a (1, A) table."""
+    return _hamiltonian_atoms(
+        model,
+        t,
+        np.full((1, 1), x),
+        np.full((1, 1), y),
+        np.full(1, yprime),
+        np.full((1, 1, 1), z),
     )
 
 
@@ -41,12 +40,12 @@ def _ctx(t=0.0, x=0.0, y=0.0, yprime=1.0, z=0.0):
 
 def test_hamiltonian_reduces_to_cost_rate():
     model = make_model([2.0], cost=lambda t, x, a: np.full(x.shape[0], 7.5))
-    assert hamiltonian(_ctx(y=0.0, yprime=1.0, z=0.0), [2.0], model) == 7.5
+    assert _table(model, y=0.0, yprime=1.0, z=0.0)[0, 0] == 7.5
 
 
 def test_hamiltonian_reduces_to_drift_pairing():
     model = make_model([3.0], drift=lambda t, x, a: np.full((x.shape[0], 1), a[0]))
-    assert hamiltonian(_ctx(y=2.0, yprime=0.0, z=0.0), [3.0], model) == 6.0
+    assert _table(model, y=2.0, yprime=0.0, z=0.0)[0, 0] == 6.0
 
 
 def test_hamiltonian_portfolio_hand_value():
@@ -55,7 +54,8 @@ def test_hamiltonian_portfolio_hand_value():
     # so H = -0.045 + 0.03 = -0.015.
     params = PortfolioParams(r=0.02, mu=0.08, sigma=0.2, phi_low=0.1, phi_high=1.5)
     model = build_portfolio_model(params, 15)
-    val = hamiltonian(_ctx(y=-1.0, yprime=1.0, z=0.3), [0.5], model)
+    assert model.action_grid[4, 0] == 0.5
+    val = _table(model, y=-1.0, yprime=1.0, z=0.3)[0, 4]
     assert val == pytest.approx(-0.015, abs=1e-15)
 
 
@@ -67,67 +67,24 @@ def test_hamiltonian_risk_neutral_form():
         diffusion=lambda t, x, a: np.full((x.shape[0], 1, 1), 0.4),
         cost=lambda t, x, a: np.full(x.shape[0], 0.3),
     )
-    got = hamiltonian(_ctx(y=2.0, yprime=1.0, z=0.5), [1.5], model)
+    got = _table(model, y=2.0, yprime=1.0, z=0.5)[0, 0]
     assert got == pytest.approx(0.3 + 2.0 * 1.5 + 0.5 * 0.4, abs=1e-15)
-
-
-def test_hamiltonian_linearity_in_the_measure(rng):
-    model = build_portfolio_model(PortfolioParams(), 9)
-    states = rng.standard_normal((40, 1))
-    table = _hamiltonian_atoms(
-        model,
-        0.2,
-        states,
-        rng.standard_normal((40, 1)),
-        rng.uniform(0.5, 2.0, 40),
-        rng.standard_normal((40, 1, 1)),
-    )
-    w1 = rng.dirichlet(np.ones(9), size=40)
-    w2 = rng.dirichlet(np.ones(9), size=40)
-    for lam in (0.0, 0.3, 1.0):
-        mix = lam * w1 + (1 - lam) * w2
-        lhs = np.einsum("na,na->n", mix, table)
-        rhs = lam * np.einsum("na,na->n", w1, table) + (1 - lam) * np.einsum(
-            "na,na->n", w2, table
-        )
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 # ---------------------------------------------------------------- minimizer
 
 def test_minimize_unique_minimum_is_dirac():
     model = build_portfolio_model(PortfolioParams(), 15)
-    w = minimize_hamiltonian(_ctx(y=-1.0, yprime=1.0, z=0.0), model, eta=1e-9)
+    w = _near_min_weights(_table(model, y=-1.0, yprime=1.0, z=0.0), 1e-9)[0]
     assert np.count_nonzero(w) == 1
     best = model.action_grid[np.argmax(w), 0]
     assert abs(best - merton_allocation(PortfolioParams())) <= 1.4 / 14 / 2 + 1e-12
 
 
-def test_minimize_tie_gives_uniform_mixture():
-    model = sign_volatility_model()
-    w = minimize_hamiltonian(_ctx(y=0.0, yprime=1.0, z=0.0), model, eta=1e-9)
-    np.testing.assert_allclose(w, [0.5, 0.5])
-
-
 def test_minimize_sign_sensitive():
     model = sign_volatility_model()
-    w = minimize_hamiltonian(_ctx(y=0.0, yprime=1.0, z=-1.0), model, eta=1e-9)
+    w = _near_min_weights(_table(model, y=0.0, yprime=1.0, z=-1.0), 1e-9)[0]
     np.testing.assert_array_equal(w, [0.0, 1.0])  # H(a) = z*a minimized at +1
-
-
-def test_minimizer_never_above_any_atom(rng):
-    model = build_portfolio_model(PortfolioParams(), 21)
-    for _ in range(25):
-        ctx = _ctx(
-            y=rng.standard_normal(),
-            yprime=rng.uniform(0.1, 2.0),
-            z=rng.standard_normal(),
-        )
-        w = minimize_hamiltonian(ctx, model, eta=1e-9)
-        table = np.array(
-            [hamiltonian(ctx, a, model) for a in model.action_grid]
-        )
-        assert float(w @ table) <= table.min() + 1e-12
 
 
 # ----------------------------------------------------------------- objective

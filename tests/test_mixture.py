@@ -243,19 +243,38 @@ def test_cli_nan_constant_init_policy_is_config_error(tmp_path):
 
 
 def test_cli_nan_feedback_weights_are_a_runtime_error(tmp_path, monkeypatch):
-    def rule(k, t, x):
-        return np.full((x.shape[0], 5), np.nan if k == 3 else 0.2)
-
-    monkeypatch.setattr(
-        cli, "_init_policy", lambda spec, n_atoms: MeasurePolicy.feedback(rule, n_atoms)
-    )
+    # A bad feedback row at a time step is a run-time fault, whether it holds
+    # a NaN, a negative weight or does not sum to 1: exit 1 with error.json.
+    cases = [
+        (3, np.nan, "NumericalBlowup", "non-finite policy weights at time step 3"),
+        (
+            2,
+            [-0.1, 0.3, 0.3, 0.3, 0.2],
+            "InvalidPolicyWeights",
+            "negative policy weight at feedback policy, step 2",
+        ),
+        (
+            1,
+            [0.3] * 5,
+            "InvalidPolicyWeights",
+            "policy weights at feedback policy, step 1 sum off by 5.00e-01",
+        ),
+    ]
     path, _ = _tiny_config(tmp_path)
-    out = str(tmp_path / "o")
-    assert cli.main(["solve", "--config", path, "--out", out]) == 1
-    with open(os.path.join(out, "error.json")) as fh:
-        record = json.load(fh)
-    assert record["error"] == "NumericalBlowup"
-    assert record["message"] == "non-finite policy weights at time step 3"
+    for i, (step, row, error, message) in enumerate(cases):
+        def rule(k, t, x, step=step, row=row):
+            return np.broadcast_to(row if k == step else 0.2, (x.shape[0], 5))
+
+        monkeypatch.setattr(
+            cli,
+            "_init_policy",
+            lambda spec, n_atoms, rule=rule: MeasurePolicy.feedback(rule, n_atoms),
+        )
+        out = str(tmp_path / f"o{i}")
+        assert cli.main(["solve", "--config", path, "--out", out]) == 1
+        with open(os.path.join(out, "error.json")) as fh:
+            record = json.load(fh)
+        assert (record["error"], record["message"]) == (error, message)
 
 
 # ----------------------------------------------------------- layout and bits
