@@ -8,10 +8,8 @@ allocation benchmark.
 
 from .adjoint import (
     AdjointProcesses,
-    ConditionalFit,
     MartingaleReport,
     RegressionBasis,
-    fit_conditional,
     martingale_diagnostics,
     solve_adjoint,
     solve_adjoint_system,

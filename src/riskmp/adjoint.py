@@ -30,10 +30,8 @@ from .sde import coefficient_tables
 
 __all__ = [
     "RegressionBasis",
-    "ConditionalFit",
     "AdjointProcesses",
     "MartingaleReport",
-    "fit_conditional",
     "solve_risk_adjustment",
     "solve_adjoint",
     "solve_adjoint_system",
@@ -125,77 +123,25 @@ class _SliceRegression:
         return ybar, beta, coef, ybar - self._mu @ coef
 
     def fit(self, targets):
-        """Least squares of targets on the slice features.
-
-        targets: (n,) or (n, r).  Returns (fitted, intercept, coef) where
-        coef maps *raw* design columns, standardization already absorbed.
-        """
+        """Least-squares fitted values of targets, (n,) or (n, r), on the slice."""
         t = np.asarray(targets, dtype=float)
         squeeze = t.ndim == 1
         if squeeze:
             t = t[:, None]
-        ybar, beta, coef, intercept = self._solve(t)
+        ybar, beta, _, _ = self._solve(t)
         if beta is None:
             fitted = np.broadcast_to(ybar, t.shape).copy()
         else:
             fitted = ybar + self._phi_centered @ beta
-        if squeeze:
-            return fitted[:, 0], intercept, coef
-        return fitted, intercept, coef
+        return fitted[:, 0] if squeeze else fitted
 
     def fit_coefficients(self, targets):
-        """(intercept, coef) of fit() for (n, r) targets, skipping the fitted values."""
+        """(intercept, coef) of the fit of (n, r) targets.
+
+        coef maps *raw* design columns, standardization already absorbed.
+        """
         _, _, coef, intercept = self._solve(np.asarray(targets, dtype=float))
         return intercept, coef
-
-
-@dataclass(frozen=True)
-class ConditionalFit:
-    """Fitted conditional-expectation predictor plus fit diagnostics."""
-
-    predict: callable
-    fitted: np.ndarray
-    intercept: np.ndarray
-    coefficients: np.ndarray
-    residual: float
-    residual_rel: float
-
-
-def fit_conditional(basis, states, targets):
-    """Weighted least squares of per-path targets on state features.
-
-    Returns a ConditionalFit whose predict callable evaluates the fitted
-    conditional expectation at new states.  Raises RankDeficient when
-    basis.ridge == 0 and the normal system is singular.
-    """
-    reg = _SliceRegression(states, basis)
-    fitted, intercept, coef = reg.fit(targets)
-    t = np.asarray(targets, dtype=float)
-    resid = _norm(t - fitted)
-    denom = _norm(t)
-    rel = resid / denom if denom > 0.0 else resid
-    single = t.ndim == 1
-
-    def predict(new_states):
-        phi = basis.design(new_states)
-        if single:
-            out = np.full(phi.shape[0], float(intercept[0]))
-            if phi.shape[1]:
-                out = out + phi @ coef[:, 0]
-            return out
-        out = np.tile(intercept, (phi.shape[0], 1))
-        if phi.shape[1]:
-            out = out + phi @ coef
-        return out
-
-    return ConditionalFit(
-        predict=predict,
-        fitted=fitted,
-        intercept=intercept,
-        coefficients=coef,
-        residual=resid,
-        residual_rel=rel,
-    )
 
 
 def _slice_regressions(ensemble, basis):
@@ -236,7 +182,7 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
     residuals = [0.0] * n_steps
     for k in range(n_steps - 1, -1, -1):
         reg = slices[k]
-        fitted, _, _ = reg.fit(d)
+        fitted = reg.fit(d)
         yprime[:, k] = fitted
         residuals[k] = _norm(d - fitted) / math.sqrt(n)
         # Martingale increment between fitted slices; using the fitted
@@ -244,7 +190,7 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
         # the projection target, without which z' carries O(1/sqrt(n dt))
         # noise that would drown the estimate.
         increment_proj = (yprime[:, k + 1] - fitted)[:, None] * dw[:, k] / dt
-        zprime[:, k], _, _ = reg.fit(increment_proj)
+        zprime[:, k] = reg.fit(increment_proj)
     return yprime, zprime, residuals
 
 
@@ -265,13 +211,14 @@ def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, weights):
     return np.einsum("na,anl->nl", weights, sum(terms[1:], terms[0]))
 
 
-def solve_adjoint(model, ensemble, yprime, policy, basis, slices=None):
+def solve_adjoint(model, ensemble, yprime, basis, slices=None):
     """Backward regression solve of the adjoint pair (y, z).
 
     Terminal condition y_T = y'_T * grad g(x_T); going backward, z_k projects
     the centered increment of y on dW_k / dt and y_k adds the explicit
-    state-gradient Hamiltonian drift to the conditional mean of y_{k+1}.
-    slices optionally reuses precomputed per-step regressions.
+    state-gradient Hamiltonian drift, averaged under the ensemble's own policy
+    weights, to the conditional mean of y_{k+1}.  slices optionally reuses
+    precomputed per-step regressions.
 
     Returns:
       (y, z, residuals): shapes (n, K+1, dim_x), (n, K, dim_w, dim_x) and a
@@ -297,20 +244,15 @@ def solve_adjoint(model, ensemble, yprime, policy, basis, slices=None):
         t = grid.nodes[k]
         xk = ensemble.states[:, k]
         reg = slices[k]
-        yhat, _, _ = reg.fit(y[:, k + 1])
+        yhat = reg.fit(y[:, k + 1])
         centered = y[:, k + 1] - yhat
         residuals[k] = _norm(centered) / math.sqrt(n)
         ztarget = (centered[:, None, :] * dw[:, k, :, None] / dt).reshape(
             n, dim_w * dx
         )
-        zfit, _, _ = reg.fit(ztarget)
-        z[:, k] = zfit.reshape(n, dim_w, dx)
-        if policy is ensemble.policy:
-            w = ensemble.weights_at(k)
-        else:
-            w = policy.weights_at(k, t, xk)
+        z[:, k] = reg.fit(ztarget).reshape(n, dim_w, dx)
         grad_h = _policy_grad_hamiltonian(
-            model, t, xk, yhat, yprime[:, k], z[:, k], w
+            model, t, xk, yhat, yprime[:, k], z[:, k], ensemble.weights_at(k)
         )
         y[:, k] = yhat + grad_h * dt
         if not np.isfinite(y[:, k]).all():
@@ -337,9 +279,7 @@ def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None)
     yprime, zprime, res_p = solve_risk_adjustment(
         ensemble, derivative_values, basis, slices
     )
-    y, z, res_y = solve_adjoint(
-        model, ensemble, yprime, ensemble.policy, basis, slices
-    )
+    y, z, res_y = solve_adjoint(model, ensemble, yprime, basis, slices)
     return AdjointProcesses(
         y=y,
         z=z,

@@ -13,6 +13,7 @@ directory), 2 configuration error.
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -42,31 +43,33 @@ from .sde import (
 )
 from .verification import run_checks
 
-_PROBLEMS = ("portfolio", "example1", "example2", "custom")
-_RISKS = ("expectation", "mean_deviation", "smoothed_semideviation", "entropic")
-
-# Every key a config may set.  Anything else is a typo that would change
-# config_hash without changing the run, so load_config rejects it.
-_TOP_KEYS = {"problem", "risk", "sim", "basis", "msa", "init_policy", "seed"}
-_SECTION_KEYS = {
-    "sim": {"n_steps", "n_paths", "n_actions"},
-    "basis": {"degree", "ridge"},
-    "msa": {"max_iters", "damping_base", "damping_scale", "eta", "tol", "n_boot"},
-}
-_PROBLEM_KEYS = {
-    "portfolio": {
-        "r", "mu", "sigma", "phi_low", "phi_high", "x0", "horizon",
-        "allow_zero_lower",
+# The config schema.  Every key a config may set is listed here; anything
+# else is a typo that would change config_hash without changing the run, so
+# load_config rejects it.  load_config fills in the `_DEFAULTS` sections, so
+# their values are part of the effective config and its hash; problem and
+# risk defaults are applied only when the experiment is built.
+_DEFAULTS = {
+    "sim": {"n_steps": 50, "n_paths": 20_000, "n_actions": 31},
+    "basis": {f.name: f.default for f in dataclasses.fields(RegressionBasis)},
+    "msa": {
+        f.name: f.default for f in dataclasses.fields(MsaConfig) if f.name != "seed"
     },
+}
+# Problem types and their keys.  The portfolio takes its defaults from
+# PortfolioParams; the other problems default only `horizon`, to 1.0.
+_PROBLEMS = {
+    "portfolio": {f.name for f in dataclasses.fields(PortfolioParams)},
     "example1": {"horizon"},
     "example2": {"horizon"},
-    "custom": {"horizon"} | set(CUSTOM_TABLE_KEYS),
+    "custom": {"horizon", *CUSTOM_TABLE_KEYS},
 }
-_RISK_KEYS = {
-    "expectation": set(),
-    "mean_deviation": {"beta"},
-    "smoothed_semideviation": {"beta", "epsilon"},
-    "entropic": {"theta"},
+# Risk types, each a RiskFunction constructor, with its parameters' defaults.
+_BETA = {"beta": 0.5}
+_RISKS = {
+    "expectation": {},
+    "mean_deviation": _BETA,
+    "smoothed_semideviation": {**_BETA, "epsilon": 0.1},
+    "entropic": {"theta": 1.0},
 }
 _INIT_POLICY_KEYS = {"dirac": {"atom"}, "constant": {"weights"}}
 
@@ -90,17 +93,17 @@ def _check_keys(section, allowed, where):
 
 
 def _check_known_keys(cfg):
-    _check_keys(cfg, _TOP_KEYS, "")
-    for name, allowed in _SECTION_KEYS.items():
-        _check_keys(cfg[name], allowed, name)
+    _check_keys(cfg, {"problem", "risk", "init_policy", "seed", *_DEFAULTS}, "")
+    for name, defaults in _DEFAULTS.items():
+        _check_keys(cfg.get(name, {}), defaults, name)
     problem = cfg["problem"]
-    _check_keys(problem, {"type"} | _PROBLEM_KEYS[problem["type"]], "problem")
+    _check_keys(problem, {"type"} | _PROBLEMS[problem["type"]], "problem")
     if problem["type"] == "custom":
         for name, allowed in CUSTOM_TABLE_KEYS.items():
             if allowed is not None and name in problem:
                 _check_keys(problem[name], allowed, f"problem.{name}")
     risk = cfg["risk"]
-    _check_keys(risk, {"type"} | _RISK_KEYS[risk["type"]], "risk")
+    _check_keys(risk, {"type", *_RISKS[risk["type"]]}, "risk")
     init = cfg["init_policy"]
     if isinstance(init, dict) and init.get("type") in _INIT_POLICY_KEYS:
         allowed = {"type"} | _INIT_POLICY_KEYS[init["type"]]
@@ -119,9 +122,6 @@ def load_config(path, seed_override=None):
     if not isinstance(cfg, dict):
         _fail("config root must be an object")
 
-    cfg.setdefault("sim", {})
-    cfg.setdefault("basis", {})
-    cfg.setdefault("msa", {})
     cfg.setdefault("init_policy", "uniform")
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
@@ -130,27 +130,24 @@ def load_config(path, seed_override=None):
 
     problem = cfg.get("problem")
     if not isinstance(problem, dict) or problem.get("type") not in _PROBLEMS:
-        _fail(f"problem.type must be one of {_PROBLEMS}")
+        _fail(f"problem.type must be one of {tuple(_PROBLEMS)}")
     risk = cfg.get("risk")
     if not isinstance(risk, dict) or risk.get("type") not in _RISKS:
-        _fail(f"risk.type must be one of {_RISKS}")
+        _fail(f"risk.type must be one of {tuple(_RISKS)}")
     _check_known_keys(cfg)
 
-    sim = cfg["sim"]
-    sim.setdefault("n_steps", 50)
-    sim.setdefault("n_paths", 20_000)
-    sim.setdefault("n_actions", 31)
-    basis = cfg["basis"]
-    basis.setdefault("degree", 3)
-    basis.setdefault("ridge", 1e-8)
-    msa = cfg["msa"]
-    msa.setdefault("max_iters", 25)
-    msa.setdefault("damping_base", 0.5)
-    msa.setdefault("damping_scale", 10.0)
-    msa.setdefault("eta", 1e-9)
-    msa.setdefault("tol", 1e-4)
-    msa.setdefault("n_boot", 200)
+    for name, defaults in _DEFAULTS.items():
+        cfg[name] = {**defaults, **cfg.get(name, {})}
     return cfg
+
+
+def _section(cfg, name):
+    """A `_DEFAULTS` section with each value cast to the type of its default."""
+    return {key: type(d)(cfg[name][key]) for key, d in _DEFAULTS[name].items()}
+
+
+def _without_type(section):
+    return {k: v for k, v in section.items() if k != "type"}
 
 
 def build_experiment(cfg):
@@ -162,59 +159,29 @@ def build_experiment(cfg):
     problem = cfg["problem"]
     sim = cfg["sim"]
     try:
+        params = None
         if problem["type"] == "portfolio":
-            params = PortfolioParams(
-                r=problem.get("r", 0.02),
-                mu=problem.get("mu", 0.08),
-                sigma=problem.get("sigma", 0.3),
-                phi_low=problem.get("phi_low", 0.1),
-                phi_high=problem.get("phi_high", 1.5),
-                x0=problem.get("x0", 0.0),
-                horizon=problem.get("horizon", 1.0),
-                allow_zero_lower=problem.get("allow_zero_lower", False),
-            )
+            params = PortfolioParams(**_without_type(problem))
             model = build_portfolio_model(params, sim["n_actions"])
-            horizon = params.horizon
         elif problem["type"] == "example1":
             model = sign_volatility_model()
-            horizon = problem.get("horizon", 1.0)
-            params = None
         elif problem["type"] == "example2":
             model = on_off_volatility_model()
-            horizon = problem.get("horizon", 1.0)
-            params = None
         else:
             model = model_from_tables(problem)
-            horizon = problem.get("horizon", 1.0)
-            params = None
+        horizon = params.horizon if params else problem.get("horizon", 1.0)
 
-        rk = cfg["risk"]
-        kind = rk["type"]
-        if kind == "expectation":
-            risk = RiskFunction.expectation()
-        elif kind == "mean_deviation":
-            risk = RiskFunction.mean_deviation(rk.get("beta", 0.5))
-        elif kind == "smoothed_semideviation":
-            risk = RiskFunction.smoothed_semideviation(
-                rk.get("beta", 0.5), rk.get("epsilon", 0.1)
-            )
-        else:
-            risk = RiskFunction.entropic(rk.get("theta", 1.0))
+        kind = cfg["risk"]["type"]
+        risk = getattr(RiskFunction, kind)(
+            **{**_RISKS[kind], **_without_type(cfg["risk"])}
+        )
 
         grid = build_time_grid(horizon, int(sim["n_steps"]))
-        basis = RegressionBasis(
-            degree=int(cfg["basis"]["degree"]), ridge=float(cfg["basis"]["ridge"])
-        )
-        m = cfg["msa"]
-        msa_cfg = MsaConfig(
-            max_iters=int(m["max_iters"]),
-            damping_base=float(m["damping_base"]),
-            damping_scale=float(m["damping_scale"]),
-            eta=float(m["eta"]),
-            tol=float(m["tol"]),
-            n_boot=int(m["n_boot"]),
-            seed=int(cfg["seed"]),
-        )
+        n_paths = int(sim["n_paths"])
+        if n_paths < 2:
+            _fail(f"sim.n_paths must be >= 2, got {n_paths}")
+        basis = RegressionBasis(**_section(cfg, "basis"))
+        msa_cfg = MsaConfig(**_section(cfg, "msa"), seed=int(cfg["seed"]))
         init = _init_policy(cfg["init_policy"], model.n_atoms)
     except RiskmpError as exc:
         raise ConfigInvalid(str(exc)) from exc
@@ -235,7 +202,7 @@ def build_experiment(cfg):
         "basis": basis,
         "msa": msa_cfg,
         "init": init,
-        "n_paths": int(sim["n_paths"]),
+        "n_paths": n_paths,
         "seed": int(cfg["seed"]),
     }
 
@@ -244,7 +211,13 @@ def _init_policy(spec, n_atoms):
     if spec == "uniform":
         return MeasurePolicy.uniform(n_atoms)
     if isinstance(spec, dict) and spec.get("type") == "dirac":
-        return MeasurePolicy.dirac(int(spec["atom"]), n_atoms)
+        atom = spec["atom"]
+        if isinstance(atom, bool) or not isinstance(atom, int):
+            _fail(f"init_policy.atom must be an integer, got {atom!r}")
+        try:
+            return MeasurePolicy.dirac(atom, n_atoms)
+        except ValueError as exc:
+            _fail(f"init_policy.atom: {exc}")
     if isinstance(spec, dict) and spec.get("type") == "constant":
         return MeasurePolicy.constant(spec["weights"])
     _fail(f"unsupported init_policy {spec!r}")
@@ -289,20 +262,13 @@ def _read_stamp(path):
 
 # ----------------------------------------------------------------- commands
 
-def _policy_step_stats(model, grid, policy, ensemble):
-    """Per-step mean action, mean weights, and entropy under the policy.
-
-    Reads the ensemble's kept weights when policy is the one it was simulated
-    under.
-    """
+def _policy_step_stats(model, grid, ensemble):
+    """Per-step mean action, mean weights, and entropy of the ensemble's policy."""
     atoms = model.action_grid
     rows = []
     tables = []
     for k in range(grid.n_steps):
-        if policy is ensemble.policy:
-            w = ensemble.weights_at(k)
-        else:
-            w = policy.weights_at(k, grid.nodes[k], ensemble.states[:, k])
+        w = ensemble.weights_at(k)
         mean_w = w.mean(axis=0)
         mean_action = float(mean_w @ atoms[:, 0]) if model.dim_a == 1 else float("nan")
         rows.append((k, float(grid.nodes[k]), mean_action, policy_entropy(w)))
@@ -310,8 +276,7 @@ def _policy_step_stats(model, grid, policy, ensemble):
     return rows, tables
 
 
-def cmd_simulate(cfg, out_dir, stamp):
-    exp = build_experiment(cfg)
+def cmd_simulate(exp, out_dir, stamp):
     model, grid = exp["model"], exp["grid"]
     driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
     ens = simulate_forward(model, exp["init"], driver, grid)
@@ -337,7 +302,7 @@ def cmd_simulate(cfg, out_dir, stamp):
         {
             "n_paths": exp["n_paths"],
             "cost_mean": float(costs.mean()),
-            "cost_std": float(costs.std(ddof=1)) if len(costs) > 1 else 0.0,
+            "cost_std": float(costs.std(ddof=1)),
             "risk_value": evaluate(exp["risk"], EmpiricalSample(costs)),
             # diagnostic: terminal values are unbounded, the sample max grows
             # with the path count
@@ -347,8 +312,7 @@ def cmd_simulate(cfg, out_dir, stamp):
     return 0
 
 
-def cmd_solve(cfg, out_dir, stamp):
-    exp = build_experiment(cfg)
+def cmd_solve(exp, out_dir, stamp):
     model, grid, risk, basis = exp["model"], exp["grid"], exp["risk"], exp["basis"]
     driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
     policy, report = msa_solve(
@@ -387,7 +351,7 @@ def cmd_solve(cfg, out_dir, stamp):
     adj = solve_adjoint_system(model, ens, deriv, basis)
     mart = martingale_diagnostics(adj.yprime)
 
-    policy_rows, weight_tables = _policy_step_stats(model, grid, policy, ens)
+    policy_rows, weight_tables = _policy_step_stats(model, grid, ens)
     _write_csv(
         os.path.join(out_dir, "policy_mean.csv"),
         stamp,
@@ -469,9 +433,9 @@ def cmd_solve(cfg, out_dir, stamp):
     return 0
 
 
-def cmd_verify(cfg, out_dir, stamp):
-    # Config is validated (build_experiment already ran); the invariant suite
-    # itself runs on its own fixed seeds and sizes.
+def cmd_verify(exp, out_dir, stamp):
+    # The config only stamps the table; the invariant suite runs on its own
+    # fixed seeds and sizes.
     rows = run_checks()
     _write_csv(
         os.path.join(out_dir, "verify_report.csv"),
@@ -486,7 +450,7 @@ def cmd_verify(cfg, out_dir, stamp):
     return 1 if failed else 0
 
 
-def cmd_report(cfg, out_dir, stamp):
+def cmd_report(exp, out_dir, stamp):
     """Render plot-ready tables from a prior solve in the same directory."""
     wanted = {
         "objective_trace.csv": (
@@ -554,7 +518,7 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, args.seed)
-        build_experiment(cfg)  # fail fast on bad configs for every command
+        exp = build_experiment(cfg)  # fail fast on bad configs for every command
         stamp = (config_hash(cfg), int(cfg["seed"]))
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -572,7 +536,7 @@ def main(argv=None):
                     indent=2,
                 )
                 fh.write("\n")
-        return _COMMANDS[args.command](cfg, args.out, stamp)
+        return _COMMANDS[args.command](exp, args.out, stamp)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

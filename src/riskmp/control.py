@@ -97,11 +97,11 @@ class MsaConfig:
     bootstrap standard errors recorded in the report.
     """
 
-    max_iters: int = 30
+    max_iters: int = 25
     damping_base: float = 0.5
     damping_scale: float = 10.0
     eta: float = 1e-9
-    tol: float = 1e-5
+    tol: float = 1e-4
     n_boot: int = 200
     seed: int = 0
 

@@ -303,6 +303,8 @@ class MeasurePolicy:
 
     @staticmethod
     def dirac(atom_index, n_atoms):
+        if not 0 <= atom_index < n_atoms:
+            raise ValueError(f"atom index {atom_index} outside [0, {n_atoms})")
         w = np.zeros(n_atoms)
         w[atom_index] = 1.0
         return _ConstantPolicy(w)

@@ -11,7 +11,6 @@ from riskmp import (
     RankDeficient,
     RegressionBasis,
     build_time_grid,
-    fit_conditional,
     martingale_diagnostics,
     sample_brownian,
     simulate_forward,
@@ -19,60 +18,78 @@ from riskmp import (
     solve_adjoint_system,
     solve_risk_adjustment,
 )
+from riskmp.adjoint import _norm, _SliceRegression
 from conftest import make_model
 
 
-# ------------------------------------------------------------ fit_conditional
+# ---------------------------------------------------------- slice regression
+
+def _predict(reg, basis, targets, new_states):
+    """The fitted conditional mean of one target column at new states."""
+    intercept, coef = reg.fit_coefficients(np.asarray(targets, float)[:, None])
+    return (intercept + basis.design(new_states) @ coef)[:, 0]
+
 
 def test_fit_constant_targets_is_exact(rng):
     states = rng.standard_normal((500, 1))
-    fit = fit_conditional(RegressionBasis(degree=3), states, np.full(500, 4.2))
-    np.testing.assert_allclose(fit.fitted, 4.2, atol=1e-12)
-    assert fit.residual <= 1e-10
-    np.testing.assert_allclose(fit.predict(np.array([[9.9]])), 4.2, atol=1e-9)
+    basis = RegressionBasis(degree=3)
+    targets = np.full(500, 4.2)
+    reg = _SliceRegression(states, basis)
+    fitted = reg.fit(targets)
+    np.testing.assert_allclose(fitted, 4.2, atol=1e-12)
+    assert _norm(targets - fitted) <= 1e-10
+    np.testing.assert_allclose(
+        _predict(reg, basis, targets, np.array([[9.9]])), 4.2, atol=1e-9
+    )
 
 
 def test_fit_recovers_exact_linear_relation(rng):
     states = rng.standard_normal((300, 1))
     targets = 2.0 * states[:, 0] - 1.0
-    fit = fit_conditional(RegressionBasis(degree=1, ridge=0.0), states, targets)
-    assert fit.residual_rel <= 1e-10
-    np.testing.assert_allclose(fit.predict(np.array([[0.5]])), [0.0], atol=1e-10)
+    basis = RegressionBasis(degree=1, ridge=0.0)
+    reg = _SliceRegression(states, basis)
+    assert _norm(targets - reg.fit(targets)) / _norm(targets) <= 1e-10
+    np.testing.assert_allclose(
+        _predict(reg, basis, targets, np.array([[0.5]])), [0.0], atol=1e-10
+    )
 
 
 def test_degree_zero_two_points_predicts_mean():
     # Normal equations with only an intercept: prediction is the target mean.
     states = np.array([[0.0], [1.0]])
     targets = np.array([1.0, 3.0])
-    fit = fit_conditional(RegressionBasis(degree=0), states, targets)
-    np.testing.assert_allclose(fit.fitted, 2.0)
-    np.testing.assert_allclose(fit.predict(np.array([[7.0]])), 2.0)
+    basis = RegressionBasis(degree=0)
+    reg = _SliceRegression(states, basis)
+    np.testing.assert_allclose(reg.fit(targets), 2.0)
+    np.testing.assert_allclose(_predict(reg, basis, targets, np.array([[7.0]])), 2.0)
 
 
 def test_rank_deficient_raises_without_ridge():
     states = np.array([[1.0], [1.0], [1.0]])
     with pytest.raises(RankDeficient):
-        fit_conditional(RegressionBasis(degree=1, ridge=0.0), states, np.arange(3.0))
+        _SliceRegression(states, RegressionBasis(degree=1, ridge=0.0)).fit(
+            np.arange(3.0)
+        )
 
 
 def test_higher_degree_never_increases_residual(rng):
     states = rng.standard_normal((200, 1))
     targets = np.tanh(states[:, 0]) + 0.1 * rng.standard_normal(200)
-    residuals = [
-        fit_conditional(RegressionBasis(degree=d, ridge=0.0), states, targets).residual
-        for d in range(5)
-    ]
+    residuals = []
+    for d in range(5):
+        reg = _SliceRegression(states, RegressionBasis(degree=d, ridge=0.0))
+        residuals.append(_norm(targets - reg.fit(targets)))
     assert all(residuals[i + 1] <= residuals[i] + 1e-12 for i in range(4))
 
 
 def test_multi_target_fit_matches_column_fits(rng):
     states = rng.standard_normal((150, 1))
     targets = rng.standard_normal((150, 3))
-    basis = RegressionBasis(degree=2)
-    stacked = fit_conditional(basis, states, targets)
+    reg = _SliceRegression(states, RegressionBasis(degree=2))
+    stacked = reg.fit(targets)
     for j in range(3):
-        single = fit_conditional(basis, states, targets[:, j])
-        np.testing.assert_allclose(stacked.fitted[:, j], single.fitted, atol=1e-12)
+        single = reg.fit(targets[:, j])
+        np.testing.assert_allclose(stacked[:, j], single, atol=1e-12)
 
 
 # ---------------------------------------------------- risk adjustment solve
@@ -148,9 +165,7 @@ def test_driverless_bsde_constant_y():
     grid = build_time_grid(1.0, 10)
     driver = sample_brownian(grid, 200, 1, seed=33)
     ens = simulate_forward(model, MeasurePolicy.dirac(0, 1), driver, grid)
-    y, z, _ = solve_adjoint(
-        model, ens, np.ones((200, 11)), MeasurePolicy.dirac(0, 1), RegressionBasis()
-    )
+    y, z, _ = solve_adjoint(model, ens, np.ones((200, 11)), RegressionBasis())
     np.testing.assert_allclose(y, 2.5, atol=1e-9)
     assert np.abs(z).max() <= 1e-9
 
@@ -166,13 +181,7 @@ def test_linear_cost_gradient_gives_time_to_go():
     grid = build_time_grid(1.0, 25)
     driver = sample_brownian(grid, 5000, 1, seed=34)
     ens = simulate_forward(model, MeasurePolicy.dirac(0, 1), driver, grid)
-    y, z, _ = solve_adjoint(
-        model,
-        ens,
-        np.ones((5000, 26)),
-        MeasurePolicy.dirac(0, 1),
-        RegressionBasis(degree=3),
-    )
+    y, z, _ = solve_adjoint(model, ens, np.ones((5000, 26)), RegressionBasis(degree=3))
     expected = grid.horizon - grid.nodes
     assert np.abs(y[:, :, 0] - expected).max() <= 1e-2
     assert np.abs(z).max() <= 1e-2

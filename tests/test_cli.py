@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from riskmp import cli
 from riskmp.cli import config_hash, load_config, main
 from riskmp.errors import ConfigInvalid
 from riskmp.verification import CHECKS
@@ -191,6 +192,42 @@ def test_too_few_bootstrap_resamples_is_config_error(tmp_path, capsys, n_boot):
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert "n_boot must be >= 2" in capsys.readouterr().err
     assert not (out / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_too_few_paths_is_config_error(tmp_path, capsys, n_paths):
+    path, _ = _small_portfolio_config(
+        tmp_path, sim={"n_steps": 5, "n_paths": n_paths, "n_actions": 11}
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "sim.n_paths must be >= 2" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize("atom", [99, -1, 1.7, True])
+def test_bad_dirac_atom_is_config_error(tmp_path, capsys, atom):
+    path, _ = _small_portfolio_config(
+        tmp_path, init_policy={"type": "dirac", "atom": atom}
+    )
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "init_policy.atom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_experiment_is_built_once(tmp_path, monkeypatch, command):
+    path, _ = _small_portfolio_config(
+        tmp_path,
+        sim={"n_steps": 5, "n_paths": 200, "n_actions": 5},
+        msa={"max_iters": 2},
+    )
+    calls = []
+    build = cli.build_experiment
+    monkeypatch.setattr(
+        cli, "build_experiment", lambda cfg: calls.append(cfg) or build(cfg)
+    )
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

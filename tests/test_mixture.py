@@ -343,11 +343,15 @@ def test_coefficient_fit_and_entropy_match_old_bits(n, n_atoms, degree, seed):
     w[:, 0] += 1e-9
     w /= w.sum(axis=1, keepdims=True)
     w = np.vstack([np.eye(n_atoms)[:1], w])
-    reg = _SliceRegression(rng.normal(size=(len(w), 1)), RegressionBasis(degree=degree))
+    basis = RegressionBasis(degree=degree)
+    states = rng.normal(size=(len(w), 1))
+    reg = _SliceRegression(states, basis)
     for name, v in _layouts(w).items():
-        _, intercept, coef = reg.fit(v)
-        got = reg.fit_coefficients(v)
-        assert np.array_equal(got[0], intercept) and np.array_equal(got[1], coef), name
+        intercept, coef = reg.fit_coefficients(v)
+        np.testing.assert_allclose(
+            intercept + basis.design(states) @ coef, reg.fit(v), rtol=0, atol=1e-12,
+            err_msg=name,
+        )
         assert policy_entropy(v) == _old_entropy(v), name
 
 

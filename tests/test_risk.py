@@ -278,7 +278,8 @@ _KERNEL_SCRIPT = """
 import hashlib
 import numpy as np
 from riskmp import AdjointProcesses, EmpiricalSample, RiskFunction, RegressionBasis
-from riskmp import bootstrap_standard_error, evaluate, fit_conditional, l_derivative
+from riskmp import bootstrap_standard_error, evaluate, l_derivative
+from riskmp.adjoint import _norm, _SliceRegression
 from riskmp.verification import portfolio_adjoint_identity
 
 rng = np.random.default_rng(11)
@@ -295,7 +296,8 @@ for sample in (EmpiricalSample(x), EmpiricalSample(x, w / w.sum())):
         print(hashlib.sha256(l_derivative(risk, sample).tobytes()).hexdigest())
         print(repr(bootstrap_standard_error(risk, sample, n_boot=20, seed=3)))
 states = rng.standard_normal((x.size, 1))
-print(repr(fit_conditional(RegressionBasis(degree=2), states, x + states[:, 0]).residual))
+t = x + states[:, 0]
+print(repr(_norm(t - _SliceRegression(states, RegressionBasis(degree=2)).fit(t))))
 yp = 1.0 + 0.1 * rng.standard_normal((2000, 11))
 zp = rng.standard_normal((2000, 10, 1))
 print(repr(portfolio_adjoint_identity(AdjointProcesses(
