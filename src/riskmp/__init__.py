@@ -16,6 +16,7 @@ from .adjoint import (
     solve_risk_adjustment,
 )
 from .control import (
+    IterationRecord,
     MsaConfig,
     SolveReport,
     msa_solve,

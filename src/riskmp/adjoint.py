@@ -139,8 +139,10 @@ class _SliceRegression:
         """(intercept, coef) of the fit of (n, r) targets.
 
         coef maps *raw* design columns, standardization already absorbed.
+        The targets are copied to F order first, since the column means and
+        the projection round differently by layout.
         """
-        _, _, coef, intercept = self._solve(np.asarray(targets, dtype=float))
+        _, _, coef, intercept = self._solve(np.asfortranarray(targets, dtype=float))
         return intercept, coef
 
 

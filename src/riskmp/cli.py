@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .adjoint import RegressionBasis, martingale_diagnostics, solve_adjoint_system
-from .control import MsaConfig, msa_solve, policy_entropy
+from .control import IterationRecord, MsaConfig, msa_solve, policy_entropy
 from .errors import ConfigInvalid, NonPositiveAdjustment, RiskmpError
 from .models import (
     CUSTOM_TABLE_KEYS,
@@ -141,9 +141,20 @@ def load_config(path, seed_override=None):
     return cfg
 
 
+def _integer(key, value):
+    """value as an int; a bool or a non-integral number is a config error."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        _fail(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _section(cfg, name):
     """A `_DEFAULTS` section with each value cast to the type of its default."""
-    return {key: type(d)(cfg[name][key]) for key, d in _DEFAULTS[name].items()}
+    return {
+        key: _integer(f"{name}.{key}", cfg[name][key]) if type(d) is int
+        else type(d)(cfg[name][key])
+        for key, d in _DEFAULTS[name].items()
+    }
 
 
 def _without_type(section):
@@ -157,8 +168,9 @@ def build_experiment(cfg):
     violations of the problem's growth exponents.
     """
     problem = cfg["problem"]
-    sim = cfg["sim"]
     try:
+        sim = _section(cfg, "sim")
+        seed = _integer("seed", cfg["seed"])
         params = None
         if problem["type"] == "portfolio":
             params = PortfolioParams(**_without_type(problem))
@@ -176,13 +188,20 @@ def build_experiment(cfg):
             **{**_RISKS[kind], **_without_type(cfg["risk"])}
         )
 
-        grid = build_time_grid(horizon, int(sim["n_steps"]))
-        n_paths = int(sim["n_paths"])
+        grid = build_time_grid(horizon, sim["n_steps"])
+        n_paths = sim["n_paths"]
         if n_paths < 2:
             _fail(f"sim.n_paths must be >= 2, got {n_paths}")
         basis = RegressionBasis(**_section(cfg, "basis"))
-        msa_cfg = MsaConfig(**_section(cfg, "msa"), seed=int(cfg["seed"]))
+        msa_cfg = MsaConfig(**_section(cfg, "msa"), seed=seed)
         init = _init_policy(cfg["init_policy"], model.n_atoms)
+        table = getattr(init, "weights", None)  # a constant policy's rows
+        allowed = {(1, model.n_atoms), (grid.n_steps, model.n_atoms)}
+        if table is not None and table.shape not in allowed:
+            _fail(
+                f"init_policy.weights must be 1 or {grid.n_steps} rows of "
+                f"{model.n_atoms} atoms, got shape {table.shape}"
+            )
     except RiskmpError as exc:
         raise ConfigInvalid(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -203,7 +222,7 @@ def build_experiment(cfg):
         "msa": msa_cfg,
         "init": init,
         "n_paths": n_paths,
-        "seed": int(cfg["seed"]),
+        "seed": seed,
     }
 
 
@@ -322,27 +341,8 @@ def cmd_solve(exp, out_dir, stamp):
     _write_csv(
         os.path.join(out_dir, "objective_trace.csv"),
         stamp,
-        [
-            "iter",
-            "objective",
-            "objective_se",
-            "hamiltonian_gap",
-            "policy_change",
-            "policy_entropy",
-            "martingale_max_drift",
-        ],
-        [
-            (
-                i,
-                report.objectives[i],
-                report.objective_ses[i],
-                report.hamiltonian_gaps[i],
-                report.policy_changes[i],
-                report.policy_entropies[i],
-                report.martingale_max_drifts[i],
-            )
-            for i in range(report.n_iters)
-        ],
+        [f.name for f in dataclasses.fields(IterationRecord)],
+        [dataclasses.astuple(r) for r in report.records],
     )
 
     ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
@@ -413,6 +413,7 @@ def cmd_solve(exp, out_dir, stamp):
             premium_stats = {"unavailable": str(exc)}
 
     mean_actions = [row[2] for row in policy_rows]
+    last = report.records[-1]
     _write_json(
         os.path.join(out_dir, "solve_summary.json"),
         stamp,
@@ -422,9 +423,9 @@ def cmd_solve(exp, out_dir, stamp):
             "max_iters_exceeded": report.max_iters_exceeded,
             "best_iter": report.best_iter,
             "non_monotone_iters": report.non_monotone_iters,
-            "final_objective": report.objectives[-1],
-            "final_objective_se": report.objective_ses[-1],
-            "final_hamiltonian_gap": report.hamiltonian_gaps[-1],
+            "final_objective": last.objective,
+            "final_objective_se": last.objective_se,
+            "final_hamiltonian_gap": last.hamiltonian_gap,
             "mean_action_min": min(mean_actions),
             "mean_action_max": max(mean_actions),
             "risk_premium": premium_stats,
@@ -454,23 +455,15 @@ def cmd_report(exp, out_dir, stamp):
     """Render plot-ready tables from a prior solve in the same directory."""
     wanted = {
         "objective_trace.csv": (
-            "report_objective.csv",
-            ["iter", "objective", "objective_se"],
-            (0, 1, 2),
+            "report_objective.csv", ["iter", "objective", "objective_se"]
         ),
-        "policy_mean.csv": (
-            "report_policy_vs_time.csv",
-            ["time", "mean_action"],
-            (1, 2),
-        ),
+        "policy_mean.csv": ("report_policy_vs_time.csv", ["time", "mean_action"]),
         "risk_premium.csv": (
-            "report_risk_premium.csv",
-            ["time", "iota_mean", "iota_std"],
-            (1, 2, 3),
+            "report_risk_premium.csv", ["time", "iota_mean", "iota_std"]
         ),
     }
     rendered = 0
-    for name, (out_name, header, cols) in wanted.items():
+    for name, (out_name, columns) in wanted.items():
         src = os.path.join(out_dir, name)
         if not os.path.exists(src):
             if name == "risk_premium.csv":
@@ -484,10 +477,8 @@ def cmd_report(exp, out_dir, stamp):
             )
         with open(src) as fh:
             fh.readline()
-            reader = csv.reader(fh)
-            next(reader)
-            rows = [[row[c] for c in cols] for row in reader]
-        _write_csv(os.path.join(out_dir, out_name), stamp, header, rows)
+            rows = [[row[c] for c in columns] for row in csv.DictReader(fh)]
+        _write_csv(os.path.join(out_dir, out_name), stamp, columns, rows)
         rendered += 1
     print(f"rendered {rendered} report tables in {out_dir}")
     return 0
@@ -519,7 +510,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config, args.seed)
         exp = build_experiment(cfg)  # fail fast on bad configs for every command
-        stamp = (config_hash(cfg), int(cfg["seed"]))
+        stamp = (config_hash(cfg), exp["seed"])
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

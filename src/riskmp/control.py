@@ -13,7 +13,6 @@ iterations (common random numbers) so the objective trace is comparable
 between iterations.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ from .sde import (
 
 __all__ = [
     "MsaConfig",
+    "IterationRecord",
     "SolveReport",
     "objective",
     "policy_entropy",
@@ -119,24 +119,50 @@ class MsaConfig:
         return self.damping_base / (1.0 + k / self.damping_scale)
 
 
+@dataclass(frozen=True)
+class IterationRecord:
+    """One solver iteration; its fields are the columns of objective_trace.csv."""
+
+    iter: int
+    objective: float
+    objective_se: float
+    hamiltonian_gap: float
+    policy_change: float
+    policy_entropy: float
+    martingale_max_drift: float
+
+
 @dataclass
 class SolveReport:
-    """Per-iteration trace of the solver; all arrays share one length."""
+    """The solver's iterations, one record each, and whether it converged.
 
-    objectives: list = field(default_factory=list)
-    objective_ses: list = field(default_factory=list)
-    hamiltonian_gaps: list = field(default_factory=list)
-    policy_changes: list = field(default_factory=list)
-    policy_entropies: list = field(default_factory=list)
-    martingale_max_drifts: list = field(default_factory=list)
+    Everything else about the iterations is derived from the records.
+    """
+
+    records: list = field(default_factory=list)
     converged: bool = False
-    max_iters_exceeded: bool = False
-    best_iter: int = 0
-    non_monotone_iters: list = field(default_factory=list)
 
     @property
     def n_iters(self):
-        return len(self.objectives)
+        return len(self.records)
+
+    @property
+    def max_iters_exceeded(self):
+        return not self.converged
+
+    @property
+    def best_iter(self):
+        """First iteration with the lowest objective."""
+        return min(range(self.n_iters), key=lambda i: self.records[i].objective)
+
+    @property
+    def non_monotone_iters(self):
+        """Iterations whose objective exceeds the previous one by over 2 SE."""
+        r = self.records
+        return [
+            i for i in range(1, len(r))
+            if r[i].objective > r[i - 1].objective + 2.0 * r[i - 1].objective_se
+        ]
 
 
 class FittedPolicy(MeasurePolicy):
@@ -188,18 +214,17 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     fits the minimizing weights into a feedback policy q*, and updates
     pi <- (1 - alpha_k) pi + alpha_k q*.  Stops when the objective change
     drops below cfg.tol or after cfg.max_iters iterations, returning the
-    best-seen policy in the latter case (flagged in the report).
+    policy of the report's best_iter in the latter case.
 
     Returns:
       (policy, SolveReport)
     """
     report = SolveReport()
-    policy = init
-    best_obj = math.inf
-    best_policy = init
+    policies = [init]  # the policy simulated at each iteration
     n_steps = grid.n_steps
 
     for it in range(cfg.max_iters):
+        policy = policies[-1]
         ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
         costs = total_cost(ens, model)
         sample = EmpiricalSample(costs)
@@ -217,9 +242,9 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         for k in range(n_steps):
             t = grid.nodes[k]
             xk = ens.states[:, k]
-            # Pinned layout: the reductions below round differently on a
-            # C-ordered table, so output bits must not depend on the layout
-            # _hamiltonian_atoms happens to return.
+            # Pinned layout: the gap's sum over atoms and the mean of
+            # |wstar - wpi| round differently on a C-ordered table, so output
+            # bits must not depend on the layout _hamiltonian_atoms returns.
             table = np.asfortranarray(
                 _hamiltonian_atoms(
                     model, t, xk, adj.y[:, k], adj.yprime[:, k], adj.z[:, k]
@@ -234,28 +259,15 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
             entropy_sum += policy_entropy(wpi)
             fitted_steps.append(slices[k].fit_coefficients(wstar))
 
-        report.objectives.append(obj)
-        report.objective_ses.append(se)
-        report.hamiltonian_gaps.append(gap_sum / n_steps)
-        report.policy_changes.append(change_sum / n_steps)
-        report.policy_entropies.append(entropy_sum / n_steps)
-        report.martingale_max_drifts.append(mart.max_drift)
-
-        if obj < best_obj:
-            best_obj = obj
-            best_policy = policy
-            report.best_iter = it
-        if it > 0:
-            prev = report.objectives[it - 1]
-            prev_se = report.objective_ses[it - 1]
-            if obj > prev + 2.0 * prev_se:
-                report.non_monotone_iters.append(it)
-            if abs(obj - prev) < cfg.tol:
-                report.converged = True
-                return policy, report
+        report.records.append(IterationRecord(
+            it, obj, se, gap_sum / n_steps, change_sum / n_steps,
+            entropy_sum / n_steps, mart.max_drift,
+        ))
+        if it > 0 and abs(obj - report.records[-2].objective) < cfg.tol:
+            report.converged = True
+            return policy, report
 
         qstar = _fitted_or_constant(fitted_steps, basis, model.n_atoms)
-        policy = convex_combine(policy, qstar, cfg.alpha(it))
+        policies.append(convex_combine(policy, qstar, cfg.alpha(it)))
 
-    report.max_iters_exceeded = True
-    return best_policy, report
+    return policies[report.best_iter], report

@@ -33,6 +33,10 @@ ENTROPIC = "entropic"
 
 _KINDS = (EXPECTATION, MEAN_DEVIATION, SMOOTHED_SEMIDEVIATION, ENTROPIC)
 
+# Degeneracy floor of mean_deviation: below a deviation of
+# _TOL_SIGMA * (1 + |mean|) its derivative does not exist and is refused.
+_TOL_SIGMA = 1e-10
+
 
 @dataclass(frozen=True)
 class RiskFunction:
@@ -43,16 +47,12 @@ class RiskFunction:
       mean_deviation            mean + beta * L2-deviation
       smoothed_semideviation    mean + beta * E[(X - mean) smoothed-positive-part]
       entropic                  log E[exp(theta X)] / theta
-
-    tol_sigma is the degeneracy floor for mean_deviation: below a deviation of
-    tol_sigma * (1 + |mean|) the derivative does not exist and is refused.
     """
 
     kind: str
     beta: float = 0.0
     epsilon: float = 0.0
     theta: float = 0.0
-    tol_sigma: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -63,16 +63,14 @@ class RiskFunction:
             raise ValueError("epsilon must be > 0")
         if self.kind == ENTROPIC and self.theta <= 0.0:
             raise ValueError("theta must be > 0")
-        if self.tol_sigma <= 0.0:
-            raise ValueError("tol_sigma must be > 0")
 
     @staticmethod
     def expectation():
         return RiskFunction(EXPECTATION)
 
     @staticmethod
-    def mean_deviation(beta, tol_sigma=1e-10):
-        return RiskFunction(MEAN_DEVIATION, beta=beta, tol_sigma=tol_sigma)
+    def mean_deviation(beta):
+        return RiskFunction(MEAN_DEVIATION, beta=beta)
 
     @staticmethod
     def smoothed_semideviation(beta, epsilon):
@@ -195,7 +193,7 @@ def l_derivative(risk, sample):
     m = _mean(sample)
     if risk.kind == MEAN_DEVIATION:
         dev = math.sqrt(float(_weighted_sum((v - m) ** 2, w)))
-        if dev <= risk.tol_sigma * (1.0 + abs(m)):
+        if dev <= _TOL_SIGMA * (1.0 + abs(m)):
             raise DegenerateSample(
                 f"deviation {dev:.3e} below floor; derivative undefined at constants"
             )

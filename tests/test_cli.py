@@ -1,5 +1,6 @@
 """CLI commands, exit codes, file stamping, and reproducibility."""
 
+import csv
 import json
 import os
 
@@ -34,6 +35,14 @@ def _small_portfolio_config(tmp_path, **overrides):
 def _read_lines(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _read_table(path):
+    """Header and rows of a stamped CSV, as strings."""
+    with open(path) as fh:
+        fh.readline()
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
 
 
 def test_unknown_command_exits_2(tmp_path, capsys):
@@ -122,9 +131,16 @@ def test_report_renders_and_refuses_mismatch(tmp_path):
     out = str(tmp_path / "run")
     assert main(["solve", "--config", path, "--out", out]) == 0
     assert main(["report", "--config", path, "--out", out]) == 0
-    for name in ("report_objective.csv", "report_policy_vs_time.csv",
-                 "report_risk_premium.csv"):
-        assert os.path.exists(os.path.join(out, name)), name
+    sources = {
+        "report_objective.csv": "objective_trace.csv",
+        "report_policy_vs_time.csv": "policy_mean.csv",
+        "report_risk_premium.csv": "risk_premium.csv",
+    }
+    for name, source in sources.items():
+        header, rows = _read_table(os.path.join(out, name))
+        src_header, src_rows = _read_table(os.path.join(out, source))
+        columns = [src_header.index(c) for c in header]
+        assert rows == [[row[c] for c in columns] for row in src_rows], name
     other, _ = _small_portfolio_config(tmp_path, seed=777)
     assert main(["report", "--config", other, "--out", out]) == 2
 
@@ -212,6 +228,95 @@ def test_bad_dirac_atom_is_config_error(tmp_path, capsys, atom):
     )
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "init_policy.atom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.5, 0.5], [[0.2] * 5] * 2, [[0.2] * 5] * 10],
+    ids=["two-atoms", "two-rows", "ten-rows"],
+)
+def test_wrong_shape_constant_init_policy_is_config_error(tmp_path, capsys, weights):
+    path, _ = _small_portfolio_config(
+        tmp_path,
+        sim={"n_steps": 4, "n_paths": 200, "n_actions": 5},
+        init_policy={"type": "constant", "weights": weights},
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "init_policy.weights" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
+def test_per_step_constant_init_policy_runs(tmp_path):
+    weights = [[0.0, 0.25, 0.5, 0.25, 0.0]] * 4
+    path, _ = _small_portfolio_config(
+        tmp_path,
+        sim={"n_steps": 4, "n_paths": 200, "n_actions": 5},
+        msa={"max_iters": 2},
+        init_policy={"type": "constant", "weights": weights},
+    )
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "seed", 1.5),
+        (None, "seed", True),
+        ("sim", "n_steps", 4.7),
+        ("sim", "n_paths", 200.5),
+        ("sim", "n_actions", False),
+        ("basis", "degree", True),
+        ("msa", "max_iters", 2.5),
+        ("msa", "n_boot", 20.5),
+    ],
+)
+def test_non_integer_count_is_config_error(tmp_path, capsys, section, key, value):
+    _, cfg = _small_portfolio_config(
+        tmp_path, sim={"n_steps": 5, "n_paths": 200, "n_actions": 5},
+        msa={"max_iters": 2, "n_boot": 20},
+    )
+    (cfg[section] if section else cfg)[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    dotted = f"{section}.{key}" if section else key
+    assert f"{dotted} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    path, _ = _small_portfolio_config(
+        tmp_path, sim={"n_steps": 5.0, "n_paths": 200.0, "n_actions": 5.0},
+        msa={"max_iters": 2.0}, seed=314.0,
+    )
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_summary_flags_match_the_trace(tmp_path):
+    # example2 from a Dirac start does not converge at this size: the first
+    # iterate stays the best and the second rises more than 2 SE above it.
+    cfg = json.load(open(os.path.join(CONFIGS, "example2.json")))
+    cfg["sim"] = {"n_steps": 10, "n_paths": 500}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.load(open(out / "solve_summary.json"))
+    assert (summary["iterations"], summary["converged"]) == (8, False)
+    assert (summary["best_iter"], summary["non_monotone_iters"]) == (0, [1])
+
+    header, rows = _read_table(out / "objective_trace.csv")
+    trace = [dict(zip(header, map(float, row))) for row in rows]
+    objectives = [r["objective"] for r in trace]
+    assert [int(r["iter"]) for r in trace] == list(range(len(trace)))
+    assert summary["iterations"] == len(trace)
+    assert summary["best_iter"] == objectives.index(min(objectives))
+    assert summary["non_monotone_iters"] == [
+        i for i in range(1, len(trace))
+        if objectives[i] > objectives[i - 1] + 2.0 * trace[i - 1]["objective_se"]
+    ]
+    assert summary["max_iters_exceeded"] == (not summary["converged"])
+    assert summary["final_objective"] == objectives[-1]
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate"])

@@ -174,16 +174,8 @@ def test_msa_zero_cost_stays_at_zero():
         RegressionBasis(degree=2),
         grid,
     )
-    assert all(o == 0.0 for o in report.objectives)
-    n = report.n_iters
-    for arr in (
-        report.objective_ses,
-        report.hamiltonian_gaps,
-        report.policy_changes,
-        report.policy_entropies,
-        report.martingale_max_drifts,
-    ):
-        assert len(arr) == n
+    assert all(r.objective == 0.0 for r in report.records)
+    assert [r.iter for r in report.records] == list(range(report.n_iters))
 
 
 def test_msa_recovers_merton_small():
@@ -206,8 +198,8 @@ def test_msa_recovers_merton_small():
         w = pol.weights_at(k, grid.nodes[k], ens.states[:, k])
         assert abs(float((w @ atoms).mean()) - 2.0 / 3.0) <= 0.06
     # near-strict final policy: per-step entropy close to Dirac
-    assert report.policy_entropies[-1] <= 0.15
-    assert report.hamiltonian_gaps[-1] <= 1e-3
+    assert report.records[-1].policy_entropy <= 0.15
+    assert report.records[-1].hamiltonian_gap <= 1e-3
 
 
 def test_msa_tie_mixing_recovers_mixed_volatility_control():
@@ -227,4 +219,4 @@ def test_msa_tie_mixing_recovers_mixed_volatility_control():
     )
     w = pol.weights_at(0, 0.0, np.zeros((4, 1)))
     np.testing.assert_allclose(w, 0.5, atol=1e-12)
-    assert all(o == 0.0 for o in report.objectives)
+    assert all(r.objective == 0.0 for r in report.records)

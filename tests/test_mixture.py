@@ -353,6 +353,11 @@ def test_coefficient_fit_and_entropy_match_old_bits(n, n_atoms, degree, seed):
             err_msg=name,
         )
         assert policy_entropy(v) == _old_entropy(v), name
+        # the fit pins its own layout: C and F copies of v give the same bits
+        for order in "CF":
+            copy_intercept, copy_coef = reg.fit_coefficients(np.array(v, order=order))
+            assert np.array_equal(intercept, copy_intercept), (name, order)
+            assert np.array_equal(coef, copy_coef), (name, order)
 
 
 # ------------------------------------------- one evaluation per forward pass
