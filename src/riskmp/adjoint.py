@@ -139,10 +139,15 @@ class _SliceRegression:
         """(intercept, coef) of the fit of (n, r) targets.
 
         coef maps *raw* design columns, standardization already absorbed.
-        The targets are copied to F order first, since the column means and
-        the projection round differently by layout.
+        Only the columns with a nonzero target are solved; the others fit
+        exactly to zero.  The targets are copied to F order first, since the
+        column means and the projection round differently by layout.
         """
-        _, _, coef, intercept = self._solve(np.asfortranarray(targets, dtype=float))
+        t = np.asarray(targets, dtype=float)
+        live = t.any(axis=0)
+        intercept = np.zeros(t.shape[1])
+        coef = np.zeros((self.m, t.shape[1]))
+        _, _, coef[:, live], intercept[live] = self._solve(np.asfortranarray(t[:, live]))
         return intercept, coef
 
 

@@ -63,6 +63,10 @@ _PROBLEMS = {
     "example2": {"horizon"},
     "custom": {"horizon", *CUSTOM_TABLE_KEYS},
 }
+# The real-valued portfolio keys; allow_zero_lower is a bool.
+_PORTFOLIO_REALS = {
+    f.name for f in dataclasses.fields(PortfolioParams) if type(f.default) is float
+}
 # Risk types, each a RiskFunction constructor, with its parameters' defaults.
 _BETA = {"beta": 0.5}
 _RISKS = {
@@ -148,17 +152,28 @@ def _integer(key, value):
     return int(value)
 
 
+def _real(key, value):
+    """value as a float; a bool or a non-number is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _section(cfg, name):
     """A `_DEFAULTS` section with each value cast to the type of its default."""
+    cast = {int: _integer, float: _real}
     return {
-        key: _integer(f"{name}.{key}", cfg[name][key]) if type(d) is int
-        else type(d)(cfg[name][key])
+        key: cast[type(d)](f"{name}.{key}", cfg[name][key])
         for key, d in _DEFAULTS[name].items()
     }
 
 
-def _without_type(section):
-    return {k: v for k, v in section.items() if k != "type"}
+def _reals(section, where, keys):
+    """section without its type, each value under keys checked by _real."""
+    return {
+        k: _real(f"{where}.{k}", v) if k in keys else v
+        for k, v in section.items() if k != "type"
+    }
 
 
 def build_experiment(cfg):
@@ -173,7 +188,7 @@ def build_experiment(cfg):
         seed = _integer("seed", cfg["seed"])
         params = None
         if problem["type"] == "portfolio":
-            params = PortfolioParams(**_without_type(problem))
+            params = PortfolioParams(**_reals(problem, "problem", _PORTFOLIO_REALS))
             model = build_portfolio_model(params, sim["n_actions"])
         elif problem["type"] == "example1":
             model = sign_volatility_model()
@@ -181,11 +196,14 @@ def build_experiment(cfg):
             model = on_off_volatility_model()
         else:
             model = model_from_tables(problem)
-        horizon = params.horizon if params else problem.get("horizon", 1.0)
+        horizon = (
+            params.horizon if params
+            else _real("problem.horizon", problem.get("horizon", 1.0))
+        )
 
         kind = cfg["risk"]["type"]
         risk = getattr(RiskFunction, kind)(
-            **{**_RISKS[kind], **_without_type(cfg["risk"])}
+            **{**_RISKS[kind], **_reals(cfg["risk"], "risk", _RISKS[kind])}
         )
 
         grid = build_time_grid(horizon, sim["n_steps"])

@@ -381,35 +381,44 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
     Component c maps the raw features phi to pre-weights
     intercepts[c] + phi @ coefs[c], clips negatives and renormalizes per path
     (uniform fallback on vanished rows); the result is the (n, n_atoms)
-    mixture sum_c scales[c] * weights_c.  Rows are processed in blocks whose
-    (rows, C, n_atoms) pre-weights hold at most _BLOCK_ELEMENTS elements, and
-    each block is one matmul, an in-place intercept add and clip, one mass
-    contraction and one mixing contraction with the normalization folded
-    into the scales.
+    mixture sum_c scales[c] * weights_c.  Only the live atoms, those with a
+    nonzero intercept or coefficient in some component, are computed: any
+    other atom's pre-weight is exactly 0 after the clip.  Rows are processed
+    in blocks whose (rows, C, live atoms) pre-weights hold at most
+    _BLOCK_ELEMENTS elements, and each block is one matmul, an in-place
+    intercept add and clip, one mass contraction and one mixing contraction
+    with the normalization folded into the scales.  A vanished component row
+    spreads its scale uniformly over all n_atoms atoms.
     """
     phi = basis.design(states)
-    n = states.shape[0]
+    n, m = phi.shape
     n_comp = len(scales)
     scales = np.asarray(scales, dtype=float)
-    intercept = np.concatenate(intercepts)
-    coef = np.concatenate(coefs, axis=1)
-    rows = max(1, _BLOCK_ELEMENTS // (n_comp * n_atoms))
-    raw_buf = np.empty((min(rows, n), n_comp * n_atoms))
+    intercept = np.stack(intercepts)
+    coef = np.stack(coefs, axis=1)  # (m, C, n_atoms)
+    act = np.flatnonzero(intercept.any(axis=0) | coef.any(axis=(0, 1)))
+    n_act = act.size
+    intercept = intercept[:, act].ravel()
+    coef = coef[:, :, act].reshape(m, n_comp * n_act)
+    rows = max(1, _BLOCK_ELEMENTS // (n_comp * max(n_act, 1)))
+    raw_buf = np.empty((min(rows, n), n_comp * n_act))
     mass_buf = np.empty((min(rows, n), n_comp))
-    out = np.empty((n, n_atoms))
+    mix_buf = np.empty((min(rows, n), n_act))
+    out = np.zeros((n, n_atoms))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         raw = np.matmul(phi[lo:hi], coef, out=raw_buf[: hi - lo])
         raw += intercept
         np.clip(raw, 0.0, None, out=raw)
-        raw = raw.reshape(hi - lo, n_comp, n_atoms)
+        raw = raw.reshape(hi - lo, n_comp, n_act)
         mass = np.einsum("nca->nc", raw, out=mass_buf[: hi - lo])
         empty = mass <= 1e-300
         if empty.any():
-            raw[empty] = 1.0
-            mass[empty] = n_atoms
+            fallback = (empty * (scales / n_atoms)).sum(axis=1)
+            out[lo:hi] += fallback[:, None]
+            mass[empty] = np.inf  # mix scale 0
         np.divide(scales, mass, out=mass)
-        np.einsum("nca,nc->na", raw, mass, out=out[lo:hi])
+        out[lo:hi, act] += np.einsum("nca,nc->na", raw, mass, out=mix_buf[: hi - lo])
     return out
 
 

@@ -180,13 +180,20 @@ def test_repeated_runs_byte_identical(tmp_path):
         assert _read_lines(outs[0] / name) == _read_lines(outs[1] / name), name
 
 
-def test_solve_above_blas_split_size_is_thread_independent(tmp_path):
+@pytest.mark.parametrize(
+    "config, max_iters",
+    [("custom_linear", 2), ("portfolio_entropic", 3)],
+    ids=["custom_linear", "portfolio_entropic"],
+)
+def test_solve_above_blas_split_size_is_thread_independent(tmp_path, config, max_iters):
     # OpenBLAS splits a dot product across threads above 10,000 entries, so
     # only a solve with more paths than that shows a cross-path reduction
-    # that goes through BLAS.
-    cfg = json.load(open(os.path.join(CONFIGS, "custom_linear.json")))
+    # that goes through BLAS.  custom_linear's fits degrade to constants;
+    # the entropic solve mixes two fitted components through the mixture
+    # kernel.
+    cfg = json.load(open(os.path.join(CONFIGS, f"{config}.json")))
     cfg["sim"]["n_paths"] = 12_000
-    cfg["msa"]["max_iters"] = 2
+    cfg["msa"]["max_iters"] = max_iters
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     outs = [tmp_path / "blas1", tmp_path / "blas2"]
@@ -282,6 +289,48 @@ def test_non_integer_count_is_config_error(tmp_path, capsys, section, key, value
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     dotted = f"{section}.{key}" if section else key
     assert f"{dotted} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, base",
+    [
+        ("msa", "tol", True, {}),
+        ("msa", "tol", "0.001", {}),
+        ("msa", "damping_base", None, {}),
+        ("basis", "ridge", True, {}),
+        ("problem", "sigma", True, {}),
+        ("problem", "horizon", False, {}),
+        ("problem", "horizon", True, {"problem": {"type": "example1"}}),
+        ("risk", "theta", True, {"risk": {"type": "entropic"}}),
+        ("risk", "beta", True, {"risk": {"type": "mean_deviation"}}),
+        ("risk", "epsilon", "0.1", {"risk": {"type": "smoothed_semideviation"}}),
+    ],
+)
+def test_non_number_real_is_config_error(tmp_path, capsys, section, key, value, base):
+    _, cfg = _small_portfolio_config(
+        tmp_path, sim={"n_steps": 5, "n_paths": 200, "n_actions": 5},
+        msa={"max_iters": 2, "n_boot": 20}, **base,
+    )
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{section}.{key} must be a number" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
+def test_bool_allow_zero_lower_is_accepted(tmp_path):
+    path, _ = _small_portfolio_config(
+        tmp_path,
+        problem={
+            "type": "portfolio", "phi_low": 0.0, "phi_high": 1.5,
+            "allow_zero_lower": True,
+        },
+    )
+    exp = cli.build_experiment(load_config(path))
+    assert exp["params"].allow_zero_lower is True
+    assert exp["params"].phi_low == 0.0
 
 
 def test_integral_float_counts_are_accepted(tmp_path):

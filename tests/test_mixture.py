@@ -59,8 +59,14 @@ def _check_rows(w):
 
 # ---------------------------------------------------- strategies and builders
 
-def _fitted(rng, basis, n_atoms, n_steps, vanish):
-    """FittedPolicy with random steps; vanish makes every pre-weight negative."""
+def _fitted(rng, basis, n_atoms, n_steps, vanish=False, half=False, dead=None):
+    """FittedPolicy with random steps.
+
+    vanish makes every pre-weight negative.  half keeps a random atom subset
+    live with pre-weights -c x (c > 0), which clip away on every path with
+    x >= 0 (on every path at degree 0).  dead, a mask of atoms, zeroes their
+    intercepts and coefficients.
+    """
     m = basis.design(np.zeros((1, 1))).shape[1]
     steps = []
     for _ in range(n_steps):
@@ -68,8 +74,30 @@ def _fitted(rng, basis, n_atoms, n_steps, vanish):
         coef = rng.normal(0.0, 0.3, (m, n_atoms))
         if vanish:
             intercept, coef = -1.0 - np.abs(intercept), np.zeros_like(coef)
+        if half:
+            live = rng.random(n_atoms) < 0.5
+            live[rng.integers(n_atoms)] = True
+            coef[:] = 0.0
+            if m:
+                intercept = np.zeros(n_atoms)
+                coef[0, live] = -rng.uniform(0.5, 2.0, live.sum())
+            else:
+                intercept = np.where(live, -1.0, 0.0)
+        if dead is not None:
+            intercept[dead] = 0.0
+            coef[:, dead] = 0.0
         steps.append((intercept, coef))
     return FittedPolicy(steps, basis, n_atoms)
+
+
+def _live_atoms(policies, k):
+    """Atoms with a nonzero intercept or coefficient in some fitted policy."""
+    live = 0
+    for p in policies:
+        if isinstance(p, FittedPolicy):
+            intercept, coef = p.steps[k]
+            live = live | (intercept != 0.0) | coef.any(axis=0)
+    return int(np.count_nonzero(live))
 
 
 def _constant(rng, n_atoms, n_steps):
@@ -91,7 +119,7 @@ def _row_counts(block):
     return (1, block - 1, block, block + 1, 3 * block + block // 2 + 1)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     n_fitted=st.integers(1, 12),
     n_const=st.integers(0, 2),
@@ -99,20 +127,38 @@ def _row_counts(block):
     degree=st.integers(0, 3),
     which_n=st.integers(0, 4),
     n_vanish=st.integers(0, 2),
+    n_half=st.integers(0, 2),
+    dead=st.sampled_from(["none", "random", "all"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_mixture_kernel_matches_per_component_formula(
-    n_fitted, n_const, n_atoms, degree, which_n, n_vanish, seed
+    n_fitted, n_const, n_atoms, degree, which_n, n_vanish, n_half, dead, seed
 ):
+    # dead: "none" leaves every atom live (U == A without half components),
+    # "random" zeroes a random atom subset per component and every atom of
+    # the first (a component with no live atom), "all" every atom (U == 0).
     rng = np.random.default_rng(seed)
     basis = RegressionBasis(degree=degree)
-    block = max(1, _BLOCK_ELEMENTS // (n_fitted * n_atoms))
-    n = max(1, _row_counts(block)[which_n])
-    states = rng.normal(0.0, 1.5, (n, 1))
+    masks = {
+        "none": lambda i: None,
+        "random": lambda i: np.full(n_atoms, i == 0) | (rng.random(n_atoms) < rng.random()),
+        "all": lambda i: np.ones(n_atoms, dtype=bool),
+    }[dead]
     comps = [
-        _fitted(rng, basis, n_atoms, 2, vanish=i < n_vanish)
+        _fitted(
+            rng, basis, n_atoms, 2, vanish=i < n_vanish,
+            half=n_vanish <= i < n_vanish + n_half, dead=masks(i),
+        )
         for i in range(n_fitted)
     ] + [_constant(rng, n_atoms, 2) for _ in range(n_const)]
+    n_live = _live_atoms(comps, 0)
+    if dead == "all":
+        assert n_live == 0
+    if dead == "none" and n_half == 0:
+        assert n_live == n_atoms
+    block = max(1, _BLOCK_ELEMENTS // (n_fitted * max(n_live, 1)))
+    n = max(1, _row_counts(block)[which_n])
+    states = rng.normal(0.0, 1.5, (n, 1))
     order = rng.permutation(len(comps))
     scales = rng.random(len(comps)) + 0.05
     scales /= scales.sum()
@@ -343,6 +389,7 @@ def test_coefficient_fit_and_entropy_match_old_bits(n, n_atoms, degree, seed):
     w[:, 0] += 1e-9
     w /= w.sum(axis=1, keepdims=True)
     w = np.vstack([np.eye(n_atoms)[:1], w])
+    w[:, rng.random(n_atoms) < rng.random()] = 0.0  # whole zero columns
     basis = RegressionBasis(degree=degree)
     states = rng.normal(size=(len(w), 1))
     reg = _SliceRegression(states, basis)
@@ -352,6 +399,17 @@ def test_coefficient_fit_and_entropy_match_old_bits(n, n_atoms, degree, seed):
             intercept + basis.design(states) @ coef, reg.fit(v), rtol=0, atol=1e-12,
             err_msg=name,
         )
+        # zero columns are skipped and fit to exact zeros; the others match
+        # the dense solve up to the rounding of a solve with fewer right-hand
+        # sides, which a near-singular slice amplifies by its condition number
+        dead = ~v.any(axis=0)
+        assert not intercept[dead].any() and not coef[:, dead].any(), name
+        _, _, dense_coef, dense_intercept = reg._solve(np.asfortranarray(v))
+        cond = np.linalg.cond(reg._solve_mat) if reg.m else 1.0
+        for got, dense in ((intercept, dense_intercept), (coef, dense_coef)):
+            scale = np.abs(dense).max(initial=0.0)
+            tol = max(1e-12, 4.0 * cond * np.finfo(float).eps * scale)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=tol, err_msg=name)
         assert policy_entropy(v) == _old_entropy(v), name
         # the fit pins its own layout: C and F copies of v give the same bits
         for order in "CF":
