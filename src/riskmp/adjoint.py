@@ -19,6 +19,7 @@ residual norms with numpy's pairwise sum, so results do not depend on BLAS
 thread count.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -201,8 +202,15 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
     return yprime, zprime, residuals
 
 
-def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, weights):
-    """Gradient of the measure-averaged Hamiltonian with respect to the state."""
+def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, get_weights):
+    """Gradient of the measure-averaged Hamiltonian with respect to the state.
+
+    get_weights() returns the (n, n_atoms) policy weights.  It runs at most
+    once, and only when the weights are read: by the per-atom loop of
+    coefficient_tables, or by the average over atoms, which is skipped when
+    every Jacobian table is zero.
+    """
+    weights = functools.cache(get_weights)
     tabs = coefficient_tables(
         model, t, states, ("drift_dx", "cost_dx", "diffusion_dx"), weights
     )
@@ -215,7 +223,7 @@ def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, weights):
         terms.append(np.einsum("nwi,aniwl->anl", z, tabs["diffusion_dx"]))
     if not terms:
         return np.zeros(states.shape)
-    return np.einsum("na,anl->nl", weights, sum(terms[1:], terms[0]))
+    return np.einsum("na,anl->nl", weights(), sum(terms[1:], terms[0]))
 
 
 def solve_adjoint(model, ensemble, yprime, basis, slices=None):
@@ -259,7 +267,8 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
         )
         z[:, k] = reg.fit(ztarget).reshape(n, dim_w, dx)
         grad_h = _policy_grad_hamiltonian(
-            model, t, xk, yhat, yprime[:, k], z[:, k], ensemble.weights_at(k)
+            model, t, xk, yhat, yprime[:, k], z[:, k],
+            lambda: ensemble.weights_at(k),
         )
         y[:, k] = yhat + grad_h * dt
         if not np.isfinite(y[:, k]).all():

@@ -57,15 +57,12 @@ _DEFAULTS = {
 }
 # Problem types and their keys.  The portfolio takes its defaults from
 # PortfolioParams; the other problems default only `horizon`, to 1.0.
+_PORTFOLIO_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PortfolioParams)}
 _PROBLEMS = {
-    "portfolio": {f.name for f in dataclasses.fields(PortfolioParams)},
+    "portfolio": set(_PORTFOLIO_DEFAULTS),
     "example1": {"horizon"},
     "example2": {"horizon"},
     "custom": {"horizon", *CUSTOM_TABLE_KEYS},
-}
-# The real-valued portfolio keys; allow_zero_lower is a bool.
-_PORTFOLIO_REALS = {
-    f.name for f in dataclasses.fields(PortfolioParams) if type(f.default) is float
 }
 # Risk types, each a RiskFunction constructor, with its parameters' defaults.
 _BETA = {"beta": 0.5}
@@ -146,34 +143,67 @@ def load_config(path, seed_override=None):
 
 
 def _integer(key, value):
-    """value as an int; a bool or a non-integral number is a config error."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """value as an int; anything but an integral number is a config error."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
         _fail(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(key, value):
-    """value as a float; a bool or a non-number is a config error."""
+    """value as a float; a bool, a non-number or NaN/inf is a config error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{key} must be a number, got {value!r}")
+    # An exact comparison: NaN fails it, and an int too large for a float
+    # fails it instead of overflowing.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        _fail(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
-def _section(cfg, name):
-    """A `_DEFAULTS` section with each value cast to the type of its default."""
-    cast = {int: _integer, float: _real}
-    return {
-        key: cast[type(d)](f"{name}.{key}", cfg[name][key])
-        for key, d in _DEFAULTS[name].items()
-    }
+def _boolean(key, value):
+    """value itself; anything but a JSON boolean is a config error."""
+    if not isinstance(value, bool):
+        _fail(f"{key} must be true or false, got {value!r}")
+    return value
 
 
-def _reals(section, where, keys):
-    """section without its type, each value under keys checked by _real."""
+_CASTS = {int: _integer, float: _real, bool: _boolean}
+
+
+def _cast(section, where, defaults):
+    """section without its type, each value cast to the type of its default."""
     return {
-        k: _real(f"{where}.{k}", v) if k in keys else v
+        k: _CASTS[type(defaults[k])](f"{where}.{k}", v)
         for k, v in section.items() if k != "type"
     }
+
+
+def _section(cfg, name):
+    """A filled-in `_DEFAULTS` section, cast by `_cast`."""
+    return _cast(cfg[name], name, _DEFAULTS[name])
+
+
+def _no_bools(key, value):
+    """Reject a JSON boolean anywhere in value, through lists and objects."""
+    if isinstance(value, bool):
+        _fail(f"{key} must be a number, got {value!r}")
+    if isinstance(value, dict):
+        for sub, item in value.items():
+            _no_bools(f"{key}.{sub}", item)
+    elif isinstance(value, list):
+        for item in value:
+            _no_bools(key, item)
+
+
+def _custom_tables(problem):
+    """The custom problem with integer dims and no boolean for a number."""
+    dims = {
+        k: _integer(f"problem.{k}", problem[k])
+        for k in ("dim_x", "dim_w") if k in problem
+    }
+    _no_bools("problem", problem)
+    return {**problem, **dims}
 
 
 def build_experiment(cfg):
@@ -188,14 +218,14 @@ def build_experiment(cfg):
         seed = _integer("seed", cfg["seed"])
         params = None
         if problem["type"] == "portfolio":
-            params = PortfolioParams(**_reals(problem, "problem", _PORTFOLIO_REALS))
+            params = PortfolioParams(**_cast(problem, "problem", _PORTFOLIO_DEFAULTS))
             model = build_portfolio_model(params, sim["n_actions"])
         elif problem["type"] == "example1":
             model = sign_volatility_model()
         elif problem["type"] == "example2":
             model = on_off_volatility_model()
         else:
-            model = model_from_tables(problem)
+            model = model_from_tables(_custom_tables(problem))
         horizon = (
             params.horizon if params
             else _real("problem.horizon", problem.get("horizon", 1.0))
@@ -203,7 +233,7 @@ def build_experiment(cfg):
 
         kind = cfg["risk"]["type"]
         risk = getattr(RiskFunction, kind)(
-            **{**_RISKS[kind], **_reals(cfg["risk"], "risk", _RISKS[kind])}
+            **{**_RISKS[kind], **_cast(cfg["risk"], "risk", _RISKS[kind])}
         )
 
         grid = build_time_grid(horizon, sim["n_steps"])

@@ -25,7 +25,6 @@ from .adjoint import (
 from .risk import EmpiricalSample, bootstrap_standard_error, evaluate, l_derivative
 from .sde import (
     MeasurePolicy,
-    _eval_affine_batch,
     coefficient_tables,
     convex_combine,
     simulate_forward,
@@ -165,46 +164,6 @@ class SolveReport:
         ]
 
 
-class FittedPolicy(MeasurePolicy):
-    """Feedback policy from per-step regressions of near-minimal weights.
-
-    Each step stores an affine map from raw state features to pre-weights;
-    evaluation clips negatives and renormalizes, falling back to uniform on
-    rows whose fitted mass vanishes.
-    """
-
-    def __init__(self, steps, basis, n_atoms):
-        self.steps = steps  # list of (intercept (A,), coef (m, A))
-        self.basis = basis
-        self.n_atoms = n_atoms
-
-    def weights_at(self, k, t, states):
-        intercept, coef = self.steps[k]
-        return _eval_affine_batch(
-            self.basis, states, [1.0], [intercept], [coef], self.n_atoms
-        )
-
-    def _affine_step(self, k):
-        intercept, coef = self.steps[k]
-        return self.basis, intercept, coef
-
-
-def _fitted_or_constant(fitted_steps, basis, n_atoms):
-    """Degrade a state-independent fit to a constant policy.
-
-    When every regression coefficient is exactly zero (the pointwise
-    minimizers did not depend on the state) the fitted feedback law is a
-    per-step constant, and constant policies mix into constants, keeping the
-    solver's policy representation flat.
-    """
-    if all(not coef.any() for _, coef in fitted_steps):
-        rows = np.stack([intercept for intercept, _ in fitted_steps])
-        np.clip(rows, 0.0, None, out=rows)
-        rows /= rows.sum(axis=1, keepdims=True)
-        return MeasurePolicy.constant(rows)
-    return FittedPolicy(fitted_steps, basis, n_atoms)
-
-
 def msa_solve(model, risk, init, cfg, driver, basis, grid):
     """Damped successive approximation of the coupled optimality system.
 
@@ -251,7 +210,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
                 )
             )
             wstar = _near_min_weights(table, cfg.eta)
-            wpi = ens.policy_weights[k]
+            wpi = ens.weights_at(k)
             gap_sum += float(
                 np.mean(np.einsum("na,na->n", wpi, table) - table.min(axis=1))
             )
@@ -267,7 +226,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
             report.converged = True
             return policy, report
 
-        qstar = _fitted_or_constant(fitted_steps, basis, model.n_atoms)
+        qstar = MeasurePolicy.fitted(fitted_steps, basis, model.n_atoms)
         policies.append(convex_combine(policy, qstar, cfg.alpha(it)))
 
     return policies[report.best_iter], report

@@ -187,7 +187,8 @@ def coefficient_tables(model, t, x, keys=TABLE_KEYS, weights=None):
     x = 0.  Otherwise the per-atom callables are looped over, only for atoms
     whose nonnegative weight (n, n_atoms) is positive on some path (all atoms
     when weights is None); the other atoms stay zero, so an unused atom
-    cannot leak NaN into a weighted sum.
+    cannot leak NaN into a weighted sum.  weights may also be a function
+    returning that array, called only by this loop.
     """
     if model.tables is not None:
         tabs = model.tables(t, x)
@@ -203,6 +204,7 @@ def coefficient_tables(model, t, x, keys=TABLE_KEYS, weights=None):
     if weights is None:
         active = range(model.n_atoms)
     else:
+        weights = weights() if callable(weights) else weights
         active = np.flatnonzero(weights.max(axis=0) > 0.0)
     return {key: _atom_loop(model, key, t, x, active) for key in keys}
 
@@ -318,6 +320,27 @@ class MeasurePolicy:
         """Wrap rule(k, t, states) -> (n, n_atoms) as a policy."""
         return _RulePolicy(rule, n_atoms)
 
+    @staticmethod
+    def fitted(steps, basis, n_atoms):
+        """Clipped-affine feedback fitted on basis features, such as q*.
+
+        steps holds one (intercept (n_atoms,), coef (m, n_atoms)) pair per
+        step: the pre-weights intercept + basis.design(x) @ coef are clipped
+        at 0 and renormalized per path, uniform where no mass is left.  When
+        every coef is exactly zero the weights do not depend on the state,
+        and the policy is the constant one of the clipped intercepts.
+        """
+        if all(not coef.any() for _, coef in steps):
+            rows = np.stack([intercept for intercept, _ in steps])
+            np.clip(rows, 0.0, None, out=rows)
+            mass = rows.sum(axis=1, keepdims=True)
+            vanished = mass[:, 0] <= _VANISHED_MASS
+            rows[vanished] = 1.0
+            mass[vanished] = n_atoms
+            rows /= mass
+            return _ConstantPolicy(rows)
+        return _MixturePolicy([(1.0, _FittedComponent(basis, steps))], n_atoms)
+
 
 def _check_weight_rows(w, where, step=None):
     """Reject negative weights and rows not summing to 1.
@@ -368,6 +391,10 @@ class _RulePolicy(MeasurePolicy):
         return w
 
 
+# Clipped pre-weights whose row sum is at most this have vanished; the row is
+# then uniform.
+_VANISHED_MASS = 1e-300
+
 # Element budget of one row block, here the (rows, components, atoms)
 # pre-weight array and in risk.bootstrap_standard_error the (rows, n) resample
 # block: 2**15 float64 = 256 KB, small enough to stay in cache through the
@@ -412,7 +439,7 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
         np.clip(raw, 0.0, None, out=raw)
         raw = raw.reshape(hi - lo, n_comp, n_act)
         mass = np.einsum("nca->nc", raw, out=mass_buf[: hi - lo])
-        empty = mass <= 1e-300
+        empty = mass <= _VANISHED_MASS
         if empty.any():
             fallback = (empty * (scales / n_atoms)).sum(axis=1)
             out[lo:hi] += fallback[:, None]
@@ -422,28 +449,35 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
     return out
 
 
-class _MixturePolicy(MeasurePolicy):
-    """Flat convex mixture of component policies.
+@dataclass(frozen=True)
+class _FittedComponent:
+    """A fitted mixture component: per step, (intercept, coef) on basis features."""
 
-    Components exposing an affine step representation (fitted feedback
-    policies) are stacked into one shared design pass per call, and
-    state-independent components are summed into one weight row, keeping
-    evaluation cost flat as the mixture grows.
+    basis: object
+    steps: list
+
+
+class _MixturePolicy(MeasurePolicy):
+    """Flat convex mixture of (scale, component) pairs.
+
+    Fitted components that share a basis are stacked into one kernel call per
+    step, and state-independent components are summed into one weight row,
+    keeping evaluation cost flat as the mixture grows.  Any other component
+    is a policy evaluated on its own.
     """
 
-    def __init__(self, components):
+    def __init__(self, components, n_atoms):
         self.components = components
-        self.n_atoms = components[0][1].n_atoms
+        self.n_atoms = n_atoms
 
     def weights_at(self, k, t, states):
         row = None  # the constant components, summed
         out = None  # the other components, summed
         batches = {}
         for scale, comp in self.components:
-            probe = getattr(comp, "_affine_step", None)
-            if probe is not None:
-                basis, intercept, coef = probe(k)
-                entry = batches.setdefault(id(basis), (basis, [], [], []))
+            if isinstance(comp, _FittedComponent):
+                intercept, coef = comp.steps[k]
+                entry = batches.setdefault(id(comp.basis), (comp.basis, [], [], []))
                 entry[1].append(scale)
                 entry[2].append(intercept)
                 entry[3].append(coef)
@@ -487,7 +521,7 @@ def convex_combine(pi, q, alpha):
         wq = np.broadcast_to(q.weights, (rows, q.n_atoms))
         return _ConstantPolicy((1.0 - alpha) * wp + alpha * wq)
     terms = _mixture_terms(pi, 1.0 - alpha) + _mixture_terms(q, alpha)
-    return _MixturePolicy(terms)
+    return _MixturePolicy(terms, pi.n_atoms)
 
 
 @dataclass(frozen=True)

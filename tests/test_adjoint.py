@@ -1,5 +1,6 @@
 """Slice regressions and the backward adjoint solvers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from riskmp import (
     solve_risk_adjustment,
 )
 from riskmp.adjoint import _norm, _SliceRegression
+from riskmp.models import model_from_tables
+from riskmp.portfolio import PortfolioParams, build_portfolio_model
 from conftest import make_model
 
 
@@ -203,6 +206,62 @@ def test_terminal_slices_are_exact(rng):
     np.testing.assert_array_equal(
         adj.y[:, -1], d[:, None] * (2.0 * ens.states[:, -1])
     )
+
+
+def _zero_jacobian_portfolio():
+    return build_portfolio_model(PortfolioParams(), 5)
+
+
+def _affine_drift_model():
+    return model_from_tables({
+        "dim_x": 1, "dim_w": 1, "action_grid": [0.0, 0.5, 1.0, 1.5, 2.0],
+        "drift": {"const": [[-1.0], [-0.5], [0.0], [0.5], [1.0]], "x": [[-0.3]]},
+        "diffusion": {"const": [[[0.2]], [[0.3]], [[0.4]], [[0.5]], [[0.6]]]},
+        "terminal": {"const": 0.0, "x": [1.0]},
+    })
+
+
+def _atom_loop_portfolio():
+    model = _zero_jacobian_portfolio()
+    return dataclasses.replace(model, constant_coefficients=False)
+
+
+@pytest.mark.parametrize(
+    "build, evaluations",
+    [
+        (_zero_jacobian_portfolio, 0),
+        (_affine_drift_model, 6),
+        (_atom_loop_portfolio, 6),
+    ],
+    ids=["zero-jacobians", "affine-drift", "atom-loop"],
+)
+def test_adjoint_evaluates_the_policy_only_when_it_reads_the_weights(
+    build, evaluations
+):
+    # Without kept weights each read re-evaluates the policy.  All-zero
+    # Jacobian tables read none; a nonzero table reads them for the average
+    # and the per-atom loop to pick its atoms, once per step.
+    model = build()
+    grid = build_time_grid(1.0, 6)
+    driver = sample_brownian(grid, 400, 1, seed=12)
+    calls = []
+
+    def rule(k, t, x):
+        calls.append(k)
+        logits = np.outer(np.tanh(x[:, 0]), np.arange(model.n_atoms))
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
+
+    policy = MeasurePolicy.feedback(rule, model.n_atoms)
+    kept = simulate_forward(model, policy, driver, grid, keep_weights=True)
+    lazy = simulate_forward(model, policy, driver, grid)
+    yprime = np.ones((400, 7))
+    basis = RegressionBasis(degree=2)
+    y_kept, z_kept, _ = solve_adjoint(model, kept, yprime, basis)
+    calls.clear()
+    y, z, _ = solve_adjoint(model, lazy, yprime, basis)
+    assert len(calls) == evaluations
+    assert np.array_equal(y, y_kept) and np.array_equal(z, z_kept)
 
 
 # ---------------------------------------------------------------- diagnostics

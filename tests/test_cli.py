@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -276,6 +277,10 @@ def test_per_step_constant_init_policy_runs(tmp_path):
         ("basis", "degree", True),
         ("msa", "max_iters", 2.5),
         ("msa", "n_boot", 20.5),
+        (None, "seed", "7"),
+        ("sim", "n_steps", "5"),
+        ("msa", "max_iters", "2"),
+        ("basis", "degree", "2"),
     ],
 )
 def test_non_integer_count_is_config_error(tmp_path, capsys, section, key, value):
@@ -286,9 +291,11 @@ def test_non_integer_count_is_config_error(tmp_path, capsys, section, key, value
     (cfg[section] if section else cfg)[key] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
     dotted = f"{section}.{key}" if section else key
     assert f"{dotted} must be an integer" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -304,6 +311,19 @@ def test_non_integer_count_is_config_error(tmp_path, capsys, section, key, value
         ("risk", "theta", True, {"risk": {"type": "entropic"}}),
         ("risk", "beta", True, {"risk": {"type": "mean_deviation"}}),
         ("risk", "epsilon", "0.1", {"risk": {"type": "smoothed_semideviation"}}),
+        ("msa", "tol", math.nan, {}),
+        ("msa", "tol", math.inf, {}),
+        ("msa", "tol", -math.inf, {}),
+        ("msa", "eta", math.nan, {}),
+        ("msa", "eta", math.inf, {}),
+        ("msa", "damping_scale", math.nan, {}),
+        ("msa", "damping_scale", math.inf, {}),
+        ("basis", "ridge", math.nan, {}),
+        ("basis", "ridge", math.inf, {}),
+        ("problem", "sigma", -math.inf, {}),
+        ("risk", "theta", math.nan, {"risk": {"type": "entropic"}}),
+        ("risk", "theta", math.inf, {"risk": {"type": "entropic"}}),
+        ("msa", "damping_scale", 10**400, {}),
     ],
 )
 def test_non_number_real_is_config_error(tmp_path, capsys, section, key, value, base):
@@ -316,8 +336,63 @@ def test_non_number_real_is_config_error(tmp_path, capsys, section, key, value, 
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
-    assert f"{section}.{key} must be a number" in capsys.readouterr().err
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    message = "must be finite" if number else "must be a number"
+    assert f"{section}.{key} {message}" in capsys.readouterr().err
     assert not (out / "solve_summary.json").exists()
+
+
+def _problem(kind, overrides):
+    """A portfolio problem, or custom_linear.json's, with dotted keys overridden."""
+    if kind == "portfolio":
+        return {"type": "portfolio", **overrides}
+    with open(os.path.join(CONFIGS, "custom_linear.json")) as fh:
+        problem = json.load(fh)["problem"]
+    for dotted, value in overrides.items():
+        *path, key = dotted.split(".")
+        section = problem
+        for name in path:
+            section = section[name]
+        section[key] = value
+    return problem
+
+
+@pytest.mark.parametrize(
+    "kind, overrides, message",
+    [
+        ("custom", {"dim_x": 1.5}, "an integer"),
+        ("custom", {"dim_x": True}, "an integer"),
+        ("custom", {"dim_w": True}, "an integer"),
+        ("custom", {"dim_w": "1"}, "an integer"),
+        ("custom", {"x0": [True]}, "a number"),
+        ("custom", {"action_grid": [-1.0, False, 1.0]}, "a number"),
+        ("custom", {"drift.x": [[True]]}, "a number"),
+        ("custom", {"terminal.const": True}, "a number"),
+        ("custom", {"growth.p": True}, "a number"),
+        ("portfolio", {"allow_zero_lower": "no", "phi_low": 0.0}, "true or false"),
+        ("portfolio", {"allow_zero_lower": 0}, "true or false"),
+    ],
+)
+def test_problem_values_are_not_coerced(tmp_path, capsys, kind, overrides, message):
+    path, _ = _small_portfolio_config(
+        tmp_path, problem=_problem(kind, overrides),
+        sim={"n_steps": 5, "n_paths": 200, "n_actions": 5},
+        msa={"max_iters": 2, "n_boot": 20},
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    key = next(iter(overrides))
+    assert f"problem.{key} must be {message}" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize("pbar3", ["inf", "Infinity"])
+def test_custom_growth_accepts_infinite_strings(tmp_path, pbar3):
+    path, _ = _small_portfolio_config(
+        tmp_path, problem=_problem("custom", {"growth.pbar3": pbar3})
+    )
+    model = cli.build_experiment(load_config(path))["model"]
+    assert model.growth.pbar3 == math.inf
 
 
 def test_bool_allow_zero_lower_is_accepted(tmp_path):

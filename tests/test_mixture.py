@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from riskmp import MeasurePolicy, build_time_grid, convex_combine, sample_brownian
 from riskmp import cli, control
 from riskmp.adjoint import RegressionBasis, _SliceRegression
-from riskmp.control import FittedPolicy, msa_solve, policy_entropy
+from riskmp.control import msa_solve, policy_entropy
 from riskmp.errors import NumericalBlowup
 from riskmp.models import sign_volatility_model
 from riskmp.sde import (
@@ -21,6 +21,7 @@ from riskmp.sde import (
     _WEIGHT_TOL,
     _ConstantPolicy,
     _eval_affine_batch,
+    _FittedComponent,
     _MixturePolicy,
     simulate_forward,
 )
@@ -44,7 +45,7 @@ def _reference(policy, k, states):
     """Weights of policy at step k, one component at a time."""
     if isinstance(policy, _MixturePolicy):
         return sum(s * _reference(c, k, states) for s, c in policy.components)
-    if isinstance(policy, FittedPolicy):
+    if isinstance(policy, _FittedComponent):
         intercept, coef = policy.steps[k]
         return _component_weights(policy.basis.design(states), intercept, coef)
     if isinstance(policy, _ConstantPolicy):
@@ -60,7 +61,7 @@ def _check_rows(w):
 # ---------------------------------------------------- strategies and builders
 
 def _fitted(rng, basis, n_atoms, n_steps, vanish=False, half=False, dead=None):
-    """FittedPolicy with random steps.
+    """Fitted mixture component with random steps.
 
     vanish makes every pre-weight negative.  half keeps a random atom subset
     live with pre-weights -c x (c > 0), which clip away on every path with
@@ -87,14 +88,14 @@ def _fitted(rng, basis, n_atoms, n_steps, vanish=False, half=False, dead=None):
             intercept[dead] = 0.0
             coef[:, dead] = 0.0
         steps.append((intercept, coef))
-    return FittedPolicy(steps, basis, n_atoms)
+    return _FittedComponent(basis, steps)
 
 
 def _live_atoms(policies, k):
-    """Atoms with a nonzero intercept or coefficient in some fitted policy."""
+    """Atoms with a nonzero intercept or coefficient in some fitted component."""
     live = 0
     for p in policies:
-        if isinstance(p, FittedPolicy):
+        if isinstance(p, _FittedComponent):
             intercept, coef = p.steps[k]
             live = live | (intercept != 0.0) | coef.any(axis=0)
     return int(np.count_nonzero(live))
@@ -162,7 +163,7 @@ def test_mixture_kernel_matches_per_component_formula(
     order = rng.permutation(len(comps))
     scales = rng.random(len(comps)) + 0.05
     scales /= scales.sum()
-    policy = _MixturePolicy([(scales[i], comps[i]) for i in order])
+    policy = _MixturePolicy([(scales[i], comps[i]) for i in order], n_atoms)
 
     for k in range(2):
         w = policy.weights_at(k, 0.0, states)
@@ -187,6 +188,79 @@ def test_kernel_uniform_fallback_rows():
     _check_rows(w)
 
 
+# ------------------------------------------------------------ fitted policies
+
+def _steps(rng, basis, n_atoms, n_steps, coef_scale):
+    m = basis.design(np.zeros((1, 1))).shape[1]
+    return [
+        (
+            rng.normal(0.1, 0.3, n_atoms),
+            coef_scale * rng.normal(0.0, 0.3, (m, n_atoms)),
+        )
+        for _ in range(n_steps)
+    ]
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+def test_fit_without_coefficients_is_the_clipped_constant(degree):
+    rng = np.random.default_rng(degree)
+    steps = _steps(rng, RegressionBasis(degree=degree), 7, 5, 0.0)
+    policy = MeasurePolicy.fitted(steps, RegressionBasis(degree=degree), 7)
+    assert isinstance(policy, _ConstantPolicy)
+    rows = np.stack([intercept for intercept, _ in steps])
+    rows = np.clip(rows, 0.0, None)
+    rows /= rows.sum(axis=1, keepdims=True)
+    assert np.array_equal(policy.weights, rows)
+
+
+def test_vanished_constant_row_is_uniform():
+    basis = RegressionBasis(degree=1)
+    steps = [
+        (np.array([0.2, -0.1, 0.6]), np.zeros((1, 3))),
+        (np.array([-0.2, 0.0, -1e-3]), np.zeros((1, 3))),
+    ]
+    policy = MeasurePolicy.fitted(steps, basis, 3)
+    assert isinstance(policy, _ConstantPolicy)
+    clipped = np.array([0.2, 0.0, 0.6])
+    assert np.array_equal(policy.weights[0], clipped / clipped.sum())
+    assert np.array_equal(policy.weights[1], np.full(3, 1.0 / 3.0))
+    # the kernel's fallback on the same step with a tiny coefficient that
+    # keeps every pre-weight nonpositive at x >= 0
+    states = np.linspace(0.0, 1.0, 5)[:, None]
+    kernel = _eval_affine_batch(
+        basis, states, [1.0], [steps[1][0]], [np.full((1, 3), -1e-30)], 3
+    )
+    assert np.array_equal(kernel, np.broadcast_to(policy.weights[1], (5, 3)))
+
+
+def test_fit_with_coefficients_is_one_mixture_component():
+    rng = np.random.default_rng(3)
+    basis = RegressionBasis(degree=2)
+    steps = _steps(rng, basis, 6, 4, 1.0)
+    policy = MeasurePolicy.fitted(steps, basis, 6)
+    assert isinstance(policy, _MixturePolicy)
+    [(scale, comp)] = policy.components
+    assert scale == 1.0 and comp.basis is basis and comp.steps is steps
+    states = rng.normal(0.0, 1.5, (300, 1))
+    for k, (intercept, coef) in enumerate(steps):
+        expected = _eval_affine_batch(basis, states, [1.0], [intercept], [coef], 6)
+        assert np.array_equal(policy.weights_at(k, 0.0, states), expected)
+
+
+def test_degraded_fit_keeps_broadcast_weights():
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 6)
+    driver = sample_brownian(grid, 500, 1, seed=2)
+    basis = RegressionBasis(degree=2)
+    policy = MeasurePolicy.fitted(
+        _steps(np.random.default_rng(4), basis, 2, 6, 0.0), basis, 2
+    )
+    ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
+    for k, w in enumerate(ens.policy_weights):
+        assert w.shape == (500, 2) and w.strides[0] == 0
+        assert np.shares_memory(w, policy.weights[k])
+
+
 def _random_tree(rng, depth, basis, n_atoms, n_steps, root=True):
     """A leaf policy, or (left, right, alpha); the root always combines."""
     if depth == 0 or (not root and rng.random() < 0.4):
@@ -202,6 +276,11 @@ def _random_tree(rng, depth, basis, n_atoms, n_steps, root=True):
 
 
 def _combine(tree):
+    if isinstance(tree, _FittedComponent):
+        # The policy goes through the public constructor, which degrades a
+        # fit without coefficients to a constant; the reference does not.
+        n_atoms = tree.steps[0][0].size
+        return MeasurePolicy.fitted(tree.steps, tree.basis, n_atoms), tree
     if not isinstance(tree, tuple):
         return tree, tree
     (left, ref_left), (right, ref_right) = _combine(tree[0]), _combine(tree[1])

@@ -324,7 +324,7 @@ def test_hamiltonian_table_matches_atom_loop(name, rng):
 def test_policy_grad_hamiltonian_matches_atom_loop(name, rng):
     model = MODELS[name]()
     x, y, yprime, z, w = _random_case(model, rng)
-    new = _policy_grad_hamiltonian(model, 0.4, x, y, yprime, z, w)
+    new = _policy_grad_hamiltonian(model, 0.4, x, y, yprime, z, lambda: w)
     assert np.isfinite(new).all()
     _assert_close(new, _old_grad(model, 0.4, x, y, yprime, z, w))
 
