@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -184,25 +185,36 @@ def _section(cfg, name):
     return _cast(cfg[name], name, _DEFAULTS[name])
 
 
-def _no_bools(key, value):
-    """Reject a JSON boolean anywhere in value, through lists and objects."""
-    if isinstance(value, bool):
-        _fail(f"{key} must be a number, got {value!r}")
+def _table_numbers(key, value):
+    """Check each number in value, through lists and objects, with `_real`.
+
+    problem.growth.pbar3 may also be +inf, as a number or as the string
+    "inf" or "Infinity".
+    """
     if isinstance(value, dict):
         for sub, item in value.items():
-            _no_bools(f"{key}.{sub}", item)
+            _table_numbers(f"{key}.{sub}", item)
     elif isinstance(value, list):
         for item in value:
-            _no_bools(key, item)
+            _table_numbers(key, item)
+    elif not (
+        key == "problem.growth.pbar3" and value in ("inf", "Infinity", math.inf)
+    ):
+        _real(key, value)
 
 
 def _custom_tables(problem):
-    """The custom problem with integer dims and no boolean for a number."""
+    """The custom problem with integer dims and finite numbers in its tables.
+
+    The growth exponent pbar3 may also be +inf.
+    """
     dims = {
         k: _integer(f"problem.{k}", problem[k])
         for k in ("dim_x", "dim_w") if k in problem
     }
-    _no_bools("problem", problem)
+    for k, value in problem.items():
+        if k in CUSTOM_TABLE_KEYS and k not in dims:
+            _table_numbers(f"problem.{k}", value)
     return {**problem, **dims}
 
 

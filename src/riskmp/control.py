@@ -41,26 +41,97 @@ __all__ = [
 ]
 
 
-def _hamiltonian_atoms(model, t, states, y, yprime, z):
+def _hamiltonian_atoms(model, t, states, y, yprime, z, out=None):
     """H at every action atom; shapes (n, dim_x), (n,), (n, dim_w, dim_x).
 
-    The (n, n_atoms) result is the transpose of an atom-major array, the
-    layout einsum gave full per-atom tables: the per-path reductions over
-    atoms that follow run about twice as fast on it.
+    Returns the (n, n_atoms) transpose of an atom-major array, written into
+    out, an (n_atoms, n) array, when given.  H is summed term by term in
+    the order drift, cost, diffusion, each term the product of an
+    (n_atoms, n) table slice, or an (n_atoms, 1) one for a table constant
+    over paths, with a path vector.
     """
     tabs = coefficient_tables(model, t, states, ("drift", "cost", "diffusion"))
-    out = np.einsum("ni,ani->an", y, tabs["drift"])
-    out += np.einsum("n,an->an", yprime, tabs["cost"])
-    out += np.einsum("nwi,aniw->an", z, tabs["diffusion"])
+    drift, cost, diffusion = tabs["drift"], tabs["cost"], tabs["diffusion"]
+    dim_x, dim_w = drift.shape[2], diffusion.shape[3]
+    terms = [(drift[:, :, i], y[:, i]) for i in range(dim_x)]
+    terms.append((cost, yprime))
+    terms += [
+        (diffusion[:, :, i, w], z[:, w, i])
+        for w in range(dim_w) for i in range(dim_x)
+    ]
+    if out is None:
+        out = np.empty((model.n_atoms, states.shape[0]))
+    # Path vectors are strided slices of (n, n_steps, ...) arrays; each is
+    # gathered once, not once per atom.
+    terms = [(col, np.ascontiguousarray(vec)) for col, vec in terms]
+    np.multiply(*terms[0], out=out)
+    term = np.empty_like(out)
+    for col, vec in terms[1:]:
+        out += np.multiply(col, vec, out=term)
     return out.T
 
 
-def _near_min_weights(table, eta):
-    """Uniform mixture over atoms within eta * (1 + |H_min|) of the minimum."""
-    hmin = table.min(axis=1)
-    thresh = hmin + eta * (1.0 + np.abs(hmin))
-    mask = table <= thresh[:, None]
-    return mask / mask.sum(axis=1, keepdims=True)
+def _near_min_weights(table, eta, wpi, out=None):
+    """Near-min weights of an (n, n_atoms) table H, and a step's diagnostics.
+
+    wstar is the uniform mixture over the atoms within eta * (1 + |H_min|)
+    of each path's minimum H_min.  The diagnostics of the policy weights wpi
+    (n, n_atoms) are path means: the gap sum_a wpi H - H_min, the change
+    sum_a |wstar - wpi| / n_atoms and the entropy -sum_a wpi log wpi, where
+    0 log 0 = 0.
+
+    wpi is copied into an atom-major (n_atoms, n) C-ordered array, and every
+    per-path sum over atoms is an np.add.reduce over the leading axis of
+    such an array, written by the kernel, which adds in atom order.  The
+    table enters only elementwise and through its minimum, which is exact.
+    So the results do not depend on the layout of the inputs.  The mask and
+    its count are exact too, and so is wstar = mask / count.  For a
+    broadcast wpi (one row for every path, row stride 0) w log w is
+    computed on that row only.  out, a (2, n_atoms, n) array, receives
+    wstar in out[0] and is scratch otherwise.
+
+    Returns:
+      (wstar, gap, change, entropy): wstar is (n, n_atoms), the transpose of
+      out[0].
+    """
+    n, n_atoms = table.shape
+    h = table.T
+    wstar, p = np.empty((2, n_atoms, n)) if out is None else out
+    np.copyto(p, wpi.T)
+    hmin = np.minimum.reduce(h, axis=0)
+    gap = np.add.reduce(np.multiply(h, p, out=wstar), axis=0)
+    gap -= hmin
+    if n > 1 and wpi.strides[0] == 0:
+        # One row for every path.  Any (n_atoms, m) array with m >= 2 sums
+        # over atoms in the order of the (n_atoms, n) one; a single column
+        # would be summed pairwise.
+        row = p[:, :2]
+        row_sum = np.add.reduce(_wlogw(row, np.zeros_like(row)), axis=0)[0]
+        entropy = np.full(n, row_sum)
+    else:
+        wstar.fill(0.0)
+        entropy = np.add.reduce(_wlogw(p, wstar), axis=0)
+    np.less_equal(h, hmin + eta * (1.0 + np.abs(hmin)), out=wstar)
+    # mask times 1/count is mask / count, bit for bit: the mask is 0 or 1
+    wstar *= 1.0 / np.add.reduce(wstar, axis=0)
+    np.abs(np.subtract(wstar, p, out=p), out=p)
+    change = np.add.reduce(p, axis=0)
+    return (
+        wstar.T,
+        float(np.mean(gap)),
+        float(np.mean(change)) / n_atoms,
+        -float(np.mean(entropy)),
+    )
+
+
+def _wlogw(w, out):
+    """w log w into out, which holds zeros beforehand: 0 log 0 = 0.
+
+    The log is taken only where w > 0.
+    """
+    np.log(w, out=out, where=w > 0.0)
+    out *= w
+    return out
 
 
 def policy_entropy(weights):
@@ -72,11 +143,7 @@ def policy_entropy(weights):
     zeros_like(weights) would pick F order), since the row sums round
     differently by layout.
     """
-    positive = weights > 0.0
-    wlogw = np.log(
-        weights, out=np.zeros_like(positive, dtype=float), where=positive
-    )
-    wlogw *= weights
+    wlogw = _wlogw(weights, np.zeros_like(weights > 0.0, dtype=float))
     return float(np.mean(-wlogw.sum(axis=1)))
 
 
@@ -181,6 +248,9 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     report = SolveReport()
     policies = [init]  # the policy simulated at each iteration
     n_steps = grid.n_steps
+    # Every step's table, wstar and scratch, written in place: a fresh array
+    # of this size can cost a page fault per 4 KB page each time.
+    buffers = np.empty((3, model.n_atoms, driver.n_paths))
 
     for it in range(cfg.max_iters):
         policy = policies[-1]
@@ -199,23 +269,16 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         entropy_sum = 0.0
         fitted_steps = []
         for k in range(n_steps):
-            t = grid.nodes[k]
-            xk = ens.states[:, k]
-            # Pinned layout: the gap's sum over atoms and the mean of
-            # |wstar - wpi| round differently on a C-ordered table, so output
-            # bits must not depend on the layout _hamiltonian_atoms returns.
-            table = np.asfortranarray(
-                _hamiltonian_atoms(
-                    model, t, xk, adj.y[:, k], adj.yprime[:, k], adj.z[:, k]
-                )
+            table = _hamiltonian_atoms(
+                model, grid.nodes[k], ens.states[:, k],
+                adj.y[:, k], adj.yprime[:, k], adj.z[:, k], out=buffers[0],
             )
-            wstar = _near_min_weights(table, cfg.eta)
-            wpi = ens.weights_at(k)
-            gap_sum += float(
-                np.mean(np.einsum("na,na->n", wpi, table) - table.min(axis=1))
+            wstar, gap, change, entropy = _near_min_weights(
+                table, cfg.eta, ens.weights_at(k), out=buffers[1:]
             )
-            change_sum += float(np.mean(np.abs(wstar - wpi)))
-            entropy_sum += policy_entropy(wpi)
+            gap_sum += gap
+            change_sum += change
+            entropy_sum += entropy
             fitted_steps.append(slices[k].fit_coefficients(wstar))
 
         report.records.append(IterationRecord(

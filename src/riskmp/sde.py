@@ -350,8 +350,11 @@ def _check_weight_rows(w, where, step=None):
     raise ValueError.  A NaN or infinite weight makes its row sum non-finite,
     which the sum check alone would let through, since comparisons with NaN
     are false.  Such rows raise NumericalBlowup(step, "policy weights") at a
-    time step.
+    time step.  A broadcast row (row stride 0) is one row in memory and is
+    checked once.
     """
+    if w.ndim == 2 and w.strides[0] == 0:
+        w = w[:1]
     error = ValueError if step is None else InvalidPolicyWeights
     if np.any(w < 0.0):
         raise error(f"negative policy weight at {where}")

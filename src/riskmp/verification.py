@@ -322,7 +322,7 @@ def hamiltonian_checks(rng):
         )
         linearity = max(linearity, float(np.abs(lhs - rhs).max()))
 
-    w = _near_min_weights(table, 1e-9)
+    w, *_ = _near_min_weights(table, 1e-9, w1)
     excess = float(np.max(np.einsum("na,na->n", w, table) - table.min(axis=1)))
 
     # The +1/-1 volatility atoms tie exactly at zero adjoints.
@@ -334,7 +334,7 @@ def hamiltonian_checks(rng):
         np.ones(1),
         np.zeros((1, 1, 1)),
     )
-    w_tie = _near_min_weights(tie_table, 1e-9)[0]
+    w_tie = _near_min_weights(tie_table, 1e-9, np.array([[1.0, 0.0]]))[0][0]
     return [
         _result(
             "hamiltonian_measure_linearity",

@@ -51,6 +51,22 @@ def make_model(
     )
 
 
+def _strided(a):
+    """A non-contiguous view holding a copy of a."""
+    view = np.zeros((2 * a.shape[0], 3 * a.shape[1]))[::2, ::3]
+    view[...] = a
+    return view
+
+
+# Layouts of an (n, n_atoms) Hamiltonian table.  msa_solve gets an F-ordered
+# one, the transpose of an atom-major array; these are copies.
+TABLE_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": lambda a: np.array(a, order="F"),
+    "strided": _strided,
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -395,6 +395,52 @@ def test_custom_growth_accepts_infinite_strings(tmp_path, pbar3):
     assert model.growth.pbar3 == math.inf
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"terminal.const": math.nan}, "must be finite, got nan"),
+        ({"action_grid": [-1.0, math.nan, 1.0]}, "must be finite, got nan"),
+        ({"drift.const": [[-1.0], [math.inf], [1.0]]}, "must be finite, got inf"),
+        ({"diffusion.const": [[[0.2]], [[-math.inf]], [[0.2]]]}, "must be finite"),
+        ({"cost.x": [10**400]}, "must be finite"),
+        ({"x0": ["0.5"]}, "must be a number, got '0.5'"),
+        ({"terminal.const": "NaN"}, "must be a number, got 'NaN'"),
+        ({"growth.p": math.nan}, "must be finite, got nan"),
+        ({"growth.p": math.inf}, "must be finite, got inf"),
+        ({"growth.pbar3": "-inf"}, "must be a number, got '-inf'"),
+        ({"growth.pbar3": -math.inf}, "must be finite, got -inf"),
+    ],
+    ids=[
+        "terminal-const-nan", "action-grid-nan", "drift-const-inf",
+        "diffusion-const-minus-inf", "cost-x-huge-int", "x0-string",
+        "terminal-const-nan-string", "growth-nan", "growth-p-inf",
+        "growth-minus-inf-string", "growth-minus-inf",
+    ],
+)
+def test_custom_non_finite_value_is_config_error(tmp_path, capsys, overrides, message):
+    # Before the check, a NaN terminal constant ended in an uncaught
+    # ValueError from the risk sample and a NaN atom in a solve that wrote
+    # "mean_action_min": NaN.
+    path, _ = _small_portfolio_config(
+        tmp_path, problem=_problem("custom", overrides),
+        sim={"n_steps": 5, "n_paths": 50},
+        msa={"max_iters": 2, "n_boot": 20},
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    key = next(iter(overrides))
+    assert f"problem.{key} {message}" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
+def test_custom_growth_accepts_an_infinite_number(tmp_path):
+    path, _ = _small_portfolio_config(
+        tmp_path, problem=_problem("custom", {"growth.pbar3": math.inf})
+    )
+    model = cli.build_experiment(load_config(path))["model"]
+    assert model.growth.pbar3 == math.inf
+
+
 def test_bool_allow_zero_lower_is_accepted(tmp_path):
     path, _ = _small_portfolio_config(
         tmp_path,

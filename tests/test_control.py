@@ -1,9 +1,12 @@
 """Hamiltonian evaluation, minimization, objective, and the solver loop."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmp import (
     MeasurePolicy,
@@ -17,11 +20,11 @@ from riskmp import (
     sample_brownian,
     simulate_forward,
 )
-from riskmp.control import _hamiltonian_atoms, _near_min_weights
+from riskmp.control import _hamiltonian_atoms, _near_min_weights, policy_entropy
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
 from riskmp.models import sign_volatility_model
 
-from conftest import make_model
+from conftest import TABLE_LAYOUTS, make_model
 
 
 def _table(model, t=0.0, x=0.0, y=0.0, yprime=1.0, z=0.0):
@@ -34,6 +37,12 @@ def _table(model, t=0.0, x=0.0, y=0.0, yprime=1.0, z=0.0):
         np.full(1, yprime),
         np.full((1, 1, 1), z),
     )
+
+
+def _minimizer(table):
+    """Near-min weights of a one-path table, beside a uniform policy."""
+    uniform = np.full(table.shape, 1.0 / table.shape[1])
+    return _near_min_weights(table, 1e-9, uniform)[0][0]
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -75,7 +84,7 @@ def test_hamiltonian_risk_neutral_form():
 
 def test_minimize_unique_minimum_is_dirac():
     model = build_portfolio_model(PortfolioParams(), 15)
-    w = _near_min_weights(_table(model, y=-1.0, yprime=1.0, z=0.0), 1e-9)[0]
+    w = _minimizer(_table(model, y=-1.0, yprime=1.0, z=0.0))
     assert np.count_nonzero(w) == 1
     best = model.action_grid[np.argmax(w), 0]
     assert abs(best - merton_allocation(PortfolioParams())) <= 1.4 / 14 / 2 + 1e-12
@@ -83,8 +92,88 @@ def test_minimize_unique_minimum_is_dirac():
 
 def test_minimize_sign_sensitive():
     model = sign_volatility_model()
-    w = _near_min_weights(_table(model, y=0.0, yprime=1.0, z=-1.0), 1e-9)[0]
+    w = _minimizer(_table(model, y=0.0, yprime=1.0, z=-1.0))
     np.testing.assert_array_equal(w, [0.0, 1.0])  # H(a) = z*a minimized at +1
+
+
+def _reference_step(table, eta, wpi):
+    """wstar, gap, change and entropy of one step, from their formulas."""
+    hmin = table.min(axis=1)
+    mask = table <= (hmin + eta * (1.0 + np.abs(hmin)))[:, None]
+    wstar = mask / mask.sum(axis=1, keepdims=True)
+    gap = float(np.mean((wpi * table).sum(axis=1) - hmin))
+    return wstar, gap, float(np.mean(np.abs(wstar - wpi))), policy_entropy(wpi)
+
+
+def _tied_table(rng, n, n_atoms, eta):
+    """Random H with exact ties, entries on the tie threshold and just above."""
+    table = rng.standard_normal((n, n_atoms)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+    table[rng.random(n) < 0.3] = 0.0  # every atom tied at zero
+    hmin = table.min(axis=1)
+    thresh = hmin + eta * (1.0 + np.abs(hmin))
+    rows = np.arange(n)
+    for values in (hmin, thresh, np.nextafter(thresh, np.inf)):
+        cols = rng.integers(0, n_atoms, n)
+        keep = table[rows, cols] != hmin  # do not move the minimum itself
+        table[rows[keep], cols[keep]] = values[keep]
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    n_atoms=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_kernel_matches_reference_in_every_layout(n, n_atoms, seed):
+    rng = np.random.default_rng(seed)
+    eta = 1e-9
+    table = _tied_table(rng, n, n_atoms, eta)
+    scale = max(1.0, float(np.abs(table).max()))
+    w = rng.random((n, n_atoms)) * (rng.random((n, n_atoms)) < 0.7)
+    w[:, 0] += 1e-9
+    w /= w.sum(axis=1, keepdims=True)
+    row = w[0]
+    policies = {
+        "varying": {"C": np.ascontiguousarray(w), "F": np.asfortranarray(w)},
+        "one row": {
+            "C": np.ascontiguousarray(np.broadcast_to(row, w.shape)),
+            "F": np.asfortranarray(np.broadcast_to(row, w.shape)),
+            "broadcast": np.broadcast_to(row, w.shape),
+        },
+    }
+    for kind, layouts in policies.items():
+        results = {}
+        for (t_name, t_layout), (w_name, wpi) in itertools.product(
+            TABLE_LAYOUTS.items(), layouts.items()
+        ):
+            wstar, *diagnostics = _near_min_weights(t_layout(table), eta, wpi)
+            ref_wstar, *ref = _reference_step(table, eta, wpi)
+            assert np.array_equal(wstar, ref_wstar), (kind, t_name, w_name)
+            np.testing.assert_allclose(diagnostics, ref, rtol=1e-12, atol=1e-12 * scale)
+            results[t_name, w_name] = diagnostics
+        # gap, change and entropy are the same bits in every layout
+        assert len({tuple(d) for d in results.values()}) == 1, (kind, results)
+
+
+def test_step_kernel_writes_into_out():
+    rng = np.random.default_rng(3)
+    table = _tied_table(rng, 64, 7, 1e-9)
+    wpi = np.broadcast_to(np.full(7, 1.0 / 7.0), table.shape)
+    out = np.empty((2, 7, 64))
+    wstar, *diagnostics = _near_min_weights(table, 1e-9, wpi, out=out)
+    assert np.shares_memory(wstar, out[0])
+    fresh, *fresh_diagnostics = _near_min_weights(table, 1e-9, wpi)
+    assert np.array_equal(wstar, fresh) and diagnostics == fresh_diagnostics
+
+
+def test_step_kernel_mixes_the_sign_volatility_tie():
+    # At zero adjoints H = 0 on both volatility atoms: an exact tie.
+    table = _table(sign_volatility_model(), y=0.0, yprime=1.0, z=0.0)
+    wpi = np.array([[1.0, 0.0]])
+    wstar, gap, change, entropy = _near_min_weights(table, 1e-9, wpi)
+    assert np.array_equal(wstar, [[0.5, 0.5]])
+    assert (gap, change, entropy) == (0.0, 0.5, 0.0)
 
 
 # ----------------------------------------------------------------- objective

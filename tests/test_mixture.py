@@ -26,6 +26,8 @@ from riskmp.sde import (
     simulate_forward,
 )
 
+from conftest import TABLE_LAYOUTS
+
 TOL = 1e-12
 
 
@@ -431,14 +433,15 @@ def _solve(tmp_path, overrides):
 def test_solve_bits_do_not_depend_on_table_layout(tmp_path, monkeypatch, overrides):
     report, weights = _solve(tmp_path, overrides)
     table = control._hamiltonian_atoms
-    monkeypatch.setattr(
-        control,
-        "_hamiltonian_atoms",
-        lambda *args: np.ascontiguousarray(table(*args)),
-    )
-    c_report, c_weights = _solve(tmp_path, overrides)
-    assert c_report == report
-    assert all(np.array_equal(a, b) for a, b in zip(c_weights, weights))
+    for name, layout in TABLE_LAYOUTS.items():
+        monkeypatch.setattr(
+            control,
+            "_hamiltonian_atoms",
+            lambda *args, layout=layout, **kwargs: layout(table(*args, **kwargs)),
+        )
+        other_report, other_weights = _solve(tmp_path, overrides)
+        assert other_report == report, name
+        assert all(np.array_equal(a, b) for a, b in zip(other_weights, weights)), name
 
 
 def _layouts(w):

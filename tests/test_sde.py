@@ -156,6 +156,48 @@ def test_policy_weights_validated():
         MeasurePolicy.constant([1.5, -0.5])
 
 
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        (
+            [-0.1, 1.1],
+            InvalidPolicyWeights,
+            "negative policy weight at feedback policy, step 2",
+        ),
+        ([np.nan, 1.0], NumericalBlowup, "non-finite policy weights at time step 2"),
+        (
+            [0.6, 0.6],
+            InvalidPolicyWeights,
+            "policy weights at feedback policy, step 2 sum off by 2.00e-01",
+        ),
+    ],
+    ids=["negative", "nan", "off-sum"],
+)
+def test_bad_weight_row_is_caught_broadcast_or_dense(row, error, message):
+    # A broadcast row is checked once; a dense array with the same rows, or
+    # with only its last row bad, gets the same verdict and message.
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 8, 1, seed=4)
+    good = np.full((8, 2), 0.5)
+    last_bad = good.copy()
+    last_bad[-1] = row
+    layouts = {
+        "broadcast": lambda x: np.broadcast_to(row, (x.shape[0], 2)),
+        "dense": lambda x: np.tile(row, (x.shape[0], 1)),
+        "last row": lambda x: last_bad,
+    }
+    for name, bad in layouts.items():
+        policy = MeasurePolicy.feedback(
+            lambda k, t, x, bad=bad: bad(x) if k == 2 else good, 2
+        )
+        with pytest.raises(error) as err:
+            simulate_forward(model, policy, driver, grid)
+        assert str(err.value) == message, name
+        if error is NumericalBlowup:
+            assert (err.value.step, err.value.what) == (2, "policy weights"), name
+
+
 # -------------------------------------------------------------- total cost
 
 def test_total_cost_terminal_state_only():
