@@ -14,9 +14,13 @@ Centering the increment targets is what makes the risk-neutral case collapse
 exactly: constant D fits with zero residual, so z' vanishes identically
 instead of inheriting O(1/sqrt(n dt)) regression noise.
 
-Normal matrices are accumulated with fixed-order einsum contractions and
-residual norms with numpy's pairwise sum, so results do not depend on BLAS
-thread count.
+Regressions work feature-major: a slice stores its standardized design as
+one C-ordered (features, paths) array and copies each target block into
+(targets, paths) rows, so every mean, scale, normal-matrix entry and
+right-hand side is a fixed-order sum along a contiguous row of paths
+(np.add.reduce or einsum), not a row-by-row walk down a path-major array.
+Those sums and the residual norms never call BLAS, so results do not depend
+on the BLAS thread count.
 """
 
 import functools
@@ -61,20 +65,31 @@ class RegressionBasis:
 
     def design(self, states):
         """Non-constant feature columns for states of shape (n, dim_x)."""
+        return np.ascontiguousarray(self.design_rows(states).T)
+
+    def design_rows(self, states):
+        """The design feature-major: a C-ordered (m, n) array, one row per feature.
+
+        Each monomial is the product of an earlier, lower-degree row with one
+        state coordinate, so its factors multiply left to right in the same
+        order for every layout of states.
+        """
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
         n, d = states.shape
-        cols = []
-        for total in range(1, self.degree + 1):
-            for expo in itertools.combinations_with_replacement(range(d), total):
-                col = np.ones(n)
-                for idx in expo:
-                    col = col * states[:, idx]
-                cols.append(col)
-        if not cols:
-            return np.empty((n, 0))
-        return np.stack(cols, axis=1)
+        exponents = [
+            expo
+            for total in range(1, self.degree + 1)
+            for expo in itertools.combinations_with_replacement(range(d), total)
+        ]
+        row_of = {expo: j for j, expo in enumerate(exponents)}
+        rows = np.empty((len(exponents), n))
+        if exponents:
+            rows[:d] = states.T  # the degree-1 monomials: row i is coordinate i
+        for j, expo in enumerate(exponents[d:], start=d):
+            np.multiply(rows[row_of[expo[:-1]]], rows[expo[-1]], out=rows[j])
+        return rows
 
 
 def _norm(x):
@@ -88,37 +103,49 @@ def _norm(x):
 
 
 class _SliceRegression:
-    """Shared least-squares factorization for one time slice."""
+    """Shared least-squares factorization for one time slice.
+
+    The standardized design is stored feature-major, as one C-ordered (m, n)
+    array, and targets are solved as (r, n) rows, so every mean, scale, Gram
+    entry and right-hand side is a sum along a contiguous row of paths.
+    """
 
     def __init__(self, states, basis):
-        phi = basis.design(states)
-        n, m = phi.shape
+        phi = basis.design_rows(states)
+        m, n = phi.shape
         self.n = n
         self.m = m
         if m == 0:
             return
-        mu = phi.mean(axis=0)
-        centered = phi - mu
-        scale = centered.std(axis=0)
+        mu = np.add.reduce(phi, axis=1) / n
+        phi -= mu[:, None]
+        scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
         scale[scale < 1e-300] = 1.0
-        centered /= scale
-        gram = np.einsum("ni,nj->ij", centered, centered)
+        phi /= scale[:, None]
+        gram = np.einsum("in,jn->ij", phi, phi)
         lam = basis.ridge * n
         if lam == 0.0 and np.linalg.matrix_rank(gram) < m:
             raise RankDeficient(
                 f"normal system is singular ({m} features, rank deficient)"
             )
         self._solve_mat = gram + lam * np.eye(m)
-        self._phi_centered = centered
+        self._phi_rows = phi
         self._mu = mu
         self._scale = scale
 
     def _solve(self, t):
-        """(ybar, beta, coef, intercept) of the (n, r) targets t."""
-        ybar = t.mean(axis=0)
+        """(ybar, beta, coef, intercept) of the (n, r) targets t.
+
+        The targets are copied once into (r, n) rows, which are centered in
+        place: the caller's array is never written, and the bits do not
+        depend on its layout.
+        """
+        rows = np.array(np.transpose(t), dtype=float, order="C")
+        ybar = np.add.reduce(rows, axis=1) / self.n
         if self.m == 0:
-            return ybar, None, np.empty((0, t.shape[1])), ybar
-        rhs = np.einsum("ni,nr->ir", self._phi_centered, t - ybar)
+            return ybar, None, np.empty((0, rows.shape[0])), ybar
+        rows -= ybar[:, None]
+        rhs = np.einsum("in,rn->ir", self._phi_rows, rows)
         beta = np.linalg.solve(self._solve_mat, rhs)
         coef = beta / self._scale[:, None]
         return ybar, beta, coef, ybar - self._mu @ coef
@@ -133,7 +160,9 @@ class _SliceRegression:
         if beta is None:
             fitted = np.broadcast_to(ybar, t.shape).copy()
         else:
-            fitted = ybar + self._phi_centered @ beta
+            # (r, m) @ (m, n) sums over features only, never over paths.
+            fitted = (beta.T @ self._phi_rows).T
+            fitted += ybar
         return fitted[:, 0] if squeeze else fitted
 
     def fit_coefficients(self, targets):
@@ -141,14 +170,15 @@ class _SliceRegression:
 
         coef maps *raw* design columns, standardization already absorbed.
         Only the columns with a nonzero target are solved; the others fit
-        exactly to zero.  The targets are copied to F order first, since the
-        column means and the projection round differently by layout.
+        exactly to zero.  The targets are read as (r, n) rows: the transpose
+        of msa_solve's atom-major weights is C-ordered already.
         """
-        t = np.asarray(targets, dtype=float)
-        live = t.any(axis=0)
-        intercept = np.zeros(t.shape[1])
-        coef = np.zeros((self.m, t.shape[1]))
-        _, _, coef[:, live], intercept[live] = self._solve(np.asfortranarray(t[:, live]))
+        rows = np.asarray(targets, dtype=float).T
+        live = rows.any(axis=1)
+        intercept = np.zeros(rows.shape[0])
+        coef = np.zeros((self.m, rows.shape[0]))
+        live_rows = rows if live.all() else rows[live]
+        _, _, coef[:, live], intercept[live] = self._solve(live_rows.T)
         return intercept, coef
 
 
@@ -188,6 +218,9 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
     zprime = np.zeros((n, n_steps, dim_w))
     yprime[:, n_steps] = d
     residuals = [0.0] * n_steps
+    # The (k+1)-values are carried as a contiguous vector, since a column of
+    # the path-major yprime is a strided gather.
+    upper = d
     for k in range(n_steps - 1, -1, -1):
         reg = slices[k]
         fitted = reg.fit(d)
@@ -197,8 +230,9 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
         # (k+1)-values rather than raw D strips the future-noise spread from
         # the projection target, without which z' carries O(1/sqrt(n dt))
         # noise that would drown the estimate.
-        increment_proj = (yprime[:, k + 1] - fitted)[:, None] * dw[:, k] / dt
+        increment_proj = (upper - fitted)[:, None] * dw[:, k] / dt
         zprime[:, k] = reg.fit(increment_proj)
+        upper = fitted
     return yprime, zprime, residuals
 
 
@@ -252,15 +286,16 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
     g_grad = np.broadcast_to(
         np.asarray(model.terminal_dx(ensemble.states[:, -1]), float), (n, dx)
     )
-    y[:, n_steps] = yprime[:, n_steps, None] * g_grad
+    upper = yprime[:, n_steps, None] * g_grad  # y_{k+1}, contiguous
+    y[:, n_steps] = upper
     residuals = [0.0] * n_steps
 
     for k in range(n_steps - 1, -1, -1):
         t = grid.nodes[k]
         xk = ensemble.states[:, k]
         reg = slices[k]
-        yhat = reg.fit(y[:, k + 1])
-        centered = y[:, k + 1] - yhat
+        yhat = reg.fit(upper)
+        centered = upper - yhat
         residuals[k] = _norm(centered) / math.sqrt(n)
         ztarget = (centered[:, None, :] * dw[:, k, :, None] / dt).reshape(
             n, dim_w * dx
@@ -270,9 +305,10 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
             model, t, xk, yhat, yprime[:, k], z[:, k],
             lambda: ensemble.weights_at(k),
         )
-        y[:, k] = yhat + grad_h * dt
-        if not np.isfinite(y[:, k]).all():
+        upper = yhat + grad_h * dt
+        if not np.isfinite(upper).all():
             raise NumericalBlowup(k, "adjoint state")
+        y[:, k] = upper
     return y, z, residuals
 
 
@@ -330,8 +366,11 @@ def martingale_diagnostics(yprime):
     """
     yprime = np.asarray(yprime, dtype=float)
     n, _ = yprime.shape
-    diffs = yprime - yprime[:, -1][:, None]
-    drift = np.abs(diffs.mean(axis=0))
+    # Step-major (K+1, n) differences: the sums over paths run along rows.
+    diffs = np.array(yprime.T, order="C")
+    diffs -= yprime[:, -1]
+    mean = np.add.reduce(diffs, axis=1) / n
+    drift = np.abs(mean)
     if n < 2:
         se = np.full(yprime.shape[1], np.nan)
         return MartingaleReport(
@@ -340,7 +379,9 @@ def martingale_diagnostics(yprime):
             within_3se=np.zeros(yprime.shape[1], dtype=bool),
             insufficient_sample=True,
         )
-    se = diffs.std(axis=0, ddof=1) / math.sqrt(n)
+    diffs -= mean[:, None]
+    np.square(diffs, out=diffs)
+    se = np.sqrt(np.add.reduce(diffs, axis=1) / (n - 1)) / math.sqrt(n)
     return MartingaleReport(
         drift=drift,
         standard_error=se,

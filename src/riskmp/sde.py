@@ -599,7 +599,15 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False):
         t = grid.nodes[k]
         xk = x[:, k]
         w = policy.weights_at(k, t, xk)
-        _check_weight_rows(w, f"step {k}", step=k)
+        if isinstance(policy, _MixturePolicy):
+            # Convex combinations of clipped, renormalized fits, of constant
+            # rows checked when built and of rules checked when evaluated:
+            # only a non-finite coefficient can spoil them, and finite
+            # weights lie in [0, 1], so it shows in the total.
+            if not math.isfinite(np.add.reduce(w, axis=None)):
+                raise NumericalBlowup(k, "policy weights")
+        else:
+            _check_weight_rows(w, f"step {k}", step=k)
         if keep_weights:
             kept.append(w)
         bbar, sbar, cbar = _averaged_coefficients(model, t, xk, w)

@@ -1,6 +1,7 @@
 """Slice regressions and the backward adjoint solvers."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from riskmp import (
 from riskmp.adjoint import _norm, _SliceRegression
 from riskmp.models import model_from_tables
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
-from conftest import make_model
+from conftest import make_model, python_in_subprocess
 
 
 # ---------------------------------------------------------- slice regression
@@ -93,6 +94,105 @@ def test_multi_target_fit_matches_column_fits(rng):
     for j in range(3):
         single = reg.fit(targets[:, j])
         np.testing.assert_allclose(stacked[:, j], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim_x", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_design_rows_are_the_monomial_columns(rng, dim_x, degree):
+    # Each monomial is its factors multiplied left to right, the same bits
+    # as a product taken column by column; design is the (n, m) transpose.
+    states = rng.standard_normal((40, dim_x))
+    cols = [
+        math.prod((states[:, i] for i in expo), start=np.ones(40))
+        for total in range(1, degree + 1)
+        for expo in itertools.combinations_with_replacement(range(dim_x), total)
+    ]
+    rows = RegressionBasis(degree=degree).design_rows(states)
+    assert rows.flags.c_contiguous and rows.shape == (len(cols), 40)
+    assert all(np.array_equal(row, col) for row, col in zip(rows, cols))
+    design = RegressionBasis(degree=degree).design(states)
+    assert design.flags.c_contiguous and np.array_equal(design, rows.T)
+
+
+def _weight_table(rng, n, n_atoms):
+    """Atom-major near-min weights as msa_solve hands them to the q* fit:
+    the (n, n_atoms) transpose of a C-ordered (n_atoms, n) array, with whole
+    zero columns."""
+    w = rng.random((n_atoms, n)) * (rng.random((n_atoms, n)) < 0.3)
+    w[rng.random(n_atoms) < 0.5] = 0.0
+    w[0] += 1e-9
+    w /= np.add.reduce(w, axis=0)
+    return w.T
+
+
+def test_slice_bits_do_not_depend_on_the_layout_of_states(rng):
+    # The states a slice is built from are a strided [:, k] view of the
+    # path-major (n, K+1, dim_x) ensemble states.
+    n = 700
+    path_major = rng.standard_normal((n, 6, 1))
+    states = {
+        "strided": path_major[:, 3],
+        "C": np.ascontiguousarray(path_major[:, 3]),
+        "F": np.asfortranarray(path_major[:, 3]),
+    }
+    targets = rng.standard_normal((n, 2))
+    weights = _weight_table(rng, n, 9)
+    basis = RegressionBasis(degree=3)
+    results = {}
+    for name, x in states.items():
+        reg = _SliceRegression(x, basis)
+        results[name] = (reg.fit(targets[:, 0]), reg.fit(targets),
+                         *reg.fit_coefficients(weights))
+    for name, got in results.items():
+        for a, b in zip(got, results["strided"]):
+            assert np.array_equal(a, b), name
+
+
+def test_slice_fits_never_write_the_targets(rng):
+    n = 400
+    reg = _SliceRegression(rng.standard_normal((n, 1)), RegressionBasis(degree=3))
+    targets = {
+        "(n, 1) C": rng.standard_normal((n, 1)) + 2.0,
+        "(n, 3) C": rng.standard_normal((n, 3)) + 2.0,
+        "F": np.asfortranarray(rng.standard_normal((n, 3)) + 2.0),
+        "atom-major": _weight_table(rng, n, 7),
+    }
+    for name, t in targets.items():
+        for method in (reg.fit, reg.fit_coefficients, reg._solve):
+            before = t.copy()
+            method(t)
+            assert np.array_equal(t, before), (name, method.__name__)
+
+
+_SLICE_SCRIPT = """
+import hashlib
+import numpy as np
+from riskmp.adjoint import RegressionBasis, _SliceRegression
+
+rng = np.random.default_rng(5)
+n = 20_000
+states = rng.standard_normal((n, 1))
+reg = _SliceRegression(states, RegressionBasis(degree=3))
+y = np.sin(states[:, 0]) + 0.3 * rng.standard_normal(n)
+w = rng.random((31, n)) * (rng.random((31, n)) < 0.2)
+w[rng.random(31) < 0.5] = 0.0
+w[0] += 1e-9
+w /= np.add.reduce(w, axis=0)
+for out in (
+    reg.fit(y),
+    reg.fit(np.stack([y, y * states[:, 0]], axis=1)),
+    *reg.fit_coefficients(w.T),
+):
+    print(hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
+"""
+
+
+def test_slice_regression_is_blas_thread_independent():
+    # 20k paths are above the 10,000-entry size where OpenBLAS splits a
+    # product across threads.
+    runs = [python_in_subprocess(["-c", _SLICE_SCRIPT], n) for n in (1, 2)]
+    assert runs[0].count("\n") == 4
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------- risk adjustment solve

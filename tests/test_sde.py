@@ -12,6 +12,7 @@ from riskmp import (
     MeasurePolicy,
     NonPositiveHorizon,
     NumericalBlowup,
+    RegressionBasis,
     ZeroSteps,
     build_time_grid,
     check_feasibility,
@@ -196,6 +197,20 @@ def test_bad_weight_row_is_caught_broadcast_or_dense(row, error, message):
         assert str(err.value) == message, name
         if error is NumericalBlowup:
             assert (err.value.step, err.value.what) == (2, "policy weights"), name
+
+
+def test_nan_fitted_coefficient_is_caught_at_its_step():
+    # Mixture weights skip the row check, since the kernel normalizes them,
+    # but a NaN coefficient still stops the simulation at its step.
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 8, 1, seed=4)
+    steps = [(np.array([0.5, 0.5]), np.array([[0.1, -0.1]])) for _ in range(4)]
+    steps[2] = (steps[2][0], np.array([[np.nan, 0.0]]))
+    policy = MeasurePolicy.fitted(steps, RegressionBasis(degree=1), 2)
+    with pytest.raises(NumericalBlowup) as err:
+        simulate_forward(model, policy, driver, grid)
+    assert (err.value.step, err.value.what) == (2, "policy weights")
 
 
 # -------------------------------------------------------------- total cost
