@@ -145,8 +145,13 @@ class _SliceRegression:
         if self.m == 0:
             return ybar, None, np.empty((0, rows.shape[0])), ybar
         rows -= ybar[:, None]
-        rhs = np.einsum("in,rn->ir", self._phi_rows, rows)
-        beta = np.linalg.solve(self._solve_mat, rhs)
+        # Path-constant targets center to exact zeros, and so does beta.  A
+        # varying target usually shows it in the last path already.
+        if rows[:, -1].any() or rows.any():
+            rhs = np.einsum("in,rn->ir", self._phi_rows, rows)
+            beta = np.linalg.solve(self._solve_mat, rhs)
+        else:
+            beta = np.zeros((self.m, rows.shape[0]))
         coef = beta / self._scale[:, None]
         return ybar, beta, coef, ybar - self._mu @ coef
 
@@ -160,8 +165,12 @@ class _SliceRegression:
         if beta is None:
             fitted = np.broadcast_to(ybar, t.shape).copy()
         else:
-            # (r, m) @ (m, n) sums over features only, never over paths.
-            fitted = (beta.T @ self._phi_rows).T
+            if beta.any():
+                # (r, m) @ (m, n) sums over features only, never over paths.
+                fitted = (beta.T @ self._phi_rows).T
+            else:
+                # A zero beta's product is +0.0 throughout.
+                fitted = np.zeros((t.shape[1], self.n)).T
             fitted += ybar
         return fitted[:, 0] if squeeze else fitted
 
@@ -171,10 +180,12 @@ class _SliceRegression:
         coef maps *raw* design columns, standardization already absorbed.
         Only the columns with a nonzero target are solved; the others fit
         exactly to zero.  The targets are read as (r, n) rows: the transpose
-        of msa_solve's atom-major weights is C-ordered already.
+        of msa_solve's atom-major weights is C-ordered already.  Targets
+        broadcast from one row (row stride 0), the weights of a step that is
+        the same on every path, are tested for live columns on that row.
         """
         rows = np.asarray(targets, dtype=float).T
-        live = rows.any(axis=1)
+        live = (rows[:, :1] if rows.strides[1] == 0 else rows).any(axis=1)
         intercept = np.zeros(rows.shape[0])
         coef = np.zeros((self.m, rows.shape[0]))
         live_rows = rows if live.all() else rows[live]

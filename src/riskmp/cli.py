@@ -25,7 +25,12 @@ import numpy as np
 from . import __version__
 from .adjoint import RegressionBasis, martingale_diagnostics, solve_adjoint_system
 from .control import IterationRecord, MsaConfig, msa_solve, policy_entropy
-from .errors import ConfigInvalid, NonPositiveAdjustment, RiskmpError
+from .errors import (
+    ConfigInvalid,
+    InvalidBounds,
+    NonPositiveAdjustment,
+    RiskmpError,
+)
 from .models import (
     CUSTOM_TABLE_KEYS,
     model_from_tables,
@@ -86,6 +91,16 @@ def _fail(msg):
     raise ConfigInvalid(msg)
 
 
+def _type_of(section):
+    """The "type" of a config section when it is a string, else None.
+
+    A list or object would be unhashable, so it must not reach a lookup in
+    a dict of types.
+    """
+    kind = section.get("type") if isinstance(section, dict) else None
+    return kind if isinstance(kind, str) else None
+
+
 def _check_keys(section, allowed, where):
     """Reject a non-object section or any key outside allowed."""
     if not isinstance(section, dict):
@@ -107,7 +122,7 @@ def _check_known_keys(cfg):
     risk = cfg["risk"]
     _check_keys(risk, {"type", *_RISKS[risk["type"]]}, "risk")
     init = cfg["init_policy"]
-    if isinstance(init, dict) and init.get("type") in _INIT_POLICY_KEYS:
+    if _type_of(init) in _INIT_POLICY_KEYS:
         allowed = {"type"} | _INIT_POLICY_KEYS[init["type"]]
         _check_keys(init, allowed, "init_policy")
 
@@ -130,12 +145,9 @@ def load_config(path, seed_override=None):
     if "seed" not in cfg:
         _fail("config must set an explicit seed")
 
-    problem = cfg.get("problem")
-    if not isinstance(problem, dict) or problem.get("type") not in _PROBLEMS:
-        _fail(f"problem.type must be one of {tuple(_PROBLEMS)}")
-    risk = cfg.get("risk")
-    if not isinstance(risk, dict) or risk.get("type") not in _RISKS:
-        _fail(f"risk.type must be one of {tuple(_RISKS)}")
+    for name, kinds in (("problem", _PROBLEMS), ("risk", _RISKS)):
+        if _type_of(cfg.get(name)) not in kinds:
+            _fail(f"{name}.type must be one of {tuple(kinds)}")
     _check_known_keys(cfg)
 
     for name, defaults in _DEFAULTS.items():
@@ -218,6 +230,17 @@ def _custom_tables(problem):
     return {**problem, **dims}
 
 
+def _portfolio_params(problem):
+    """PortfolioParams of a portfolio problem.
+
+    Its errors start with the name of a field, which becomes the dotted key.
+    """
+    try:
+        return PortfolioParams(**_cast(problem, "problem", _PORTFOLIO_DEFAULTS))
+    except InvalidBounds as exc:
+        _fail(f"problem.{exc}")
+
+
 def build_experiment(cfg):
     """Instantiate model, grid, driver, risk, basis, and policies from config.
 
@@ -230,7 +253,7 @@ def build_experiment(cfg):
         seed = _integer("seed", cfg["seed"])
         params = None
         if problem["type"] == "portfolio":
-            params = PortfolioParams(**_cast(problem, "problem", _PORTFOLIO_DEFAULTS))
+            params = _portfolio_params(problem)
             model = build_portfolio_model(params, sim["n_actions"])
         elif problem["type"] == "example1":
             model = sign_volatility_model()
@@ -253,6 +276,15 @@ def build_experiment(cfg):
         if n_paths < 2:
             _fail(f"sim.n_paths must be >= 2, got {n_paths}")
         basis = RegressionBasis(**_section(cfg, "basis"))
+        # The feature count comb(dim_x + degree, degree) - 1 grows with the
+        # degree, and exceeds n_paths at degree n_paths + 1 already, so it is
+        # counted at no higher degree: the design would not fit in memory.
+        degree = min(basis.degree, n_paths + 1)
+        if math.comb(model.dim_x + degree, degree) - 1 > n_paths:
+            _fail(
+                "basis.degree must give at most sim.n_paths = "
+                f"{n_paths} regression features, got {cfg['basis']['degree']!r}"
+            )
         msa_cfg = MsaConfig(**_section(cfg, "msa"), seed=seed)
         init = _init_policy(cfg["init_policy"], model.n_atoms)
         table = getattr(init, "weights", None)  # a constant policy's rows

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# The coefficient tables the Hamiltonian reads, in the order it adds them.
+_HAMILTONIAN_KEYS = ("drift", "cost", "diffusion")
+
+
 def _hamiltonian_atoms(model, t, states, y, yprime, z, out=None):
     """H at every action atom; shapes (n, dim_x), (n,), (n, dim_w, dim_x).
 
@@ -50,7 +54,7 @@ def _hamiltonian_atoms(model, t, states, y, yprime, z, out=None):
     (n_atoms, n) table slice, or an (n_atoms, 1) one for a table constant
     over paths, with a path vector.
     """
-    tabs = coefficient_tables(model, t, states, ("drift", "cost", "diffusion"))
+    tabs = coefficient_tables(model, t, states, _HAMILTONIAN_KEYS)
     drift, cost, diffusion = tabs["drift"], tabs["cost"], tabs["diffusion"]
     dim_x, dim_w = drift.shape[2], diffusion.shape[3]
     terms = [(drift[:, :, i], y[:, i]) for i in range(dim_x)]
@@ -71,7 +75,7 @@ def _hamiltonian_atoms(model, t, states, y, yprime, z, out=None):
     return out.T
 
 
-def _near_min_weights(table, eta, wpi, out=None):
+def _near_min_weights(table, eta, wpi, out=None, n_paths=None):
     """Near-min weights of an (n, n_atoms) table H, and a step's diagnostics.
 
     wstar is the uniform mixture over the atoms within eta * (1 + |H_min|)
@@ -89,6 +93,11 @@ def _near_min_weights(table, eta, wpi, out=None):
     broadcast wpi (one row for every path, row stride 0) w log w is
     computed on that row only.  out, a (2, n_atoms, n) array, receives
     wstar in out[0] and is scratch otherwise.
+
+    n_paths, when given, says that table and wpi are the first rows of a
+    step that is the same on n_paths paths: each diagnostic is then the
+    mean of n_paths copies of row 0's value, the mean a full-width table
+    would give, bit for bit.
 
     Returns:
       (wstar, gap, change, entropy): wstar is (n, n_atoms), the transpose of
@@ -116,11 +125,17 @@ def _near_min_weights(table, eta, wpi, out=None):
     wstar *= 1.0 / np.add.reduce(wstar, axis=0)
     np.abs(np.subtract(wstar, p, out=p), out=p)
     change = np.add.reduce(p, axis=0)
+
+    def path_mean(values):
+        if n_paths is not None:
+            values = np.full(n_paths, values[0])
+        return float(np.mean(values))
+
     return (
         wstar.T,
-        float(np.mean(gap)),
-        float(np.mean(change)) / n_atoms,
-        -float(np.mean(entropy)),
+        path_mean(gap),
+        path_mean(change) / n_atoms,
+        -path_mean(entropy),
     )
 
 
@@ -132,6 +147,58 @@ def _wlogw(w, out):
     np.log(w, out=out, where=w > 0.0)
     out *= w
     return out
+
+
+def _path_constant(a):
+    """Whether every path's entries of a, an (n, ...) array, equal path 0's.
+
+    The last path is compared first, so an array that varies over paths is
+    usually rejected without a pass over all of them.  NaN equals nothing,
+    so an array holding one is never path-constant.
+    """
+    first = a[:1]
+    return bool((a[-1:] == first).all() and (a == first).all())
+
+
+def _step_is_path_constant(model, t, states, y, yprime, z, wpi):
+    """Whether a step's Hamiltonian inputs are the same on every path.
+
+    They are when the policy weights wpi are one broadcast row (row stride
+    0), y, y' and z are path-constant and every coefficient table the
+    Hamiltonian reads has path size 1.  The table shapes are read off
+    tables of the first two states, and only once the cheaper tests pass.
+    -0.0 equals 0.0 here; a zero's sign can reach only the step's gap, and
+    only when it is zero, where msa_solve's sum over steps drops the sign.
+    """
+    return (
+        wpi.strides[0] == 0
+        and all(_path_constant(a) for a in (yprime, y, z))
+        and all(
+            tab.shape[1] == 1
+            for tab in coefficient_tables(
+                model, t, states[:2], _HAMILTONIAN_KEYS
+            ).values()
+        )
+    )
+
+
+def _minimize_step(model, t, states, y, yprime, z, wpi, eta, buffers):
+    """wstar, gap, change and entropy of one step, as _near_min_weights gives.
+
+    buffers, a (3, n_atoms, n) array, holds the table, wstar and scratch.  A
+    step whose inputs are the same on every path (_step_is_path_constant)
+    has the same table on every path: it is evaluated on two paths (see
+    _near_min_weights on why not one), and wstar is that row broadcast.
+    Both give the bits of the full-width step.
+    """
+    if _step_is_path_constant(model, t, states, y, yprime, z, wpi):
+        table = _hamiltonian_atoms(model, t, states[:2], y[:2], yprime[:2], z[:2])
+        wstar, gap, change, entropy = _near_min_weights(
+            table, eta, wpi[:2], n_paths=wpi.shape[0]
+        )
+        return np.broadcast_to(wstar[0], wpi.shape), gap, change, entropy
+    table = _hamiltonian_atoms(model, t, states, y, yprime, z, out=buffers[0])
+    return _near_min_weights(table, eta, wpi, out=buffers[1:])
 
 
 def policy_entropy(weights):
@@ -269,12 +336,10 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         entropy_sum = 0.0
         fitted_steps = []
         for k in range(n_steps):
-            table = _hamiltonian_atoms(
-                model, grid.nodes[k], ens.states[:, k],
-                adj.y[:, k], adj.yprime[:, k], adj.z[:, k], out=buffers[0],
-            )
-            wstar, gap, change, entropy = _near_min_weights(
-                table, cfg.eta, ens.weights_at(k), out=buffers[1:]
+            wstar, gap, change, entropy = _minimize_step(
+                model, grid.nodes[k], ens.states[:, k], adj.y[:, k],
+                adj.yprime[:, k], adj.z[:, k], ens.weights_at(k), cfg.eta,
+                buffers,
             )
             gap_sum += gap
             change_sum += change

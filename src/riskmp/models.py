@@ -104,7 +104,8 @@ def model_from_tables(tables):
 
     Drift and cost are affine in the state with per-atom intercepts;
     diffusion is a per-atom constant.  Gradients are exact by construction,
-    and the model's tables hook evaluates all atoms in closed form.
+    and the model's tables hook evaluates all atoms in closed form, computing
+    only the tables it is asked for.
     """
     try:
         dim_x = int(tables["dim_x"])
@@ -152,20 +153,24 @@ def model_from_tables(tables):
             for k, v in tables["growth"].items()
         })
 
-    diffusion_tab = diff_const[:, None]
-    drift_dx_tab = drift_x[None, None]
-    diffusion_dx_tab = np.zeros((1, 1, dim_x, dim_w, dim_x))
-    cost_dx_tab = cost_x[None, None]
+    # The tables that depend on neither t nor x, with their path axis of size 1.
+    constant_tabs = {
+        "diffusion": diff_const[:, None],
+        "drift_dx": drift_x[None, None],
+        "diffusion_dx": np.zeros((1, 1, dim_x, dim_w, dim_x)),
+        "cost_dx": cost_x[None, None],
+    }
 
-    def atom_tables(t, x):
-        return {
-            "drift": drift_const[:, None] + np.einsum("nl,il->ni", x, drift_x),
-            "diffusion": diffusion_tab,
-            "cost": cost_const[:, None] + np.einsum("nl,l->n", x, cost_x),
-            "drift_dx": drift_dx_tab,
-            "diffusion_dx": diffusion_dx_tab,
-            "cost_dx": cost_dx_tab,
-        }
+    def atom_tables(t, x, keys):
+        tabs = {}
+        for key in keys:
+            if key == "drift":
+                tabs[key] = drift_const[:, None] + np.einsum("nl,il->ni", x, drift_x)
+            elif key == "cost":
+                tabs[key] = cost_const[:, None] + np.einsum("nl,l->n", x, cost_x)
+            else:
+                tabs[key] = constant_tabs[key]
+        return tabs
 
     return ModelSpec(
         dim_x=dim_x,

@@ -47,6 +47,7 @@ class PortfolioParams:
     allow_zero_lower: bool = False
 
     def __post_init__(self):
+        """Validate; each message starts with the name of a field at fault."""
         if self.sigma <= 0.0:
             raise InvalidBounds("sigma must be > 0")
         if self.horizon <= 0.0:
@@ -54,9 +55,30 @@ class PortfolioParams:
         low_ok = self.phi_low >= 0.0 if self.allow_zero_lower else self.phi_low > 0.0
         if not (low_ok and self.phi_low < self.phi_high and math.isfinite(self.phi_high)):
             raise InvalidBounds(
-                f"need {'0 <=' if self.allow_zero_lower else '0 <'} "
+                f"phi_low and phi_high need {'0 <=' if self.allow_zero_lower else '0 <'} "
                 f"phi_low < phi_high < inf, got [{self.phi_low}, {self.phi_high}]"
             )
+        # The drift squares sigma and phi, and Python's float ** raises
+        # OverflowError where * gives inf.
+        for name in ("sigma", "phi_high"):
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise InvalidBounds(f"{name} must have a finite square, got {value!r}")
+        if not math.isfinite(_coefficient_bound(self)):
+            raise InvalidBounds(
+                "mu, r, sigma and phi_high must give finite coefficients, got "
+                f"mu={self.mu!r}, r={self.r!r}, sigma={self.sigma!r}, "
+                f"phi_high={self.phi_high!r}"
+            )
+
+
+def _coefficient_bound(p):
+    """Bound on the drift and diffusion of every atom in [0, phi_high]."""
+    return max(
+        abs(p.r) + abs(p.mu - p.r) * p.phi_high + 0.5 * p.sigma**2 * p.phi_high**2,
+        p.sigma * p.phi_high,
+        1.0,
+    )
 
 
 def _model_on_atoms(params, atoms):
@@ -71,13 +93,8 @@ def _model_on_atoms(params, atoms):
     def diffusion(t, x, a):
         return np.full((x.shape[0], 1, 1), p.sigma * a[0])
 
-    coeff_bound = max(
-        abs(p.r) + abs(p.mu - p.r) * p.phi_high + 0.5 * p.sigma**2 * p.phi_high**2,
-        p.sigma * p.phi_high,
-        1.0,
-    )
     growth = FeasibilityConfig(
-        L=coeff_bound,
+        L=_coefficient_bound(p),
         pbar1=0.0,
         pbar2=0.0,
         pbar3=math.inf,

@@ -107,10 +107,11 @@ class ModelSpec:
     measure-valued policies place weights on these atoms.  growth carries the
     integrability exponents used by check_feasibility, when known.
 
-    tables, when set, is the coefficient-table hook tables(t, x) -> dict that
-    evaluates every atom at once; see coefficient_tables.  It is
-    authoritative: the solver then never calls drift, diffusion, cost or their
-    Jacobians, which remain the reference validate_gradients checks.
+    tables, when set, is the coefficient-table hook tables(t, x, keys) ->
+    dict that evaluates every atom at once, for at least the names in keys;
+    see coefficient_tables.  It is authoritative: the solver then never
+    calls drift, diffusion, cost or their Jacobians, which remain the
+    reference validate_gradients checks.
     constant_coefficients declares that drift, diffusion, cost and their
     Jacobians depend on neither t nor x and are finite on every atom; the
     solver then calls each callable once per atom, on first use, and reuses
@@ -191,7 +192,7 @@ def coefficient_tables(model, t, x, keys=TABLE_KEYS, weights=None):
     returning that array, called only by this loop.
     """
     if model.tables is not None:
-        tabs = model.tables(t, x)
+        tabs = model.tables(t, x, keys)
         return {key: tabs[key] for key in keys}
     if model.constant_coefficients:
         cache = model._constant_tables
@@ -559,9 +560,20 @@ class PathEnsemble:
 
 
 def _averaged_coefficients(model, t, x, weights):
-    """Measure-averaged drift, diffusion and cost: sum_a w[n, a] f(t, x_n, a)."""
+    """Measure-averaged drift, diffusion and cost: sum_a w[n, a] f(t, x_n, a).
+
+    When the weights are one broadcast row (row stride 0) and every table
+    has path size 1, all paths average the same coefficients: they are
+    averaged on the first two rows and broadcast, the same bits as on all n.
+    """
     keys = ("drift", "diffusion", "cost")
     tabs = coefficient_tables(model, t, x, keys, weights)
+    n = weights.shape[0]
+    if n > 2 and weights.strides[0] == 0 and all(
+        tabs[key].shape[1] == 1 for key in keys
+    ):
+        rows = [np.einsum("na,an...->n...", weights[:2], tabs[key]) for key in keys]
+        return [np.broadcast_to(r[0], (n,) + r.shape[1:]) for r in rows]
     return [np.einsum("na,an...->n...", weights, tabs[key]) for key in keys]
 
 

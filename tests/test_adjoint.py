@@ -47,6 +47,78 @@ def test_fit_constant_targets_is_exact(rng):
     )
 
 
+def _explicit_solve(reg, targets):
+    """fit and (intercept, coef) of (n, r) targets through the full solve.
+
+    The zero-target shortcut must give these bits: the right-hand side, the
+    solve and the fitted values beta.T @ design + ybar, each computed.
+    """
+    rows = np.array(targets.T, order="C")
+    ybar = np.add.reduce(rows, axis=1) / reg.n
+    rows -= ybar[:, None]
+    rhs = np.einsum("in,rn->ir", reg._phi_rows, rows)
+    beta = np.linalg.solve(reg._solve_mat, rhs)
+    coef = beta / reg._scale[:, None]
+    fitted = (beta.T @ reg._phi_rows).T
+    fitted += ybar
+    return fitted, ybar - reg._mu @ coef, coef
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["constant", "zeros with -0.0"])
+def test_zero_target_fit_matches_the_explicit_solve(rng, monkeypatch, kind):
+    n = 700
+    reg = _SliceRegression(rng.standard_normal((n, 1)), RegressionBasis(degree=3))
+    if kind == "constant":
+        # values whose n copies sum, and divide by n, exactly
+        targets = np.tile([1.0, -1.0, 0.25], (n, 1))
+    else:
+        # 0 * dW / dt: a signed zero per path, as the risk-neutral z' target
+        targets = np.zeros((n, 3))
+        targets[:, 0] = 0.0 * rng.standard_normal(n)
+        targets[:, 1] = -0.0
+        targets[::3, 2] = -0.0
+    expected = _explicit_solve(reg, targets)
+    monkeypatch.setattr(np.linalg, "solve", None)  # the shortcut never solves
+    fitted = reg.fit(targets)
+    _, _, coef, intercept = reg._solve(targets)
+    assert _bits(fitted) == _bits(expected[0])
+    assert _bits(intercept) == _bits(expected[1])
+    assert _bits(coef) == _bits(expected[2])
+    for j in range(targets.shape[1]):
+        assert _bits(reg.fit(targets[:, j])) == _bits(expected[0][:, j])
+    if kind != "constant":
+        assert np.signbit(targets).any() and not np.signbit(fitted).any()
+
+
+def test_target_centered_to_zero_on_the_last_path_is_still_solved(rng):
+    n = 400
+    reg = _SliceRegression(rng.standard_normal((n, 1)), RegressionBasis(degree=3))
+    targets = np.zeros((n, 1))
+    targets[:199] = 1.0
+    targets[-2:] = 0.5  # the mean, 200 / 400: the last centered entry is 0
+    fitted = reg.fit(targets)
+    assert fitted.tobytes() == _explicit_solve(reg, targets)[0].tobytes()
+    assert np.ptp(fitted) > 0.0
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.0, 1.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.0, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4]],
+    ids=["dirac", "uniform", "tie", "spread"],
+)
+def test_broadcast_weights_fit_like_dense_ones(rng, row):
+    # A collapsed step's near-min weights are one row broadcast to all paths.
+    reg = _SliceRegression(rng.standard_normal((500, 1)), RegressionBasis(degree=3))
+    broadcast = np.broadcast_to(np.asarray(row), (500, 4))
+    got = reg.fit_coefficients(broadcast)
+    ref = reg.fit_coefficients(np.ascontiguousarray(broadcast))
+    assert all(_bits(a) == _bits(b) for a, b in zip(got, ref))
+
+
 def test_fit_recovers_exact_linear_relation(rng):
     states = rng.standard_normal((300, 1))
     targets = 2.0 * states[:, 0] - 1.0

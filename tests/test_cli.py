@@ -532,6 +532,60 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, overrides, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
+def _entropic_config(tmp_path, section, key, value):
+    """configs/portfolio_entropic.json at 50 paths, with one value replaced."""
+    with open(os.path.join(CONFIGS, "portfolio_entropic.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sim"].update(n_steps=3, n_paths=50)
+    cfg["msa"].update(max_iters=2, n_boot=20)
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("problem", "type", [], "must be one of"),
+        ("problem", "type", {}, "must be one of"),
+        ("risk", "type", [], "must be one of"),
+        ("risk", "type", {}, "must be one of"),
+        ("problem", "sigma", 1e308, "must have a finite square"),
+        ("problem", "phi_high", 1e308, "must have a finite square"),
+    ],
+    ids=[
+        "problem-type-list", "problem-type-object", "risk-type-list",
+        "risk-type-object", "sigma-square-overflows",
+        "phi-high-square-overflows",
+    ],
+)
+def test_value_that_escaped_as_a_traceback_is_config_error(
+    tmp_path, capsys, section, key, value, message
+):
+    # These raised an uncaught TypeError (unhashable type) from load_config,
+    # or an OverflowError from the portfolio model's coefficient bound.
+    path = _entropic_config(tmp_path, section, key, value)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"{section}.{key} {message}" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize("degree", [1e308, 51])
+def test_degree_with_more_features_than_paths_is_config_error(tmp_path, degree):
+    # A 309-digit degree used to be accepted; the first design then
+    # enumerated monomials until memory ran out.  Built only, never solved.
+    cfg = load_config(_entropic_config(tmp_path, "basis", "degree", degree))
+    with pytest.raises(ConfigInvalid, match="basis.degree must give at most"):
+        cli.build_experiment(cfg)
+
+
+def test_degree_with_as_many_features_as_paths_is_accepted(tmp_path):
+    cfg = load_config(_entropic_config(tmp_path, "basis", "degree", 50))
+    assert cli.build_experiment(cfg)["basis"].degree == 50
+
+
 def test_bundled_configs_parse():
     for name in os.listdir(CONFIGS):
         cfg = load_config(os.path.join(CONFIGS, name))

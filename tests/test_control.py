@@ -1,7 +1,9 @@
 """Hamiltonian evaluation, minimization, objective, and the solver loop."""
 
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,9 +22,16 @@ from riskmp import (
     sample_brownian,
     simulate_forward,
 )
-from riskmp.control import _hamiltonian_atoms, _near_min_weights, policy_entropy
+from riskmp import cli, control
+from riskmp.control import (
+    _hamiltonian_atoms,
+    _minimize_step,
+    _near_min_weights,
+    _step_is_path_constant,
+    policy_entropy,
+)
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
-from riskmp.models import sign_volatility_model
+from riskmp.models import model_from_tables, sign_volatility_model
 
 from conftest import TABLE_LAYOUTS, make_model
 
@@ -174,6 +183,151 @@ def test_step_kernel_mixes_the_sign_volatility_tie():
     wstar, gap, change, entropy = _near_min_weights(table, 1e-9, wpi)
     assert np.array_equal(wstar, [[0.5, 0.5]])
     assert (gap, change, entropy) == (0.0, 0.5, 0.0)
+
+
+# ------------------------------------------------------- path-constant steps
+
+def _constant_step(n, y, yprime, z, row, seed=0):
+    """A step's inputs, the same on all n paths but for the states."""
+    states = np.random.default_rng(seed).standard_normal((n, 1))
+    return (
+        states,
+        np.full((n, 1), y),
+        np.full(n, yprime),
+        np.full((n, 1, 1), z),
+        np.broadcast_to(np.asarray(row, float), (n, len(row))),
+    )
+
+
+def _full_width_step(model, states, y, yprime, z, wpi, eta=1e-9):
+    return _near_min_weights(
+        _hamiltonian_atoms(model, 0.25, states, y, yprime, z), eta, wpi
+    )
+
+
+_PORTFOLIO = build_portfolio_model(PortfolioParams(), 31)
+_RNG = np.random.default_rng(11)
+_ROW = _RNG.random(31) * (_RNG.random(31) < 0.6)
+_ROW /= _ROW.sum()
+_CONSTANT_STEPS = {
+    # model, y, y', z, policy row
+    "portfolio risk-neutral": (_PORTFOLIO, -1.0, 1.0, 0.0, np.full(31, 1 / 31)),
+    "portfolio adjoints": (_PORTFOLIO, -0.93, 1.07, 0.021, _ROW),
+    "sign-volatility tie": (sign_volatility_model(), 0.0, 1.0, 0.0, [1.0, 0.0]),
+    "sign-volatility": (sign_volatility_model(), 0.0, 1.0, -0.7, [0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 4099])
+@pytest.mark.parametrize("case", list(_CONSTANT_STEPS))
+def test_collapsed_step_matches_the_full_kernel(case, n):
+    model, *values, row = _CONSTANT_STEPS[case]
+    states, y, yprime, z, wpi = _constant_step(n, *values, row)
+    assert _step_is_path_constant(model, 0.25, states, y, yprime, z, wpi)
+    buffers = np.full((3, model.n_atoms, n), np.nan)
+    wstar, *diagnostics = _minimize_step(
+        model, 0.25, states, y, yprime, z, wpi, 1e-9, buffers
+    )
+    ref_wstar, *ref = _full_width_step(model, states, y, yprime, z, wpi)
+    assert wstar.shape == ref_wstar.shape and wstar.strides[0] == 0
+    assert np.array_equal(wstar, ref_wstar)
+    assert diagnostics == ref  # gap, change and entropy, bit for bit
+    assert np.isnan(buffers).all()  # the collapsed step leaves them alone
+    if case == "sign-volatility tie":
+        assert np.array_equal(wstar[0], [0.5, 0.5])
+
+
+def test_a_differing_or_nan_path_disables_the_collapse():
+    n = 401
+    model = _PORTFOLIO
+    states, y, yprime, z, wpi = _constant_step(n, -1.0, 1.0, 0.0, _ROW)
+    assert _step_is_path_constant(model, 0.0, states, y, yprime, z, wpi)
+    for name, value in (("yprime", yprime), ("y", y), ("z", z)):
+        # path 0 and the last path agree: only the full compare sees these
+        for bad in (np.nextafter(value.flat[0], np.inf), np.nan):
+            arrays = {"y": y, "yprime": yprime, "z": z}
+            arrays[name] = value.copy()
+            arrays[name][n // 2] = bad
+            assert not _step_is_path_constant(
+                model, 0.0, states, wpi=wpi, **arrays
+            ), (name, bad)
+        nan_everywhere = {"y": y, "yprime": yprime, "z": z}
+        nan_everywhere[name] = np.full_like(value, np.nan)
+        assert not _step_is_path_constant(
+            model, 0.0, states, wpi=wpi, **nan_everywhere
+        ), name
+    # the same weights on every path, but not one broadcast row
+    assert not _step_is_path_constant(
+        model, 0.0, states, y, yprime, z, np.ascontiguousarray(wpi)
+    )
+    # tables that depend on the state: the custom problem's drift
+    custom = model_from_tables({
+        "dim_x": 1, "dim_w": 1, "action_grid": [-1.0, 1.0],
+        "drift": {"const": [[-1.0], [1.0]], "x": [[-0.5]]},
+        "diffusion": {"const": [[[0.2]], [[0.2]]]},
+    })
+    assert not _step_is_path_constant(
+        custom, 0.0, states, y, yprime, z, wpi[:, :2] * 0 + 0.5
+    )
+
+
+def _solve_config(tmp_path, problem, risk, init_policy="uniform"):
+    cfg = {
+        "problem": problem,
+        "risk": risk,
+        "sim": {"n_steps": 8, "n_paths": 600, "n_actions": 9},
+        "basis": {"degree": 2, "ridge": 1e-08},
+        "msa": {"max_iters": 4, "tol": 1e-12, "n_boot": 20},
+        "init_policy": init_policy,
+        "seed": 23,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "problem, risk",
+    [
+        ({"type": "portfolio"}, {"type": "expectation"}),
+        ({"type": "example1"}, {"type": "expectation"}),
+    ],
+    ids=["portfolio-risk-neutral", "example1"],
+)
+def test_solve_bits_do_not_depend_on_the_collapse(tmp_path, monkeypatch, problem, risk):
+    path = _solve_config(tmp_path, problem, risk)
+    collapsed = []
+    is_constant = control._step_is_path_constant
+    monkeypatch.setattr(
+        control, "_step_is_path_constant",
+        lambda *args: collapsed.append(is_constant(*args)) or collapsed[-1],
+    )
+    runs = {}
+    for collapse in (True, False):
+        if not collapse:
+            monkeypatch.setattr(control, "_path_constant", lambda a: False)
+        exp = cli.build_experiment(cli.load_config(path))
+        model, grid = exp["model"], exp["grid"]
+        driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
+        policy, report = msa_solve(
+            model, exp["risk"], exp["init"], exp["msa"], driver, exp["basis"], grid
+        )
+        kept = simulate_forward(model, policy, driver, grid, keep_weights=True)
+        out = tmp_path / f"out-{collapse}"
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+        files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+        runs[collapse] = (report.records, kept.policy_weights, files)
+        if collapse:
+            assert all(collapsed) and len(collapsed) >= report.n_iters * grid.n_steps
+            collapsed.clear()
+    assert not any(collapsed)
+    (records, weights, files), (ref_records, ref_weights, ref_files) = (
+        runs[True], runs[False]
+    )
+    assert records == ref_records
+    assert len(weights) == len(ref_weights)
+    assert all(np.array_equal(a, b) for a, b in zip(weights, ref_weights))
+    assert files == ref_files
 
 
 # ----------------------------------------------------------------- objective

@@ -34,6 +34,7 @@ from riskmp.sde import (
     coefficient_tables,
     dirac_initial,
 )
+from conftest import make_model
 
 RTOL = 1e-12
 
@@ -393,3 +394,62 @@ def test_repeated_atoms_are_rejected():
     tables["action_grid"] = [0.0, 1.0, 0.0]
     with pytest.raises(ConfigInvalid, match="repeats an atom"):
         model_from_tables(tables)
+
+
+def test_affine_hook_computes_only_the_requested_tables(rng):
+    model = _affine_model()
+    x = rng.standard_normal((9, model.dim_x))
+    full = model.tables(0.3, x, TABLE_KEYS)
+    for n_keys in range(1, len(TABLE_KEYS) + 1):
+        for keys in (TABLE_KEYS[:n_keys], TABLE_KEYS[-n_keys:]):
+            tabs = model.tables(0.3, x, keys)
+            assert set(tabs) == set(keys)
+            assert all(np.array_equal(tabs[k], full[k]) for k in keys)
+    # The Jacobians are constants: asking for them alone never reads x.
+    jacobians = ("drift_dx", "cost_dx", "diffusion_dx")
+    assert set(model.tables(0.3, None, jacobians)) == set(jacobians)
+
+
+def _constant_2d_model():
+    """Constant coefficients with dim_x = dim_w = 2 and 5 atoms."""
+
+    def drift(t, x, a):
+        return np.tile([a[0], -0.3 * a[0] ** 2], (x.shape[0], 1))
+
+    def diffusion(t, x, a):
+        sigma = [[0.2 + a[0], 0.1], [0.05 * a[0], 0.3 - 0.1 * a[0]]]
+        return np.broadcast_to(sigma, (x.shape[0], 2, 2))
+
+    model = make_model(
+        np.linspace(-1.0, 1.3, 5), drift=drift, diffusion=diffusion,
+        cost=lambda t, x, a: np.full(x.shape[0], a[0] ** 2 / 3.0),
+        dim_x=2, dim_w=2,
+    )
+    return dataclasses.replace(model, constant_coefficients=True)
+
+
+@pytest.mark.parametrize("build", [_portfolio_model, _constant_2d_model])
+def test_broadcast_weights_average_once_with_the_bits_of_all_paths(build, rng):
+    model = build()
+    row = rng.random(model.n_atoms)
+    row[0] = 0.0
+    row /= row.sum()
+    x = rng.standard_normal((301, model.dim_x))
+    broadcast = np.broadcast_to(row, (301, model.n_atoms))
+    collapsed = _averaged_coefficients(model, 0.4, x, broadcast)
+    dense = _averaged_coefficients(model, 0.4, x, np.ascontiguousarray(broadcast))
+    for a, b in zip(collapsed, dense):
+        assert a.strides[0] == 0  # averaged once, then broadcast
+        assert np.array_equal(a, b)
+
+    # The forward pass: a constant policy against a rule that returns the
+    # same rows as a dense array, which is averaged path by path.
+    grid = build_time_grid(1.0, 12)
+    driver = sample_brownian(grid, 301, model.dim_w, seed=4)
+    constant = simulate_forward(model, MeasurePolicy.constant(row), driver, grid)
+    dense_rule = MeasurePolicy.feedback(
+        lambda k, t, states: np.tile(row, (states.shape[0], 1)), model.n_atoms
+    )
+    ref = simulate_forward(model, dense_rule, driver, grid)
+    assert np.array_equal(constant.states, ref.states)
+    assert np.array_equal(constant.running_cost, ref.running_cost)
