@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowup, RankDeficient
-from .sde import coefficient_tables
+from .sde import _step_major, coefficient_tables
 
 __all__ = [
     "RegressionBasis",
@@ -110,19 +110,26 @@ class _SliceRegression:
     entry and right-hand side is a sum along a contiguous row of paths.
     """
 
-    def __init__(self, states, basis):
-        phi = basis.design_rows(states)
-        m, n = phi.shape
-        self.n = n
-        self.m = m
-        if m == 0:
-            return
-        mu = np.add.reduce(phi, axis=1) / n
-        phi -= mu[:, None]
-        scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
-        scale[scale < 1e-300] = 1.0
-        phi /= scale[:, None]
-        gram = np.einsum("in,jn->ij", phi, phi)
+    def __init__(self, states, basis, step=None):
+        # The monomials of huge states can overflow.  A non-finite design
+        # leaves the scale or the Gram matrix non-finite, which raises
+        # NumericalBlowup(step, "regression design"), not RuntimeWarnings
+        # and a fit that is silently NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = basis.design_rows(states)
+            m, n = phi.shape
+            self.n = n
+            self.m = m
+            if m == 0:
+                return
+            mu = np.add.reduce(phi, axis=1) / n
+            phi -= mu[:, None]
+            scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
+            scale[scale < 1e-300] = 1.0
+            phi /= scale[:, None]
+            gram = np.einsum("in,jn->ij", phi, phi)
+        if not (np.isfinite(scale).all() and np.isfinite(gram).all()):
+            raise NumericalBlowup(step, "regression design")
         lam = basis.ridge * n
         if lam == 0.0 and np.linalg.matrix_rank(gram) < m:
             raise RankDeficient(
@@ -194,9 +201,14 @@ class _SliceRegression:
 
 
 def _slice_regressions(ensemble, basis):
-    """One shared least-squares factorization per interior time slice."""
+    """One shared least-squares factorization per interior time slice.
+
+    Raises:
+      NumericalBlowup: at the first step whose design or Gram matrix is not
+        finite.
+    """
     return [
-        _SliceRegression(ensemble.states[:, k], basis)
+        _SliceRegression(ensemble.states[:, k], basis, step=k)
         for k in range(ensemble.grid.n_steps)
     ]
 
@@ -211,8 +223,8 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
     precomputed per-step regressions.
 
     Returns:
-      (yprime, zprime, residuals): shapes (n, K+1), (n, K, dim_w) and a
-      per-step list of y'-regression residuals.
+      (yprime, zprime, residuals): shapes (n, K+1), (n, K, dim_w), both
+      stored step-major, and a per-step list of y'-regression residuals.
     """
     d = np.asarray(derivative_values, dtype=float).reshape(-1)
     n = ensemble.n_paths
@@ -225,13 +237,10 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
 
-    yprime = np.empty((n, n_steps + 1))
-    zprime = np.zeros((n, n_steps, dim_w))
+    yprime = _step_major((n, n_steps + 1))
+    zprime = _step_major((n, n_steps, dim_w), np.zeros)
     yprime[:, n_steps] = d
     residuals = [0.0] * n_steps
-    # The (k+1)-values are carried as a contiguous vector, since a column of
-    # the path-major yprime is a strided gather.
-    upper = d
     for k in range(n_steps - 1, -1, -1):
         reg = slices[k]
         fitted = reg.fit(d)
@@ -241,9 +250,8 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
         # (k+1)-values rather than raw D strips the future-noise spread from
         # the projection target, without which z' carries O(1/sqrt(n dt))
         # noise that would drown the estimate.
-        increment_proj = (upper - fitted)[:, None] * dw[:, k] / dt
+        increment_proj = (yprime[:, k + 1] - fitted)[:, None] * dw[:, k] / dt
         zprime[:, k] = reg.fit(increment_proj)
-        upper = fitted
     return yprime, zprime, residuals
 
 
@@ -281,8 +289,8 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
     precomputed per-step regressions.
 
     Returns:
-      (y, z, residuals): shapes (n, K+1, dim_x), (n, K, dim_w, dim_x) and a
-      per-step list of y-regression residuals.
+      (y, z, residuals): shapes (n, K+1, dim_x), (n, K, dim_w, dim_x), both
+      stored step-major, and a per-step list of y-regression residuals.
     """
     grid = ensemble.grid
     n = ensemble.n_paths
@@ -292,19 +300,19 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
 
-    y = np.empty((n, n_steps + 1, dx))
-    z = np.zeros((n, n_steps, dim_w, dx))
+    y = _step_major((n, n_steps + 1, dx))
+    z = _step_major((n, n_steps, dim_w, dx), np.zeros)
     g_grad = np.broadcast_to(
         np.asarray(model.terminal_dx(ensemble.states[:, -1]), float), (n, dx)
     )
-    upper = yprime[:, n_steps, None] * g_grad  # y_{k+1}, contiguous
-    y[:, n_steps] = upper
+    y[:, n_steps] = yprime[:, n_steps, None] * g_grad
     residuals = [0.0] * n_steps
 
     for k in range(n_steps - 1, -1, -1):
         t = grid.nodes[k]
         xk = ensemble.states[:, k]
         reg = slices[k]
+        upper = y[:, k + 1]
         yhat = reg.fit(upper)
         centered = upper - yhat
         residuals[k] = _norm(centered) / math.sqrt(n)
@@ -316,16 +324,19 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
             model, t, xk, yhat, yprime[:, k], z[:, k],
             lambda: ensemble.weights_at(k),
         )
-        upper = yhat + grad_h * dt
-        if not np.isfinite(upper).all():
+        y[:, k] = yhat + grad_h * dt
+        if not np.isfinite(y[:, k]).all():
             raise NumericalBlowup(k, "adjoint state")
-        y[:, k] = upper
     return y, z, residuals
 
 
 @dataclass(frozen=True)
 class AdjointProcesses:
-    """Per-step, per-path adjoint estimates and regression diagnostics."""
+    """Per-step, per-path adjoint estimates and regression diagnostics.
+
+    The backward solves store the four processes step-major, so a time
+    slice such as y[:, k] is one contiguous block.
+    """
 
     y: np.ndarray         # (n, K+1, dim_x), row-covector per path/step
     z: np.ndarray         # (n, K, dim_w, dim_x)

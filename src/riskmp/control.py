@@ -65,8 +65,9 @@ def _hamiltonian_atoms(model, t, states, y, yprime, z, out=None):
     ]
     if out is None:
         out = np.empty((model.n_atoms, states.shape[0]))
-    # Path vectors are strided slices of (n, n_steps, ...) arrays; each is
-    # gathered once, not once per atom.
+    # A path vector is one column of a step's (n, ...) block: contiguous for
+    # one-dimensional state and noise, strided otherwise, or for arrays a
+    # caller built path-major.  Each is made contiguous once, not per atom.
     terms = [(col, np.ascontiguousarray(vec)) for col, vec in terms]
     np.multiply(*terms[0], out=out)
     term = np.empty_like(out)

@@ -219,13 +219,27 @@ def _atom_loop(model, key, t, x, active=None):
     return tab
 
 
+def _step_major(shape, init=np.empty):
+    """An (n_paths, n_times, ...) array stored step-major.
+
+    It is the view of a C-ordered (n_times, n_paths, ...) array with its
+    first two axes swapped: the shape is the path-major one, and every time
+    slice a[:, k] is one contiguous block.  Per-step passes read and write
+    such slices, which on a path-major array touch one cache line per path.
+    """
+    n_paths, n_times, *trailing = shape
+    return init((n_times, n_paths, *trailing)).swapaxes(0, 1)
+
+
 @dataclass(frozen=True)
 class BrownianDriver:
     """Gaussian increments on a grid, one Philox stream per path.
 
     increments[i, k, j] ~ N(0, dt) is drawn from the stream keyed by
     (seed, i); regenerating with the same seed reproduces the array
-    bit-exactly and path i does not depend on n_paths.
+    bit-exactly and path i does not depend on n_paths.  sample_brownian
+    stores the increments step-major (increments[:, k] is contiguous); any
+    layout of the same values simulates to the same bits.
     """
 
     increments: np.ndarray
@@ -249,8 +263,17 @@ def _path_stream(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _driver_block_paths(n_steps, dim_w):
+    """Paths per block of sample_brownian: their draws fill _BLOCK_ELEMENTS."""
+    return max(1, _BLOCK_ELEMENTS // (n_steps * dim_w))
+
+
 def sample_brownian(grid, n_paths, dim_w, seed):
     """Draw Brownian increments for n_paths paths on the given grid.
+
+    Paths are drawn a block at a time, each from its own stream, into one
+    small reused (paths, n_steps, dim_w) buffer, and each block is scaled by
+    sqrt(dt) straight into the step-major increments.
 
     Args:
       grid: TimeGrid fixing n_steps and dt.
@@ -259,12 +282,17 @@ def sample_brownian(grid, n_paths, dim_w, seed):
       seed: 64-bit integer; the only entropy source.
 
     Returns:
-      BrownianDriver with increments of shape (n_paths, n_steps, dim_w).
+      BrownianDriver with increments of shape (n_paths, n_steps, dim_w),
+      stored step-major.
     """
     n_paths = int(n_paths)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    out = np.empty((n_paths, grid.n_steps, int(dim_w)))
+    n_steps, dim_w = grid.n_steps, int(dim_w)
+    out = _step_major((n_paths, n_steps, dim_w))
+    rows = _driver_block_paths(n_steps, dim_w)
+    buf = np.empty((min(rows, n_paths), n_steps, dim_w))
+    scale = math.sqrt(grid.dt)
     # One Philox re-keyed per path gives _path_stream(seed, i)'s draws without
     # building a generator, and seeding it from OS entropy, for every path.
     bitgen = np.random.Philox(0)
@@ -278,11 +306,13 @@ def sample_brownian(grid, n_paths, dim_w, seed):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i in range(n_paths):
-        key[0] = i
-        bitgen.state = state
-        gen.standard_normal(out=out[i])
-    out *= math.sqrt(grid.dt)
+    for lo in range(0, n_paths, rows):
+        block = buf[: min(rows, n_paths - lo)]
+        for i, draws in enumerate(block, start=lo):
+            key[0] = i
+            bitgen.state = state
+            gen.standard_normal(out=draws)
+        np.multiply(block, scale, out=out[lo : lo + block.shape[0]])
     return BrownianDriver(increments=out, seed=int(seed))
 
 
@@ -400,9 +430,9 @@ class _RulePolicy(MeasurePolicy):
 _VANISHED_MASS = 1e-300
 
 # Element budget of one row block, here the (rows, components, atoms)
-# pre-weight array and in risk.bootstrap_standard_error the (rows, n) resample
-# block: 2**15 float64 = 256 KB, small enough to stay in cache through the
-# block's passes.
+# pre-weight array and the (paths, n_steps, dim_w) driver draws, and in
+# risk.bootstrap_standard_error the (rows, n) resample block: 2**15 float64 =
+# 256 KB, small enough to stay in cache through the block's passes.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -532,13 +562,14 @@ def convex_combine(pi, q, alpha):
 class PathEnsemble:
     """Simulated forward system: states, running costs, and their inputs.
 
-    policy_weights optionally carries the per-step weight arrays evaluated
-    during simulation, so downstream passes over the same states need not
-    re-evaluate the policy.
+    simulate_forward stores states and running_cost step-major, so a time
+    slice states[:, k] is one contiguous block.  policy_weights optionally
+    carries the per-step weight arrays evaluated during simulation, so
+    downstream passes over the same states need not re-evaluate the policy.
     """
 
-    states: np.ndarray        # (n_paths, n_steps + 1, dim_x)
-    running_cost: np.ndarray  # (n_paths, n_steps + 1)
+    states: np.ndarray        # (n_paths, n_steps + 1, dim_x), step-major
+    running_cost: np.ndarray  # (n_paths, n_steps + 1), step-major
     grid: TimeGrid
     driver: BrownianDriver
     policy: MeasurePolicy
@@ -600,8 +631,8 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False):
 
     n = driver.n_paths
     dt = grid.dt
-    x = np.empty((n, grid.n_steps + 1, model.dim_x))
-    xp = np.zeros((n, grid.n_steps + 1))
+    x = _step_major((n, grid.n_steps + 1, model.dim_x))
+    xp = _step_major((n, grid.n_steps + 1), np.zeros)
     x[:, 0] = model.initial(_path_stream(driver.seed, _INITIAL_STREAM), n)
     if not np.isfinite(x[:, 0]).all():
         raise NumericalBlowup(0, "initial state")
@@ -668,15 +699,16 @@ def simulate_variational(model, ensemble, q):
     under pi and f(q - pi) means the weight-difference average of f.
 
     Returns:
-      (delta, delta_prime) of shapes (n, n_steps + 1, dim_x) and (n, n_steps + 1).
+      (delta, delta_prime) of shapes (n, n_steps + 1, dim_x) and
+      (n, n_steps + 1), stored step-major.
     """
     grid = ensemble.grid
     driver = ensemble.driver
     n = ensemble.n_paths
     dt = grid.dt
 
-    delta = np.zeros((n, grid.n_steps + 1, model.dim_x))
-    delta_p = np.zeros((n, grid.n_steps + 1))
+    delta = _step_major((n, grid.n_steps + 1, model.dim_x), np.zeros)
+    delta_p = _step_major((n, grid.n_steps + 1), np.zeros)
 
     for k in range(grid.n_steps):
         t = grid.nodes[k]

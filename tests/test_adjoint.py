@@ -438,6 +438,29 @@ def test_adjoint_evaluates_the_policy_only_when_it_reads_the_weights(
 
 # ---------------------------------------------------------------- diagnostics
 
+def test_adjoint_arrays_are_step_major(rng):
+    # Shapes stay path-major, and every time slice a[:, k] is one
+    # contiguous block.
+    n, dim_x, dim_w = 40, 2, 3
+    model = make_model([0.0, 1.0], dim_x=dim_x, dim_w=dim_w)
+    grid = build_time_grid(1.0, 4)
+    ens = simulate_forward(
+        model, MeasurePolicy.uniform(2), sample_brownian(grid, n, dim_w, seed=5), grid
+    )
+    adj = solve_adjoint_system(
+        model, ens, rng.standard_normal(n), RegressionBasis(degree=1)
+    )
+    arrays = {
+        "yprime": (adj.yprime, (n, 5)),
+        "zprime": (adj.zprime, (n, 4, dim_w)),
+        "y": (adj.y, (n, 5, dim_x)),
+        "z": (adj.z, (n, 4, dim_w, dim_x)),
+    }
+    for name, (a, shape) in arrays.items():
+        assert a.shape == shape, name
+        assert all(a[:, k].flags.c_contiguous for k in range(shape[1])), name
+
+
 def test_martingale_diagnostics_flat_input():
     report = martingale_diagnostics(np.ones((50, 8)))
     np.testing.assert_array_equal(report.drift, 0.0)

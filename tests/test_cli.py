@@ -5,10 +5,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from riskmp import cli
 from riskmp.cli import config_hash, load_config, main
+from riskmp.control import policy_entropy
 from riskmp.errors import ConfigInvalid
 from riskmp.verification import CHECKS
 
@@ -570,6 +572,31 @@ def test_value_that_escaped_as_a_traceback_is_config_error(
     assert main(["solve", "--config", path, "--out", str(out)]) == 2
     assert f"{section}.{key} {message}" in capsys.readouterr().err
     assert not (out / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000, 4097])
+def test_broadcast_step_entropy_is_the_full_arrays(rng, n):
+    # A broadcast step's entropy is taken on two rows and averaged over n
+    # copies; it must be policy_entropy of the full broadcast array, bit for bit.
+    dirac = np.eye(31)[7]
+    sparse = rng.uniform(size=31) * (rng.uniform(size=31) < 0.4)
+    for row in (np.full(31, 1.0 / 31), dirac, sparse / sparse.sum(),
+                rng.dirichlet(np.ones(31))):
+        w = np.broadcast_to(row, (n, 31))
+        assert repr(cli._step_entropy(w)) == repr(policy_entropy(w))
+
+
+def test_overflowing_regression_design_names_its_step(tmp_path, recwarn):
+    # A drift of 1e308 gives finite states whose cubes overflow: the slice
+    # fit used to turn NaN silently, with RuntimeWarnings from the design,
+    # and the run then failed as "policy weights".
+    path = _entropic_config(tmp_path, "problem", "mu", 1e308)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalBlowup"
+    assert record["message"] == "non-finite regression design at time step 1"
+    assert not [w for w in recwarn if w.filename.endswith("adjoint.py")]
 
 
 @pytest.mark.parametrize("degree", [1e308, 51])

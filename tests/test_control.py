@@ -1,5 +1,6 @@
 """Hamiltonian evaluation, minimization, objective, and the solver loop."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -328,6 +329,61 @@ def test_solve_bits_do_not_depend_on_the_collapse(tmp_path, monkeypatch, problem
     assert len(weights) == len(ref_weights)
     assert all(np.array_equal(a, b) for a, b in zip(weights, ref_weights))
     assert files == ref_files
+
+
+_CUSTOM_2D = {
+    "type": "custom",
+    "dim_x": 2,
+    "dim_w": 2,
+    "action_grid": [-1.0, 0.0, 1.0],
+    "drift": {
+        "const": [[-1.0, 0.5], [0.0, 0.0], [1.0, -0.5]],
+        "x": [[-0.5, 0.1], [0.2, -0.3]],
+    },
+    "diffusion": {
+        "const": [
+            [[0.2, 0.1], [0.0, 0.3]],
+            [[0.3, 0.0], [0.1, 0.2]],
+            [[0.2, -0.1], [0.0, 0.1]],
+        ],
+    },
+    "cost": {"const": [0.1, 0.0, 0.1], "x": [0.0, 0.2]},
+    "terminal": {"const": 0.0, "x": [1.0, -0.5]},
+    "x0": [0.5, -0.2],
+}
+
+
+@pytest.mark.parametrize(
+    "problem, risk",
+    [
+        ({"type": "portfolio"}, {"type": "entropic", "theta": 1.0}),
+        (_CUSTOM_2D, {"type": "smoothed_semideviation", "beta": 0.5, "epsilon": 0.1}),
+    ],
+    ids=["portfolio-entropic", "custom-2d"],
+)
+def test_solve_bits_do_not_depend_on_the_driver_layout(tmp_path, problem, risk):
+    # sample_brownian stores increments step-major; a path-major C copy of
+    # the same values must solve to the same records and kept weights.
+    exp = cli.build_experiment(cli.load_config(_solve_config(tmp_path, problem, risk)))
+    model, grid = exp["model"], exp["grid"]
+    step_major = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
+    path_major = dataclasses.replace(
+        step_major, increments=np.ascontiguousarray(step_major.increments)
+    )
+    assert step_major.increments[:, 0].flags.c_contiguous
+    assert not path_major.increments[:, 0].flags.c_contiguous
+    runs = []
+    for driver in (step_major, path_major):
+        policy, report = msa_solve(
+            model, exp["risk"], exp["init"], exp["msa"], driver, exp["basis"], grid
+        )
+        kept = simulate_forward(model, policy, driver, grid, keep_weights=True)
+        runs.append(([repr(dataclasses.astuple(r)) for r in report.records],
+                     kept.policy_weights))
+    (records, weights), (ref_records, ref_weights) = runs
+    assert records == ref_records
+    assert len(weights) == len(ref_weights) == grid.n_steps
+    assert all(np.array_equal(a, b) for a, b in zip(weights, ref_weights))
 
 
 # ----------------------------------------------------------------- objective

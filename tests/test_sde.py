@@ -23,6 +23,7 @@ from riskmp import (
     total_cost,
     validate_gradients,
 )
+from riskmp import sde
 from riskmp.models import sign_volatility_model
 
 from conftest import make_model
@@ -83,6 +84,46 @@ def test_sample_brownian_shape():
     grid = build_time_grid(1.0, 1)
     driver = sample_brownian(grid, 7, 1, seed=0)
     assert driver.increments.shape == (7, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 1), (1, -1), (1, 1), (3, 1)],
+    ids=["1", "B-1", "B+1", "3B+1"],
+)
+def test_blocked_driver_draws_each_path_from_its_stream(monkeypatch, blocks, extra):
+    # Paths are drawn a block of B at a time; each must still hold its own
+    # stream's draws times sqrt(dt), on either side of a block edge.
+    monkeypatch.setattr(sde, "_BLOCK_ELEMENTS", 40)
+    grid = build_time_grid(2.0, 5)
+    block = sde._driver_block_paths(grid.n_steps, 2)
+    assert block == 4
+    n = blocks * block + extra
+    driver = sample_brownian(grid, n, 2, seed=11)
+    assert driver.increments.shape == (n, 5, 2)
+    for i in range(n):
+        draws = sde._path_stream(11, i).standard_normal((5, 2)) * math.sqrt(grid.dt)
+        assert np.array_equal(driver.increments[i], draws)
+
+
+def test_path_arrays_are_step_major():
+    # Shapes stay path-major, and every time slice a[:, k] is one
+    # contiguous block.
+    n, dim_x, dim_w = 7, 2, 3
+    model = make_model([0.0, 1.0], dim_x=dim_x, dim_w=dim_w)
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, n, dim_w, seed=5)
+    ens = simulate_forward(model, MeasurePolicy.uniform(2), driver, grid)
+    delta, delta_p = simulate_variational(model, ens, MeasurePolicy.dirac(1, 2))
+    arrays = {
+        "increments": (driver.increments, (n, 4, dim_w)),
+        "states": (ens.states, (n, 5, dim_x)),
+        "running_cost": (ens.running_cost, (n, 5)),
+        "delta": (delta, (n, 5, dim_x)),
+        "delta_p": (delta_p, (n, 5)),
+    }
+    for name, (a, shape) in arrays.items():
+        assert a.shape == shape, name
+        assert all(a[:, k].flags.c_contiguous for k in range(shape[1])), name
 
 
 # ------------------------------------------------------------- forward sim
