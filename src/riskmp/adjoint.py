@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sde
 from .errors import NumericalBlowup, RankDeficient
 from .sde import _step_major, coefficient_tables
 
@@ -187,12 +188,13 @@ class _SliceRegression:
         coef maps *raw* design columns, standardization already absorbed.
         Only the columns with a nonzero target are solved; the others fit
         exactly to zero.  The targets are read as (r, n) rows: the transpose
-        of msa_solve's atom-major weights is C-ordered already.  Targets
-        broadcast from one row (row stride 0), the weights of a step that is
-        the same on every path, are tested for live columns on that row.
+        of msa_solve's atom-major weights is C-ordered already.  Path-constant
+        targets (sde._path_constant), the weights of a step that is the same on
+        every path, are tested for live columns on their first two paths.
         """
-        rows = np.asarray(targets, dtype=float).T
-        live = (rows[:, :1] if rows.strides[1] == 0 else rows).any(axis=1)
+        targets = np.asarray(targets, dtype=float)
+        rows = targets.T
+        live = (targets[:2] if sde._path_constant(targets) else targets).any(axis=0)
         intercept = np.zeros(rows.shape[0])
         coef = np.zeros((self.m, rows.shape[0]))
         live_rows = rows if live.all() else rows[live]

@@ -174,14 +174,7 @@ def _real(key, value):
     return float(value)
 
 
-def _boolean(key, value):
-    """value itself; anything but a JSON boolean is a config error."""
-    if not isinstance(value, bool):
-        _fail(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-_CASTS = {int: _integer, float: _real, bool: _boolean}
+_CASTS = {int: _integer, float: _real}
 
 
 def _cast(section, where, defaults):
@@ -373,19 +366,6 @@ def _read_stamp(path):
 
 # ----------------------------------------------------------------- commands
 
-def _step_entropy(w):
-    """policy_entropy(w), with the entropy of a broadcast row taken once.
-
-    Weights that are one row for every path (row stride 0) have the same
-    entropy on every path: it is taken on two rows, which sum over atoms as
-    the full array does, and averaged over n copies, as the full array is.
-    """
-    n = w.shape[0]
-    if n > 2 and w.strides[0] == 0:
-        return float(np.mean(np.full(n, policy_entropy(w[:2]))))
-    return policy_entropy(w)
-
-
 def _policy_step_stats(model, grid, ensemble):
     """Per-step mean action, mean weights, and entropy of the ensemble's policy."""
     atoms = model.action_grid
@@ -395,7 +375,7 @@ def _policy_step_stats(model, grid, ensemble):
         w = ensemble.weights_at(k)
         mean_w = w.mean(axis=0)
         mean_action = float(mean_w @ atoms[:, 0]) if model.dim_a == 1 else float("nan")
-        rows.append((k, float(grid.nodes[k]), mean_action, _step_entropy(w)))
+        rows.append((k, float(grid.nodes[k]), mean_action, policy_entropy(w)))
         tables.append(mean_w)
     return rows, tables
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sde
 from .adjoint import (
     _slice_regressions,
     martingale_diagnostics,
@@ -25,6 +26,7 @@ from .adjoint import (
 from .risk import EmpiricalSample, bootstrap_standard_error, evaluate, l_derivative
 from .sde import (
     MeasurePolicy,
+    _all_paths,
     coefficient_tables,
     convex_combine,
     simulate_forward,
@@ -76,33 +78,28 @@ def _hamiltonian_atoms(model, t, states, y, yprime, z, out=None):
     return out.T
 
 
-def _near_min_weights(table, eta, wpi, out=None, n_paths=None):
+def _near_min_weights(table, eta, wpi, out=None):
     """Near-min weights of an (n, n_atoms) table H, and a step's diagnostics.
 
     wstar is the uniform mixture over the atoms within eta * (1 + |H_min|)
     of each path's minimum H_min.  The diagnostics of the policy weights wpi
-    (n, n_atoms) are path means: the gap sum_a wpi H - H_min, the change
-    sum_a |wstar - wpi| / n_atoms and the entropy -sum_a wpi log wpi, where
-    0 log 0 = 0.
+    (n, n_atoms) are per path: the gap sum_a wpi H - H_min, the change
+    sum_a |wstar - wpi| and the entropy, by _path_entropy on the copy of
+    wpi below.  msa_solve takes their path means, the change's divided by
+    n_atoms.
 
     wpi is copied into an atom-major (n_atoms, n) C-ordered array, and every
     per-path sum over atoms is an np.add.reduce over the leading axis of
     such an array, written by the kernel, which adds in atom order.  The
     table enters only elementwise and through its minimum, which is exact.
     So the results do not depend on the layout of the inputs.  The mask and
-    its count are exact too, and so is wstar = mask / count.  For a
-    broadcast wpi (one row for every path, row stride 0) w log w is
-    computed on that row only.  out, a (2, n_atoms, n) array, receives
-    wstar in out[0] and is scratch otherwise.
-
-    n_paths, when given, says that table and wpi are the first rows of a
-    step that is the same on n_paths paths: each diagnostic is then the
-    mean of n_paths copies of row 0's value, the mean a full-width table
-    would give, bit for bit.
+    its count are exact too, and so is wstar = mask / count.  out, a
+    (2, n_atoms, n) array, receives wstar in out[0] and is scratch
+    otherwise.
 
     Returns:
       (wstar, gap, change, entropy): wstar is (n, n_atoms), the transpose of
-      out[0].
+      out[0], and the others are (n,) arrays.
     """
     n, n_atoms = table.shape
     h = table.T
@@ -111,69 +108,48 @@ def _near_min_weights(table, eta, wpi, out=None, n_paths=None):
     hmin = np.minimum.reduce(h, axis=0)
     gap = np.add.reduce(np.multiply(h, p, out=wstar), axis=0)
     gap -= hmin
-    if n > 1 and wpi.strides[0] == 0:
-        # One row for every path.  Any (n_atoms, m) array with m >= 2 sums
-        # over atoms in the order of the (n_atoms, n) one; a single column
-        # would be summed pairwise.
-        row = p[:, :2]
-        row_sum = np.add.reduce(_wlogw(row, np.zeros_like(row)), axis=0)[0]
-        entropy = np.full(n, row_sum)
-    else:
-        wstar.fill(0.0)
-        entropy = np.add.reduce(_wlogw(p, wstar), axis=0)
+    entropy = _path_entropy(wpi, p, wstar)
     np.less_equal(h, hmin + eta * (1.0 + np.abs(hmin)), out=wstar)
     # mask times 1/count is mask / count, bit for bit: the mask is 0 or 1
     wstar *= 1.0 / np.add.reduce(wstar, axis=0)
     np.abs(np.subtract(wstar, p, out=p), out=p)
     change = np.add.reduce(p, axis=0)
-
-    def path_mean(values):
-        if n_paths is not None:
-            values = np.full(n_paths, values[0])
-        return float(np.mean(values))
-
-    return (
-        wstar.T,
-        path_mean(gap),
-        path_mean(change) / n_atoms,
-        -path_mean(entropy),
-    )
+    return wstar.T, gap, change, entropy
 
 
-def _wlogw(w, out):
-    """w log w into out, which holds zeros beforehand: 0 log 0 = 0.
+def _path_entropy(w, p=None, out=None):
+    """Entropy -sum_a w log w of each path of (n, n_atoms) weights w.
 
-    The log is taken only where w > 0.
+    This is the only entropy formula.  w log w is taken on p, w's atom-major
+    (n_atoms, n) C-ordered copy, into out, scratch of p's shape, both made
+    here when not given, with the log only where w > 0: 0 log 0 = 0.  The
+    sum is an np.add.reduce over the leading axis: in atom order for n >= 2
+    paths, pairwise for one.  Path-constant weights follow the path-constant
+    rule (sde._path_constant).
     """
-    np.log(w, out=out, where=w > 0.0)
-    out *= w
-    return out
-
-
-def _path_constant(a):
-    """Whether every path's entries of a, an (n, ...) array, equal path 0's.
-
-    The last path is compared first, so an array that varies over paths is
-    usually rejected without a pass over all of them.  NaN equals nothing,
-    so an array holding one is never path-constant.
-    """
-    first = a[:1]
-    return bool((a[-1:] == first).all() and (a == first).all())
+    constant = sde._path_constant(w)
+    if constant or p is None:
+        p = np.ascontiguousarray((w[:2] if constant else w).T)
+        out = np.empty_like(p)
+    out.fill(0.0)
+    np.log(p, out=out, where=p > 0.0)
+    out *= p
+    entropy = -np.add.reduce(out, axis=0)
+    return _all_paths(entropy, w.shape[0]) if constant else entropy
 
 
 def _step_is_path_constant(model, t, states, y, yprime, z, wpi):
     """Whether a step's Hamiltonian inputs are the same on every path.
 
-    They are when the policy weights wpi are one broadcast row (row stride
-    0), y, y' and z are path-constant and every coefficient table the
-    Hamiltonian reads has path size 1.  The table shapes are read off
-    tables of the first two states, and only once the cheaper tests pass.
-    -0.0 equals 0.0 here; a zero's sign can reach only the step's gap, and
-    only when it is zero, where msa_solve's sum over steps drops the sign.
+    They are when the policy weights wpi, y, y' and z are path-constant
+    (sde._path_constant) and every coefficient table the Hamiltonian reads
+    has path size 1.  The table shapes are read off tables of the first two
+    states, and only once the cheaper tests pass.  -0.0 equals 0.0 here; a
+    zero's sign can reach only the step's gap, and only when it is zero,
+    where msa_solve's sum over steps drops the sign.
     """
     return (
-        wpi.strides[0] == 0
-        and all(_path_constant(a) for a in (yprime, y, z))
+        all(sde._path_constant(a) for a in (wpi, yprime, y, z))
         and all(
             tab.shape[1] == 1
             for tab in coefficient_tables(
@@ -188,31 +164,22 @@ def _minimize_step(model, t, states, y, yprime, z, wpi, eta, buffers):
 
     buffers, a (3, n_atoms, n) array, holds the table, wstar and scratch.  A
     step whose inputs are the same on every path (_step_is_path_constant)
-    has the same table on every path: it is evaluated on two paths (see
-    _near_min_weights on why not one), and wstar is that row broadcast.
-    Both give the bits of the full-width step.
+    has the same table on every path, and the path-constant rule
+    (sde._path_constant) evaluates it once; the buffers are then unused.
     """
     if _step_is_path_constant(model, t, states, y, yprime, z, wpi):
         table = _hamiltonian_atoms(model, t, states[:2], y[:2], yprime[:2], z[:2])
-        wstar, gap, change, entropy = _near_min_weights(
-            table, eta, wpi[:2], n_paths=wpi.shape[0]
-        )
-        return np.broadcast_to(wstar[0], wpi.shape), gap, change, entropy
+        return [
+            _all_paths(a, wpi.shape[0])
+            for a in _near_min_weights(table, eta, wpi[:2])
+        ]
     table = _hamiltonian_atoms(model, t, states, y, yprime, z, out=buffers[0])
     return _near_min_weights(table, eta, wpi, out=buffers[1:])
 
 
 def policy_entropy(weights):
-    """Path mean of the Shannon entropy of (n, n_atoms) policy weights.
-
-    Zero weights contribute 0 log 0 = 0: the log is taken only where w > 0.
-    The log's output array copies the layout of the mask, which is the
-    layout an elementwise ufunc gives (C order for a broadcast row, where
-    zeros_like(weights) would pick F order), since the row sums round
-    differently by layout.
-    """
-    wlogw = _wlogw(weights, np.zeros_like(weights > 0.0, dtype=float))
-    return float(np.mean(-wlogw.sum(axis=1)))
+    """Path mean of the entropy of (n, n_atoms) policy weights, msa_solve's."""
+    return float(np.mean(_path_entropy(weights)))
 
 
 def objective(model, risk, policy, driver, grid):
@@ -342,9 +309,9 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
                 adj.yprime[:, k], adj.z[:, k], ens.weights_at(k), cfg.eta,
                 buffers,
             )
-            gap_sum += gap
-            change_sum += change
-            entropy_sum += entropy
+            gap_sum += float(np.mean(gap))
+            change_sum += float(np.mean(change)) / model.n_atoms
+            entropy_sum += float(np.mean(entropy))
             fitted_steps.append(slices[k].fit_coefficients(wstar))
 
         report.records.append(IterationRecord(

@@ -30,12 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PortfolioParams:
-    """Market and constraint parameters of the allocation problem.
-
-    allow_zero_lower relaxes the strictly positive lower allocation bound to
-    phi_low >= 0, used for unclipped baselines; the default keeps the bound
-    strict.
-    """
+    """Market and constraint parameters of the allocation problem."""
 
     r: float = 0.02
     mu: float = 0.08
@@ -44,7 +39,6 @@ class PortfolioParams:
     phi_high: float = 1.5
     x0: float = 0.0
     horizon: float = 1.0
-    allow_zero_lower: bool = False
 
     def __post_init__(self):
         """Validate; each message starts with the name of a field at fault."""
@@ -52,11 +46,10 @@ class PortfolioParams:
             raise InvalidBounds("sigma must be > 0")
         if self.horizon <= 0.0:
             raise InvalidBounds("horizon must be > 0")
-        low_ok = self.phi_low >= 0.0 if self.allow_zero_lower else self.phi_low > 0.0
-        if not (low_ok and self.phi_low < self.phi_high and math.isfinite(self.phi_high)):
+        if not (0.0 < self.phi_low < self.phi_high and math.isfinite(self.phi_high)):
             raise InvalidBounds(
-                f"phi_low and phi_high need {'0 <=' if self.allow_zero_lower else '0 <'} "
-                f"phi_low < phi_high < inf, got [{self.phi_low}, {self.phi_high}]"
+                "phi_low and phi_high need 0 < phi_low < phi_high < inf, "
+                f"got [{self.phi_low}, {self.phi_high}]"
             )
         # The drift squares sigma and phi, and Python's float ** raises
         # OverflowError where * gives inf.

@@ -265,4 +265,7 @@ def bootstrap_standard_error(risk, sample, n_boot=200, seed=0):
         vals[start:start + b] = _evaluate_rows(
             risk, block[:b], weights, work[:, :b]
         )
-    return float(vals.std(ddof=1))
+    # Huge risk values overflow the sums of the mean and the squared
+    # deviations: the error is then inf or NaN, without a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(vals.std(ddof=1))

@@ -219,6 +219,39 @@ def _atom_loop(model, key, t, x, active=None):
     return tab
 
 
+def _path_constant(a):
+    """Whether every path's entries of a, an (n, ...) array, equal path 0's.
+
+    This predicate and _all_paths are the one path-constant rule.  A step
+    whose inputs are path-constant is evaluated on its first min(n, 2)
+    paths, a[:2], and each per-path result is handed back for all n paths
+    by _all_paths.  Two paths, not one: an (A, m) array with m >= 2 sums
+    over its leading axis in the order of the (A, n) one, while a single
+    column is summed pairwise.  The results keep the bits of the full-width
+    evaluation, and so do their np.mean over the n broadcast copies.
+
+    True at once for one path or a broadcast row (row stride 0).  Otherwise
+    the last path is compared first, then about 64 paths spread over the
+    array, so an array that varies over paths is usually rejected without a
+    pass over all of them.  NaN equals nothing, so a compared array holding
+    one is never path-constant.
+    """
+    n = a.shape[0]
+    if n == 1 or a.strides[0] == 0:
+        return True
+    first = a[:1]
+    return bool(
+        (a[-1:] == first).all()
+        and (a[:: n // 64 + 1] == first).all()
+        and (a == first).all()
+    )
+
+
+def _all_paths(result, n):
+    """Path 0 of a per-path result on a path-constant step, for all n paths."""
+    return np.broadcast_to(result[0], (n,) + result.shape[1:])
+
+
 def _step_major(shape, init=np.empty):
     """An (n_paths, n_times, ...) array stored step-major.
 
@@ -381,11 +414,11 @@ def _check_weight_rows(w, where, step=None):
     raise ValueError.  A NaN or infinite weight makes its row sum non-finite,
     which the sum check alone would let through, since comparisons with NaN
     are false.  Such rows raise NumericalBlowup(step, "policy weights") at a
-    time step.  A broadcast row (row stride 0) is one row in memory and is
-    checked once.
+    time step.  Path-constant rows (_path_constant) are checked on the first
+    two.
     """
-    if w.ndim == 2 and w.strides[0] == 0:
-        w = w[:1]
+    if w.ndim == 2 and _path_constant(w):
+        w = w[:2]
     error = ValueError if step is None else InvalidPolicyWeights
     if np.any(w < 0.0):
         raise error(f"negative policy weight at {where}")
@@ -593,18 +626,17 @@ class PathEnsemble:
 def _averaged_coefficients(model, t, x, weights):
     """Measure-averaged drift, diffusion and cost: sum_a w[n, a] f(t, x_n, a).
 
-    When the weights are one broadcast row (row stride 0) and every table
-    has path size 1, all paths average the same coefficients: they are
-    averaged on the first two rows and broadcast, the same bits as on all n.
+    When every table has path size 1 and the weights are path-constant, all
+    paths average the same coefficients, and the path-constant rule
+    (_path_constant) averages them once.
     """
     keys = ("drift", "diffusion", "cost")
     tabs = coefficient_tables(model, t, x, keys, weights)
-    n = weights.shape[0]
-    if n > 2 and weights.strides[0] == 0 and all(
-        tabs[key].shape[1] == 1 for key in keys
-    ):
-        rows = [np.einsum("na,an...->n...", weights[:2], tabs[key]) for key in keys]
-        return [np.broadcast_to(r[0], (n,) + r.shape[1:]) for r in rows]
+    if all(tabs[key].shape[1] == 1 for key in keys) and _path_constant(weights):
+        return [
+            _all_paths(np.einsum("na,an...->n...", weights[:2], tabs[key]), len(x))
+            for key in keys
+        ]
     return [np.einsum("na,an...->n...", weights, tabs[key]) for key in keys]
 
 

@@ -1,5 +1,6 @@
 """Shared builders for small test models, and runs in a fresh process."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -49,6 +50,24 @@ def make_model(
         initial=dirac_initial(np.full(dim_x, x0)),
         action_grid=np.asarray(atoms, float).reshape(-1, 1),
     )
+
+
+def _constant_2d_model():
+    """Constant coefficients with dim_x = dim_w = 2 and 5 atoms."""
+
+    def drift(t, x, a):
+        return np.tile([a[0], -0.3 * a[0] ** 2], (x.shape[0], 1))
+
+    def diffusion(t, x, a):
+        sigma = [[0.2 + a[0], 0.1], [0.05 * a[0], 0.3 - 0.1 * a[0]]]
+        return np.broadcast_to(sigma, (x.shape[0], 2, 2))
+
+    model = make_model(
+        np.linspace(-1.0, 1.3, 5), drift=drift, diffusion=diffusion,
+        cost=lambda t, x, a: np.full(x.shape[0], a[0] ** 2 / 3.0),
+        dim_x=2, dim_w=2,
+    )
+    return dataclasses.replace(model, constant_coefficients=True)
 
 
 def _strided(a):

@@ -1,6 +1,8 @@
 """Hamiltonian evaluation, minimization, objective, and the solver loop."""
 
+import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -23,7 +25,7 @@ from riskmp import (
     sample_brownian,
     simulate_forward,
 )
-from riskmp import cli, control
+from riskmp import cli, control, sde
 from riskmp.control import (
     _hamiltonian_atoms,
     _minimize_step,
@@ -33,8 +35,9 @@ from riskmp.control import (
 )
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
 from riskmp.models import model_from_tables, sign_volatility_model
+from riskmp.sde import _averaged_coefficients
 
-from conftest import TABLE_LAYOUTS, make_model
+from conftest import TABLE_LAYOUTS, _constant_2d_model, make_model
 
 
 def _table(model, t=0.0, x=0.0, y=0.0, yprime=1.0, z=0.0):
@@ -106,6 +109,16 @@ def test_minimize_sign_sensitive():
     np.testing.assert_array_equal(w, [0.0, 1.0])  # H(a) = z*a minimized at +1
 
 
+def _step_means(wstar, gap, change, entropy):
+    """A step's gap, change and entropy as msa_solve records them."""
+    n_atoms = wstar.shape[1]
+    return (
+        float(np.mean(gap)),
+        float(np.mean(change)) / n_atoms,
+        float(np.mean(entropy)),
+    )
+
+
 def _reference_step(table, eta, wpi):
     """wstar, gap, change and entropy of one step, from their formulas."""
     hmin = table.min(axis=1)
@@ -157,7 +170,8 @@ def test_step_kernel_matches_reference_in_every_layout(n, n_atoms, seed):
         for (t_name, t_layout), (w_name, wpi) in itertools.product(
             TABLE_LAYOUTS.items(), layouts.items()
         ):
-            wstar, *diagnostics = _near_min_weights(t_layout(table), eta, wpi)
+            wstar, *per_path = _near_min_weights(t_layout(table), eta, wpi)
+            diagnostics = _step_means(wstar, *per_path)
             ref_wstar, *ref = _reference_step(table, eta, wpi)
             assert np.array_equal(wstar, ref_wstar), (kind, t_name, w_name)
             np.testing.assert_allclose(diagnostics, ref, rtol=1e-12, atol=1e-12 * scale)
@@ -174,16 +188,17 @@ def test_step_kernel_writes_into_out():
     wstar, *diagnostics = _near_min_weights(table, 1e-9, wpi, out=out)
     assert np.shares_memory(wstar, out[0])
     fresh, *fresh_diagnostics = _near_min_weights(table, 1e-9, wpi)
-    assert np.array_equal(wstar, fresh) and diagnostics == fresh_diagnostics
+    assert np.array_equal(wstar, fresh)
+    assert all(map(np.array_equal, diagnostics, fresh_diagnostics))
 
 
 def test_step_kernel_mixes_the_sign_volatility_tie():
     # At zero adjoints H = 0 on both volatility atoms: an exact tie.
     table = _table(sign_volatility_model(), y=0.0, yprime=1.0, z=0.0)
     wpi = np.array([[1.0, 0.0]])
-    wstar, gap, change, entropy = _near_min_weights(table, 1e-9, wpi)
+    wstar, *diagnostics = _near_min_weights(table, 1e-9, wpi)
     assert np.array_equal(wstar, [[0.5, 0.5]])
-    assert (gap, change, entropy) == (0.0, 0.5, 0.0)
+    assert _step_means(wstar, *diagnostics) == (0.0, 0.5, 0.0)
 
 
 # ------------------------------------------------------- path-constant steps
@@ -232,7 +247,9 @@ def test_collapsed_step_matches_the_full_kernel(case, n):
     ref_wstar, *ref = _full_width_step(model, states, y, yprime, z, wpi)
     assert wstar.shape == ref_wstar.shape and wstar.strides[0] == 0
     assert np.array_equal(wstar, ref_wstar)
-    assert diagnostics == ref  # gap, change and entropy, bit for bit
+    # gap, change and entropy, per path and as msa_solve records them
+    assert all(map(np.array_equal, diagnostics, ref))
+    assert _step_means(wstar, *diagnostics) == _step_means(ref_wstar, *ref)
     assert np.isnan(buffers).all()  # the collapsed step leaves them alone
     if case == "sign-volatility tie":
         assert np.array_equal(wstar[0], [0.5, 0.5])
@@ -257,10 +274,14 @@ def test_a_differing_or_nan_path_disables_the_collapse():
         assert not _step_is_path_constant(
             model, 0.0, states, wpi=wpi, **nan_everywhere
         ), name
-    # the same weights on every path, but not one broadcast row
-    assert not _step_is_path_constant(
-        model, 0.0, states, y, yprime, z, np.ascontiguousarray(wpi)
-    )
+    # the same weights on every path as a dense array are path-constant
+    # too, but not with one differing or NaN middle row
+    dense = np.ascontiguousarray(wpi)
+    assert _step_is_path_constant(model, 0.0, states, y, yprime, z, dense)
+    for bad in (np.roll(_ROW, 1), np.full(31, np.nan)):
+        varying = dense.copy()
+        varying[n // 2] = bad
+        assert not _step_is_path_constant(model, 0.0, states, y, yprime, z, varying)
     # tables that depend on the state: the custom problem's drift
     custom = model_from_tables({
         "dim_x": 1, "dim_w": 1, "action_grid": [-1.0, 1.0],
@@ -272,13 +293,79 @@ def test_a_differing_or_nan_path_disables_the_collapse():
     )
 
 
-def _solve_config(tmp_path, problem, risk, init_policy="uniform"):
+def _rows(rng, n_atoms):
+    """Policy rows on n_atoms atoms: uniform, a Dirac, sparse and spread."""
+    sparse = rng.uniform(size=n_atoms) * (rng.uniform(size=n_atoms) < 0.4)
+    sparse[-1] += 0.1
+    return (
+        np.full(n_atoms, 1.0 / n_atoms),
+        np.eye(n_atoms)[n_atoms // 2],
+        sparse / sparse.sum(),
+        rng.dirichlet(np.ones(n_atoms)),
+    )
+
+
+def _collapsible_calls(site, n, rng):
+    """Calls of one site of the path-constant rule on inputs the same on all
+    n paths, with the weights as a broadcast row and as a dense array."""
+    calls = []
+    if site == "minimize_step":
+        for model, *values, row in _CONSTANT_STEPS.values():
+            states, y, yprime, z, wpi = _constant_step(n, *values, row)
+            buffers = np.empty((3, model.n_atoms, n))
+            for w in (wpi, np.ascontiguousarray(wpi)):
+                calls.append(functools.partial(
+                    _minimize_step, model, 0.25, states, y, yprime, z, w, 1e-9,
+                    buffers,
+                ))
+    elif site == "averaged_coefficients":
+        for model in (_PORTFOLIO, _constant_2d_model(), sign_volatility_model()):
+            x = rng.standard_normal((n, model.dim_x))
+            for row in _rows(rng, model.n_atoms):
+                w = np.broadcast_to(row, (n, model.n_atoms))
+                for weights in (w, np.ascontiguousarray(w)):
+                    calls.append(functools.partial(
+                        _averaged_coefficients, model, 0.4, x, weights
+                    ))
+    else:
+        for row in _rows(rng, 31):
+            w = np.broadcast_to(row, (n, 31))
+            for weights in (w, np.ascontiguousarray(w)):
+                calls.append(lambda weights=weights: [policy_entropy(weights)])
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 4097])
+@pytest.mark.parametrize(
+    "site", ["minimize_step", "averaged_coefficients", "policy_entropy"]
+)
+def test_collapsed_evaluation_has_the_full_width_bits(monkeypatch, rng, site, n):
+    # Each site evaluates a path-constant input on its first paths and hands
+    # the results back for all n; with the one predicate patched to False it
+    # evaluates them on every path.  Both must give the same bits.
+    calls = _collapsible_calls(site, n, rng)
+    collapsed = [call() for call in calls]
+    monkeypatch.setattr(sde, "_path_constant", lambda a: False)
+    for results, full in zip(collapsed, [call() for call in calls]):
+        assert len(results) == len(full)
+        for got, ref in zip(results, full):
+            if np.ndim(got) == 0:
+                assert repr(got) == repr(ref), site
+                continue
+            assert got.shape == ref.shape and np.array_equal(got, ref), site
+            if n > 1:
+                assert got.strides[0] == 0, site  # evaluated once, broadcast
+        if site == "minimize_step":
+            assert _step_means(*results) == _step_means(*full)
+
+
+def _solve_config(tmp_path, problem, risk, init_policy="uniform", **msa):
     cfg = {
         "problem": problem,
         "risk": risk,
         "sim": {"n_steps": 8, "n_paths": 600, "n_actions": 9},
         "basis": {"degree": 2, "ridge": 1e-08},
-        "msa": {"max_iters": 4, "tol": 1e-12, "n_boot": 20},
+        "msa": {"max_iters": 4, "tol": 1e-12, "n_boot": 20, **msa},
         "init_policy": init_policy,
         "seed": 23,
     }
@@ -287,26 +374,56 @@ def _solve_config(tmp_path, problem, risk, init_policy="uniform"):
     return str(path)
 
 
+# The custom problem of configs/custom_linear.json: its drift table depends
+# on x, so no Hamiltonian step collapses.
+_CUSTOM_1D = {
+    "type": "custom",
+    "dim_x": 1,
+    "dim_w": 1,
+    "action_grid": [-1.0, 0.0, 1.0],
+    "drift": {"const": [[-1.0], [0.0], [1.0]], "x": [[-0.5]]},
+    "diffusion": {"const": [[[0.2]], [[0.2]], [[0.2]]]},
+    "cost": {"const": [0.1, 0.0, 0.1], "x": [0.0]},
+    "terminal": {"const": 0.0, "x": [1.0]},
+    "x0": [0.5],
+}
+
+
 @pytest.mark.parametrize(
-    "problem, risk",
+    "problem, risk, init_policy, hamiltonian_collapses",
     [
-        ({"type": "portfolio"}, {"type": "expectation"}),
-        ({"type": "example1"}, {"type": "expectation"}),
+        ({"type": "portfolio"}, {"type": "expectation"}, "uniform", True),
+        ({"type": "example1"}, {"type": "expectation"}, "uniform", True),
+        (
+            _CUSTOM_1D,
+            {"type": "smoothed_semideviation", "beta": 0.5, "epsilon": 0.1},
+            {"type": "constant", "weights": [0.25, 0.5, 0.25]},
+            False,
+        ),
     ],
-    ids=["portfolio-risk-neutral", "example1"],
+    ids=["portfolio-risk-neutral", "example1", "custom-constant-policy"],
 )
-def test_solve_bits_do_not_depend_on_the_collapse(tmp_path, monkeypatch, problem, risk):
-    path = _solve_config(tmp_path, problem, risk)
-    collapsed = []
-    is_constant = control._step_is_path_constant
+def test_solve_bits_do_not_depend_on_the_collapse(
+    tmp_path, monkeypatch, problem, risk, init_policy, hamiltonian_collapses
+):
+    # Patching the one predicate turns off every use of the path-constant
+    # rule: the forward averaging, the Hamiltonian step, the q* fit and the
+    # post-solve entropy.
+    path = _solve_config(tmp_path, problem, risk, init_policy)
+    collapsed, constant = [], []
+    is_step_constant, is_constant = control._step_is_path_constant, sde._path_constant
     monkeypatch.setattr(
         control, "_step_is_path_constant",
-        lambda *args: collapsed.append(is_constant(*args)) or collapsed[-1],
+        lambda *args: collapsed.append(is_step_constant(*args)) or collapsed[-1],
+    )
+    monkeypatch.setattr(
+        sde, "_path_constant",
+        lambda a: constant.append(is_constant(a)) or constant[-1],
     )
     runs = {}
     for collapse in (True, False):
         if not collapse:
-            monkeypatch.setattr(control, "_path_constant", lambda a: False)
+            monkeypatch.setattr(sde, "_path_constant", lambda a: False)
         exp = cli.build_experiment(cli.load_config(path))
         model, grid = exp["model"], exp["grid"]
         driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
@@ -319,7 +436,9 @@ def test_solve_bits_do_not_depend_on_the_collapse(tmp_path, monkeypatch, problem
         files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
         runs[collapse] = (report.records, kept.policy_weights, files)
         if collapse:
-            assert all(collapsed) and len(collapsed) >= report.n_iters * grid.n_steps
+            assert any(constant)
+            assert len(collapsed) >= report.n_iters * grid.n_steps
+            assert set(collapsed) == {hamiltonian_collapses}
             collapsed.clear()
     assert not any(collapsed)
     (records, weights, files), (ref_records, ref_weights, ref_files) = (
@@ -329,6 +448,36 @@ def test_solve_bits_do_not_depend_on_the_collapse(tmp_path, monkeypatch, problem
     assert len(weights) == len(ref_weights)
     assert all(np.array_equal(a, b) for a, b in zip(weights, ref_weights))
     assert files == ref_files
+
+
+def _read_column(path, name):
+    """One column of a stamped CSV, as floats."""
+    with open(path) as fh:
+        fh.readline()
+        return [float(row[name]) for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize(
+    "risk",
+    [{"type": "expectation"}, {"type": "entropic", "theta": 1.0}],
+    ids=["risk-neutral", "entropic"],
+)
+def test_post_solve_entropy_averages_to_the_solver_entropy(tmp_path, risk):
+    # A converged solve returns the policy its last iteration simulated, and
+    # the post-solve pass takes each step's entropy by the solver's formula:
+    # their mean over steps, summed in order, is the last trace entry.
+    path = _solve_config(
+        tmp_path, {"type": "portfolio"}, risk, max_iters=25, tol=1e-4
+    )
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "solve_summary.json").read_text())["converged"]
+    steps = _read_column(out / "policy_mean.csv", "entropy")
+    total = 0.0
+    for entropy in steps:
+        total += entropy
+    trace = _read_column(out / "objective_trace.csv", "policy_entropy")
+    assert total / len(steps) == trace[-1]
 
 
 _CUSTOM_2D = {

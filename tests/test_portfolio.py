@@ -43,10 +43,12 @@ def _entropic_closed_form(params, phi, theta):
 # -------------------------------------------------------------------- model
 
 def test_per_atom_drift_values():
-    p = PortfolioParams(phi_low=0.0, phi_high=1.0, allow_zero_lower=True)
+    p = PortfolioParams(phi_low=0.5, phi_high=1.0)
     model = build_portfolio_model(p, 2)
     x = np.zeros((3, 1))
-    assert model.drift(0.0, x, model.action_grid[0])[0, 0] == pytest.approx(p.r)
+    assert model.drift(0.0, x, model.action_grid[0])[0, 0] == pytest.approx(
+        p.r + 0.5 * (p.mu - p.r) - 0.125 * p.sigma**2
+    )
     assert model.drift(0.0, x, model.action_grid[1])[0, 0] == pytest.approx(
         p.r + (p.mu - p.r) - 0.5 * p.sigma**2
     )
@@ -70,8 +72,7 @@ def test_model_metadata_and_feasibility():
 
 def test_bounds_validation():
     with pytest.raises(InvalidBounds):
-        PortfolioParams(phi_low=0.0)  # strict lower bound by default
-    PortfolioParams(phi_low=0.0, allow_zero_lower=True)
+        PortfolioParams(phi_low=0.0)  # the lower bound is strict
     with pytest.raises(InvalidBounds):
         PortfolioParams(phi_low=1.0, phi_high=0.5)
     with pytest.raises(InvalidBounds):

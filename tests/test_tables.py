@@ -13,6 +13,7 @@ from riskmp import (
     MeasurePolicy,
     build_time_grid,
     sample_brownian,
+    sde,
     simulate_forward,
     simulate_variational,
 )
@@ -34,7 +35,7 @@ from riskmp.sde import (
     coefficient_tables,
     dirac_initial,
 )
-from conftest import make_model
+from conftest import _constant_2d_model, make_model
 
 RTOL = 1e-12
 
@@ -410,46 +411,26 @@ def test_affine_hook_computes_only_the_requested_tables(rng):
     assert set(model.tables(0.3, None, jacobians)) == set(jacobians)
 
 
-def _constant_2d_model():
-    """Constant coefficients with dim_x = dim_w = 2 and 5 atoms."""
-
-    def drift(t, x, a):
-        return np.tile([a[0], -0.3 * a[0] ** 2], (x.shape[0], 1))
-
-    def diffusion(t, x, a):
-        sigma = [[0.2 + a[0], 0.1], [0.05 * a[0], 0.3 - 0.1 * a[0]]]
-        return np.broadcast_to(sigma, (x.shape[0], 2, 2))
-
-    model = make_model(
-        np.linspace(-1.0, 1.3, 5), drift=drift, diffusion=diffusion,
-        cost=lambda t, x, a: np.full(x.shape[0], a[0] ** 2 / 3.0),
-        dim_x=2, dim_w=2,
-    )
-    return dataclasses.replace(model, constant_coefficients=True)
-
-
 @pytest.mark.parametrize("build", [_portfolio_model, _constant_2d_model])
-def test_broadcast_weights_average_once_with_the_bits_of_all_paths(build, rng):
+def test_broadcast_weights_average_once_with_the_bits_of_all_paths(
+    build, rng, monkeypatch
+):
+    # The forward pass under a constant policy and under a rule that returns
+    # the same rows as a dense array, both averaged once per step, against
+    # the constant policy averaged path by path.
     model = build()
     row = rng.random(model.n_atoms)
     row[0] = 0.0
     row /= row.sum()
-    x = rng.standard_normal((301, model.dim_x))
-    broadcast = np.broadcast_to(row, (301, model.n_atoms))
-    collapsed = _averaged_coefficients(model, 0.4, x, broadcast)
-    dense = _averaged_coefficients(model, 0.4, x, np.ascontiguousarray(broadcast))
-    for a, b in zip(collapsed, dense):
-        assert a.strides[0] == 0  # averaged once, then broadcast
-        assert np.array_equal(a, b)
-
-    # The forward pass: a constant policy against a rule that returns the
-    # same rows as a dense array, which is averaged path by path.
     grid = build_time_grid(1.0, 12)
     driver = sample_brownian(grid, 301, model.dim_w, seed=4)
-    constant = simulate_forward(model, MeasurePolicy.constant(row), driver, grid)
+    constant = MeasurePolicy.constant(row)
     dense_rule = MeasurePolicy.feedback(
         lambda k, t, states: np.tile(row, (states.shape[0], 1)), model.n_atoms
     )
-    ref = simulate_forward(model, dense_rule, driver, grid)
-    assert np.array_equal(constant.states, ref.states)
-    assert np.array_equal(constant.running_cost, ref.running_cost)
+    runs = [simulate_forward(model, p, driver, grid) for p in (constant, dense_rule)]
+    monkeypatch.setattr(sde, "_path_constant", lambda a: False)
+    ref = simulate_forward(model, constant, driver, grid)
+    for ens in runs:
+        assert np.array_equal(ens.states, ref.states)
+        assert np.array_equal(ens.running_cost, ref.running_cost)
