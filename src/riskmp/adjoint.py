@@ -12,7 +12,10 @@ backward recursions estimate
 
 Centering the increment targets is what makes the risk-neutral case collapse
 exactly: constant D fits with zero residual, so z' vanishes identically
-instead of inheriting O(1/sqrt(n dt)) regression noise.
+instead of inheriting O(1/sqrt(n dt)) regression noise.  A path-constant
+target (sde._path_constant) fits to its mean with zero coefficients, and a
+slice is factorized only once some target varies over paths, so a
+risk-neutral solve of the Merton portfolio factorizes none.
 
 Regressions work feature-major: a slice stores its standardized design as
 one C-ordered (features, paths) array and copies each target block into
@@ -26,6 +29,7 @@ on the BLAS thread count.
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,12 @@ __all__ = [
 ]
 
 
+# The largest ridge.  The standardized Gram matrix has diagonal n_samples,
+# so a ridge of 1e6 already shrinks every coefficient a millionfold, and a
+# larger one only brings ridge * n_samples nearer to overflow.
+MAX_RIDGE = 1e6
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Polynomial regression basis with per-sample ridge scaling.
@@ -53,6 +63,7 @@ class RegressionBasis:
     keeps only the intercept).  The effective ridge penalty on standardized,
     non-intercept coefficients is ridge * n_samples; ridge = 0 requests plain
     least squares and raises RankDeficient on singular normal systems.
+    ridge is at most MAX_RIDGE.
     """
 
     degree: int = 3
@@ -61,8 +72,10 @@ class RegressionBasis:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be >= 0")
+        if not 0.0 <= self.ridge <= MAX_RIDGE:
+            raise ValueError(
+                f"ridge must be in [0, {MAX_RIDGE:g}], got {self.ridge!r}"
+            )
 
     def design(self, states):
         """Non-constant feature columns for states of shape (n, dim_x)."""
@@ -103,63 +116,140 @@ def _norm(x):
     return math.sqrt(float(np.add.reduce(x * x)))
 
 
+def _factorize(states, basis, step):
+    """(phi_rows, mu, scale, solve_mat) of one slice's standardized design.
+
+    phi_rows is the design feature-major, centered by the feature means mu
+    and divided by the scales, and solve_mat the ridged Gram matrix.
+    """
+    # The monomials of huge states can overflow.  A non-finite design
+    # leaves the scale or the Gram matrix non-finite, which raises
+    # NumericalBlowup(step, "regression design"), not RuntimeWarnings
+    # and a fit that is silently NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = basis.design_rows(states)
+        m, n = phi.shape
+        mu = np.add.reduce(phi, axis=1) / n
+        phi -= mu[:, None]
+        scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
+        scale[scale < 1e-300] = 1.0
+        phi /= scale[:, None]
+        gram = np.einsum("in,jn->ij", phi, phi)
+    if not (np.isfinite(scale).all() and np.isfinite(gram).all()):
+        raise NumericalBlowup(step, "regression design")
+    lam = basis.ridge * n
+    if lam == 0.0 and np.linalg.matrix_rank(gram) < m:
+        raise RankDeficient(
+            f"normal system is singular ({m} features, rank deficient)"
+        )
+    return phi, mu, scale, gram + lam * np.eye(m)
+
+
+def _design_may_overflow(basis, states):
+    """Whether the factorization of one of the states could be non-finite.
+
+    states is a list of (n, dim_x) arrays.  No monomial exceeds
+    B = max(1, |x|)^degree, for |x| the largest state size, and then no
+    mean, centered entry, squared sum, scale or Gram entry of _factorize
+    exceeds 4 n B^2.  So the factorizations are finite when 8 n B^2 is, a
+    factor 2 spare for rounding, which needs no design.  NaN states fail
+    the test.
+    """
+    if basis.degree == 0:
+        return False
+    n = states[0].shape[0]
+    size = np.max([a for x in states for a in (x.max(), -x.min())])
+    return not size <= (sys.float_info.max / (8 * n)) ** (0.5 / basis.degree)
+
+
+class _Factorizations:
+    """The factorizations of a solve's slices, all built when one is first read.
+
+    states maps each step to its states, in step order.  The slices are
+    factorized in that order, so NumericalBlowup(step, "regression design")
+    and RankDeficient name the first step that fails, as a build of every
+    slice up front would.  States whose design may overflow
+    (_design_may_overflow) are factorized at once, so a design that is not
+    finite raises at the same step whether or not a slice is solved.
+    Otherwise a solve whose targets are all path-constant builds none.
+    """
+
+    def __init__(self, basis, states):
+        self._basis = basis
+        self._states = states
+        self._built = None
+        if _design_may_overflow(basis, list(states.values())):
+            self._build()
+
+    def _build(self):
+        self._built = {
+            k: _factorize(x, self._basis, k) for k, x in self._states.items()
+        }
+        self._states = None
+
+    def __getitem__(self, step):
+        if self._built is None:
+            self._build()
+        return self._built[step]
+
+
 class _SliceRegression:
     """Shared least-squares factorization for one time slice.
 
     The standardized design is stored feature-major, as one C-ordered (m, n)
     array, and targets are solved as (r, n) rows, so every mean, scale, Gram
-    entry and right-hand side is a sum along a contiguous row of paths.
+    entry and right-hand side is a sum along a contiguous row of paths.  The
+    factorization is built on first use (_Factorizations), by the first
+    target that varies over paths: a path-constant one (sde._path_constant)
+    fits to its mean with zero coefficients and needs none.  factors shares
+    the factorizations of a solve's slices; by default the slice has its
+    own.
     """
 
-    def __init__(self, states, basis, step=None):
-        # The monomials of huge states can overflow.  A non-finite design
-        # leaves the scale or the Gram matrix non-finite, which raises
-        # NumericalBlowup(step, "regression design"), not RuntimeWarnings
-        # and a fit that is silently NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi = basis.design_rows(states)
-            m, n = phi.shape
-            self.n = n
-            self.m = m
-            if m == 0:
-                return
-            mu = np.add.reduce(phi, axis=1) / n
-            phi -= mu[:, None]
-            scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
-            scale[scale < 1e-300] = 1.0
-            phi /= scale[:, None]
-            gram = np.einsum("in,jn->ij", phi, phi)
-        if not (np.isfinite(scale).all() and np.isfinite(gram).all()):
-            raise NumericalBlowup(step, "regression design")
-        lam = basis.ridge * n
-        if lam == 0.0 and np.linalg.matrix_rank(gram) < m:
-            raise RankDeficient(
-                f"normal system is singular ({m} features, rank deficient)"
-            )
-        self._solve_mat = gram + lam * np.eye(m)
-        self._phi_rows = phi
-        self._mu = mu
-        self._scale = scale
+    def __init__(self, states, basis, step=None, factors=None):
+        states = np.asarray(states, dtype=float)
+        self.n = states.shape[0]
+        dim_x = 1 if states.ndim == 1 else states.shape[1]
+        self.m = math.comb(dim_x + basis.degree, basis.degree) - 1  # features
+        self._step = step
+        self._factors = (
+            _Factorizations(basis, {step: states}) if factors is None else factors
+        )
+
+    _phi_rows = property(lambda self: self._factors[self._step][0])
+    _mu = property(lambda self: self._factors[self._step][1])
+    _scale = property(lambda self: self._factors[self._step][2])
+    _solve_mat = property(lambda self: self._factors[self._step][3])
+
+    def _means(self, t, columns):
+        """Means over all n paths of the given columns of (n, r) targets t.
+
+        Each is np.add.reduce of one column, the bits of the sum along its
+        contiguous (r, n) row, divided by n.  Not the value on path 0: the
+        sum of n equal values, divided by n, need not be that value.
+        """
+        return np.array([np.add.reduce(t[:, j]) for j in columns]) / self.n
 
     def _solve(self, t):
         """(ybar, beta, coef, intercept) of the (n, r) targets t.
 
-        The targets are copied once into (r, n) rows, which are centered in
-        place: the caller's array is never written, and the bits do not
-        depend on its layout.
+        Path-constant targets (sde._path_constant) fit to their means, with
+        zero beta and coefficients.  Others are copied once into (r, n) rows,
+        which are centered in place: the caller's array is never written,
+        and the bits do not depend on its layout.
         """
+        r = t.shape[1]
+        if sde._path_constant(t):
+            zeros = np.zeros((self.m, r))
+            ybar = self._means(t, range(r))
+            return ybar, None if self.m == 0 else zeros, zeros, ybar
         rows = np.array(np.transpose(t), dtype=float, order="C")
         ybar = np.add.reduce(rows, axis=1) / self.n
         if self.m == 0:
-            return ybar, None, np.empty((0, rows.shape[0])), ybar
+            return ybar, None, np.empty((0, r)), ybar
         rows -= ybar[:, None]
-        # Path-constant targets center to exact zeros, and so does beta.  A
-        # varying target usually shows it in the last path already.
-        if rows[:, -1].any() or rows.any():
-            rhs = np.einsum("in,rn->ir", self._phi_rows, rows)
-            beta = np.linalg.solve(self._solve_mat, rhs)
-        else:
-            beta = np.zeros((self.m, rows.shape[0]))
+        rhs = np.einsum("in,rn->ir", self._phi_rows, rows)
+        beta = np.linalg.solve(self._solve_mat, rhs)
         coef = beta / self._scale[:, None]
         return ybar, beta, coef, ybar - self._mu @ coef
 
@@ -190,29 +280,38 @@ class _SliceRegression:
         exactly to zero.  The targets are read as (r, n) rows: the transpose
         of msa_solve's atom-major weights is C-ordered already.  Path-constant
         targets (sde._path_constant), the weights of a step that is the same on
-        every path, are tested for live columns on their first two paths.
+        every path, are tested for live columns on their first two paths, and
+        their live columns fit to their means with zero coefficients.
         """
         targets = np.asarray(targets, dtype=float)
+        r = targets.shape[1]
+        constant = sde._path_constant(targets)
+        live = (targets[:2] if constant else targets).any(axis=0)
+        intercept = np.zeros(r)
+        coef = np.zeros((self.m, r))
+        if constant:
+            intercept[live] = self._means(targets, np.flatnonzero(live))
+            return intercept, coef
         rows = targets.T
-        live = (targets[:2] if sde._path_constant(targets) else targets).any(axis=0)
-        intercept = np.zeros(rows.shape[0])
-        coef = np.zeros((self.m, rows.shape[0]))
         live_rows = rows if live.all() else rows[live]
         _, _, coef[:, live], intercept[live] = self._solve(live_rows.T)
         return intercept, coef
 
 
 def _slice_regressions(ensemble, basis):
-    """One shared least-squares factorization per interior time slice.
+    """One least-squares slice per interior time slice, factorized lazily.
 
-    Raises:
+    The first fit of a target that varies over paths factorizes every slice,
+    in step order, or this call does when the states are large enough that
+    a design could overflow (_Factorizations).
+
+    Raises (here or from that fit):
       NumericalBlowup: at the first step whose design or Gram matrix is not
         finite.
     """
-    return [
-        _SliceRegression(ensemble.states[:, k], basis, step=k)
-        for k in range(ensemble.grid.n_steps)
-    ]
+    states = {k: ensemble.states[:, k] for k in range(ensemble.grid.n_steps)}
+    factors = _Factorizations(basis, states)
+    return [_SliceRegression(x, basis, k, factors) for k, x in states.items()]
 
 
 def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
@@ -252,8 +351,10 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
         # (k+1)-values rather than raw D strips the future-noise spread from
         # the projection target, without which z' carries O(1/sqrt(n dt))
         # noise that would drown the estimate.
-        increment_proj = (yprime[:, k + 1] - fitted)[:, None] * dw[:, k] / dt
-        zprime[:, k] = reg.fit(increment_proj)
+        # An increment that is exactly zero fits to +0.0, the initial z'.
+        increment = yprime[:, k + 1] - fitted
+        if increment.any():
+            zprime[:, k] = reg.fit(increment[:, None] * dw[:, k] / dt)
     return yprime, zprime, residuals
 
 
@@ -318,10 +419,12 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
         yhat = reg.fit(upper)
         centered = upper - yhat
         residuals[k] = _norm(centered) / math.sqrt(n)
-        ztarget = (centered[:, None, :] * dw[:, k, :, None] / dt).reshape(
-            n, dim_w * dx
-        )
-        z[:, k] = reg.fit(ztarget).reshape(n, dim_w, dx)
+        # An increment that is exactly zero fits to +0.0, the initial z.
+        if centered.any():
+            ztarget = (centered[:, None, :] * dw[:, k, :, None] / dt).reshape(
+                n, dim_w * dx
+            )
+            z[:, k] = reg.fit(ztarget).reshape(n, dim_w, dx)
         grad_h = _policy_grad_hamiltonian(
             model, t, xk, yhat, yprime[:, k], z[:, k],
             lambda: ensemble.weights_at(k),

@@ -190,6 +190,18 @@ def _section(cfg, name):
     return _cast(cfg[name], name, _DEFAULTS[name])
 
 
+def _section_dataclass(cls, cfg, name, **extra):
+    """cls built from the cast `_DEFAULTS` section name, and extra.
+
+    Its ValueErrors start with the name of a field, which becomes the dotted
+    key.
+    """
+    try:
+        return cls(**_section(cfg, name), **extra)
+    except ValueError as exc:
+        _fail(f"{name}.{exc}")
+
+
 def _table_numbers(key, value):
     """Check each number in value, through lists and objects, with `_real`.
 
@@ -268,7 +280,7 @@ def build_experiment(cfg):
         n_paths = sim["n_paths"]
         if n_paths < 2:
             _fail(f"sim.n_paths must be >= 2, got {n_paths}")
-        basis = RegressionBasis(**_section(cfg, "basis"))
+        basis = _section_dataclass(RegressionBasis, cfg, "basis")
         # The feature count comb(dim_x + degree, degree) - 1 grows with the
         # degree, and exceeds n_paths at degree n_paths + 1 already, so it is
         # counted at no higher degree: the design would not fit in memory.
@@ -278,7 +290,7 @@ def build_experiment(cfg):
                 "basis.degree must give at most sim.n_paths = "
                 f"{n_paths} regression features, got {cfg['basis']['degree']!r}"
             )
-        msa_cfg = MsaConfig(**_section(cfg, "msa"), seed=seed)
+        msa_cfg = _section_dataclass(MsaConfig, cfg, "msa", seed=seed)
         init = _init_policy(cfg["init_policy"], model.n_atoms)
         table = getattr(init, "weights", None)  # a constant policy's rows
         allowed = {(1, model.n_atoms), (grid.n_steps, model.n_atoms)}

@@ -148,6 +148,16 @@ def test_rank_deficient_raises_without_ridge():
         )
 
 
+def test_rank_deficient_slice_raises_only_when_solved(rng):
+    # Every path at one state: singular without a ridge.  A path-constant
+    # target fits to its mean without the factorization; a varying one
+    # needs it, and raises.
+    reg = _SliceRegression(np.ones((50, 1)), RegressionBasis(degree=1, ridge=0.0))
+    assert np.array_equal(reg.fit(np.full(50, 2.0)), np.full(50, 2.0))
+    with pytest.raises(RankDeficient):
+        reg.fit(rng.standard_normal(50))
+
+
 def test_higher_degree_never_increases_residual(rng):
     states = rng.standard_normal((200, 1))
     targets = np.tanh(states[:, 0]) + 0.1 * rng.standard_normal(200)

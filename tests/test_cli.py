@@ -562,6 +562,29 @@ def test_value_that_escaped_as_a_traceback_is_config_error(
     assert not (out / "solve_summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("msa", "n_boot", 1e308, "must be at most 1000000"),
+        ("msa", "n_boot", 10**400, "must be at most 1000000"),
+        ("basis", "ridge", 1e308, "must be in [0, 1e+06]"),
+    ],
+    ids=["n-boot-1e308", "n-boot-400-digits", "ridge-1e308"],
+)
+def test_value_above_its_bound_is_config_error(
+    tmp_path, capsys, recwarn, section, key, value, message
+):
+    # A huge n_boot raised an uncaught ValueError (maximum allowed
+    # dimension exceeded) from the bootstrap; a huge ridge printed
+    # RuntimeWarnings and then failed as a non-finite regression design.
+    path = _entropic_config(tmp_path, section, key, value)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"{section}.{key} {message}" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_overflowing_regression_design_names_its_step(tmp_path, recwarn):
     # A drift of 1e308 gives finite states whose cubes overflow: the slice
     # fit used to turn NaN silently, with RuntimeWarnings from the design,

@@ -1,5 +1,6 @@
 """Hamiltonian evaluation, minimization, objective, and the solver loop."""
 
+import collections
 import csv
 import dataclasses
 import functools
@@ -24,8 +25,10 @@ from riskmp import (
     objective,
     sample_brownian,
     simulate_forward,
+    solve_adjoint_system,
 )
 from riskmp import cli, control, sde
+from riskmp.adjoint import MAX_RIDGE
 from riskmp.control import (
     _hamiltonian_atoms,
     _minimize_step,
@@ -327,12 +330,37 @@ def _collapsible_calls(site, n, rng):
                     calls.append(functools.partial(
                         _averaged_coefficients, model, 0.4, x, weights
                     ))
+    elif site == "backward":
+        # With a constant D, y' is path-constant, and so is y for these
+        # models under a constant policy.  n copies of 3.7 need not sum,
+        # divided by n, to 3.7: the last increment of y' is then not zero.
+        grid = build_time_grid(1.0, 4)
+        custom = model_from_tables(_CUSTOM_1D)
+        for model, policy in (
+            (_PORTFOLIO, MeasurePolicy.dirac(12, 31)),
+            (custom, MeasurePolicy.uniform(3)),
+        ):
+            driver = sample_brownian(grid, n, model.dim_w, seed=11)
+            ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
+            for value in (1.0, 3.7):
+                calls.append(functools.partial(
+                    _backward_solve, model, ens, np.full(n, value)
+                ))
     else:
         for row in _rows(rng, 31):
             w = np.broadcast_to(row, (n, 31))
             for weights in (w, np.ascontiguousarray(w)):
                 calls.append(lambda weights=weights: [policy_entropy(weights)])
     return calls
+
+
+def _backward_solve(model, ensemble, derivative_values):
+    """The four adjoints and both residual lists of the backward solves."""
+    adj = solve_adjoint_system(
+        model, ensemble, derivative_values, RegressionBasis(degree=2)
+    )
+    return [adj.y, adj.z, adj.yprime, adj.zprime,
+            np.array(adj.residuals_y), np.array(adj.residuals_yprime)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 4097])
@@ -357,6 +385,21 @@ def test_collapsed_evaluation_has_the_full_width_bits(monkeypatch, rng, site, n)
                 assert got.strides[0] == 0, site  # evaluated once, broadcast
         if site == "minimize_step":
             assert _step_means(*results) == _step_means(*full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 1000, 4097])
+def test_backward_fits_have_the_full_width_bits(monkeypatch, rng, n):
+    # A path-constant target fits to its mean without a factorization, and
+    # an increment that is exactly zero is not fitted; with the one
+    # predicate patched to False every target is solved in full.  Both must
+    # give the same bits, signed zeros included.
+    calls = _collapsible_calls("backward", n, rng)
+    collapsed = [call() for call in calls]
+    monkeypatch.setattr(sde, "_path_constant", lambda a: False)
+    for results, full in zip(collapsed, [call() for call in calls]):
+        for got, ref in zip(results, full):
+            assert got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def _solve_config(tmp_path, problem, risk, init_policy="uniform", **msa):
@@ -605,6 +648,49 @@ def test_msa_config_validation():
     cfg = MsaConfig()
     alphas = [cfg.alpha(k) for k in range(30)]
     assert all(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:]))
+
+
+def test_bootstrap_and_ridge_bounds():
+    assert MsaConfig(n_boot=control.MAX_N_BOOT).n_boot == control.MAX_N_BOOT
+    with pytest.raises(ValueError, match="n_boot must be at most"):
+        MsaConfig(n_boot=control.MAX_N_BOOT + 1)
+    assert RegressionBasis(ridge=MAX_RIDGE).ridge == MAX_RIDGE
+    with pytest.raises(ValueError, match="ridge must be in"):
+        RegressionBasis(ridge=np.nextafter(MAX_RIDGE, np.inf))
+
+
+@pytest.mark.parametrize(
+    "risk, risk_neutral",
+    [({"type": "expectation"}, True), ({"type": "entropic", "theta": 1.0}, False)],
+    ids=["risk-neutral", "entropic"],
+)
+def test_slice_designs_are_built_only_for_targets_that_vary(
+    tmp_path, monkeypatch, risk, risk_neutral
+):
+    # Every backward target and q* fit of the risk-neutral portfolio is
+    # path-constant, so no slice builds its design.  An entropic solve
+    # builds each step's once per iteration; basis.design, which a fitted
+    # policy calls in the forward pass, makes one design_rows call of its own.
+    path = _solve_config(tmp_path, {"type": "portfolio"}, risk)
+    exp = cli.build_experiment(cli.load_config(path))
+    model, grid = exp["model"], exp["grid"]
+    driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
+    calls = collections.Counter()
+    for name in ("design", "design_rows"):
+        method = getattr(RegressionBasis, name)
+        monkeypatch.setattr(
+            RegressionBasis, name,
+            lambda self, x, name=name, method=method:
+                calls.update([name]) or method(self, x),
+        )
+    _, report = msa_solve(
+        model, exp["risk"], exp["init"], exp["msa"], driver, exp["basis"], grid
+    )
+    if risk_neutral:
+        assert calls["design_rows"] == 0
+    else:
+        slice_designs = calls["design_rows"] - calls["design"]
+        assert slice_designs == report.n_iters * grid.n_steps > 0
 
 
 def test_msa_zero_cost_stays_at_zero():
