@@ -314,14 +314,16 @@ def _slice_regressions(ensemble, basis):
     return [_SliceRegression(x, basis, k, factors) for k, x in states.items()]
 
 
-def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
+def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
+                          out=None):
     """Backward estimate of the risk-adjustment pair (y', z').
 
     y'_T is pinned to the per-path derivative values; earlier slices regress
     those terminal values directly on the slice state (the conditional-mean
     estimator of the martingale), and z' projects the centered increment
     (D - y'_k) dW_k / dt on the same features.  slices optionally reuses
-    precomputed per-step regressions.
+    precomputed per-step regressions.  out, when given, holds step-major
+    yprime and zprime arrays of the shapes below, overwritten here.
 
     Returns:
       (yprime, zprime, residuals): shapes (n, K+1), (n, K, dim_w), both
@@ -338,8 +340,12 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None):
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
 
-    yprime = _step_major((n, n_steps + 1))
-    zprime = _step_major((n, n_steps, dim_w), np.zeros)
+    if out is None:
+        yprime = _step_major((n, n_steps + 1))
+        zprime = _step_major((n, n_steps, dim_w), np.zeros)
+    else:
+        yprime, zprime = out.yprime, out.zprime
+        zprime.fill(0.0)
     yprime[:, n_steps] = d
     residuals = [0.0] * n_steps
     for k in range(n_steps - 1, -1, -1):
@@ -382,14 +388,15 @@ def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, get_weights):
     return np.einsum("na,anl->nl", weights(), sum(terms[1:], terms[0]))
 
 
-def solve_adjoint(model, ensemble, yprime, basis, slices=None):
+def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None):
     """Backward regression solve of the adjoint pair (y, z).
 
     Terminal condition y_T = y'_T * grad g(x_T); going backward, z_k projects
     the centered increment of y on dW_k / dt and y_k adds the explicit
     state-gradient Hamiltonian drift, averaged under the ensemble's own policy
     weights, to the conditional mean of y_{k+1}.  slices optionally reuses
-    precomputed per-step regressions.
+    precomputed per-step regressions.  out, when given, holds step-major y
+    and z arrays of the shapes below, overwritten here.
 
     Returns:
       (y, z, residuals): shapes (n, K+1, dim_x), (n, K, dim_w, dim_x), both
@@ -403,8 +410,12 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None):
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
 
-    y = _step_major((n, n_steps + 1, dx))
-    z = _step_major((n, n_steps, dim_w, dx), np.zeros)
+    if out is None:
+        y = _step_major((n, n_steps + 1, dx))
+        z = _step_major((n, n_steps, dim_w, dx), np.zeros)
+    else:
+        y, z = out.y, out.z
+        z.fill(0.0)
     g_grad = np.broadcast_to(
         np.asarray(model.terminal_dx(ensemble.states[:, -1]), float), (n, dx)
     )
@@ -451,14 +462,19 @@ class AdjointProcesses:
     residuals_yprime: list
 
 
-def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None):
-    """Run both backward solves and package the four adjoint processes."""
+def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
+                         out=None):
+    """Run both backward solves and package the four adjoint processes.
+
+    out, when given, holds the yprime, zprime, y and z arrays the two
+    solves overwrite.
+    """
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
     yprime, zprime, res_p = solve_risk_adjustment(
-        ensemble, derivative_values, basis, slices
+        ensemble, derivative_values, basis, slices, out
     )
-    y, z, res_y = solve_adjoint(model, ensemble, yprime, basis, slices)
+    y, z, res_y = solve_adjoint(model, ensemble, yprime, basis, slices, out)
     return AdjointProcesses(
         y=y,
         z=z,

@@ -272,9 +272,11 @@ def build_experiment(cfg):
         )
 
         kind = cfg["risk"]["type"]
-        risk = getattr(RiskFunction, kind)(
-            **{**_RISKS[kind], **_cast(cfg["risk"], "risk", _RISKS[kind])}
-        )
+        values = {**_RISKS[kind], **_cast(cfg["risk"], "risk", _RISKS[kind])}
+        try:
+            risk = getattr(RiskFunction, kind)(**values)
+        except ValueError as exc:  # its message starts with the field name
+            _fail(f"risk.{exc}")
 
         grid = build_time_grid(horizon, sim["n_steps"])
         n_paths = sim["n_paths"]

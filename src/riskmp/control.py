@@ -27,6 +27,7 @@ from .risk import EmpiricalSample, bootstrap_standard_error, evaluate, l_derivat
 from .sde import (
     MeasurePolicy,
     _all_paths,
+    _step_major,
     coefficient_tables,
     convex_combine,
     simulate_forward,
@@ -279,6 +280,31 @@ class SolveReport:
         ]
 
 
+class _Workspace:
+    """One solve's per-path arrays, which every iteration overwrites.
+
+    The forward pass writes the step-major states and running cost and, for
+    a mixture policy, its kept weights as one (K, n, n_atoms) block; the
+    backward solves write y', z', y and z; each Hamiltonian step writes its
+    table, wstar and scratch into buffers.  A fresh set per iteration would
+    keep two iterations' arrays alive while the next forward pass runs, and
+    fault their pages in again each time.  The arrays are allocated here but
+    not touched, so a page that no iteration writes (the weights block of a
+    policy that stays constant) takes no memory.
+    """
+
+    def __init__(self, model, n_paths, n_steps):
+        n, dx, dw = n_paths, model.dim_x, model.dim_w
+        self.states = _step_major((n, n_steps + 1, dx))
+        self.running_cost = _step_major((n, n_steps + 1))
+        self.weights = np.empty((n_steps, n, model.n_atoms))
+        self.yprime = _step_major((n, n_steps + 1))
+        self.zprime = _step_major((n, n_steps, dw))
+        self.y = _step_major((n, n_steps + 1, dx))
+        self.z = _step_major((n, n_steps, dw, dx))
+        self.buffers = np.empty((3, model.n_atoms, n))
+
+
 def msa_solve(model, risk, init, cfg, driver, basis, grid):
     """Damped successive approximation of the coupled optimality system.
 
@@ -288,7 +314,9 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     fits the minimizing weights into a feedback policy q*, and updates
     pi <- (1 - alpha_k) pi + alpha_k q*.  Stops when the objective change
     drops below cfg.tol or after cfg.max_iters iterations, returning the
-    policy of the report's best_iter in the latter case.
+    policy of the report's best_iter in the latter case.  Every iteration
+    writes its per-path arrays into one _Workspace, in place: a fresh array
+    of this size can cost a page fault per 4 KB page each time.
 
     Returns:
       (policy, SolveReport)
@@ -296,20 +324,20 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     report = SolveReport()
     policies = [init]  # the policy simulated at each iteration
     n_steps = grid.n_steps
-    # Every step's table, wstar and scratch, written in place: a fresh array
-    # of this size can cost a page fault per 4 KB page each time.
-    buffers = np.empty((3, model.n_atoms, driver.n_paths))
+    ws = _Workspace(model, driver.n_paths, n_steps)
 
     for it in range(cfg.max_iters):
         policy = policies[-1]
-        ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
+        ens = simulate_forward(
+            model, policy, driver, grid, keep_weights=True, out=ws
+        )
         costs = total_cost(ens, model)
         sample = EmpiricalSample(costs)
         obj = evaluate(risk, sample)
         se = bootstrap_standard_error(risk, sample, cfg.n_boot, cfg.seed)
         deriv = l_derivative(risk, sample)
         slices = _slice_regressions(ens, basis)
-        adj = solve_adjoint_system(model, ens, deriv, basis, slices)
+        adj = solve_adjoint_system(model, ens, deriv, basis, slices, out=ws)
         mart = martingale_diagnostics(adj.yprime)
 
         gap_sum = 0.0
@@ -320,7 +348,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
             wstar, gap, change, entropy = _minimize_step(
                 model, grid.nodes[k], ens.states[:, k], adj.y[:, k],
                 adj.yprime[:, k], adj.z[:, k], ens.weights_at(k), cfg.eta,
-                buffers,
+                ws.buffers,
             )
             gap_sum += float(np.mean(gap))
             change_sum += float(np.mean(change)) / model.n_atoms

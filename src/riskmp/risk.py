@@ -37,6 +37,19 @@ _KINDS = (EXPECTATION, MEAN_DEVIATION, SMOOTHED_SEMIDEVIATION, ENTROPIC)
 # _TOL_SIGMA * (1 + |mean|) its derivative does not exist and is refused.
 _TOL_SIGMA = 1e-10
 
+# The largest beta.  It already weighs the deviation a millionfold over the
+# mean.  The derivative 1 + beta (X - mean) / deviation of mean_deviation,
+# and y' with it, grows like beta sqrt(n), so a larger beta only brings the
+# derivative and the squared sums of the backward solves nearer to overflow.
+MAX_BETA = 1e6
+
+# The largest epsilon.  The smoothed positive part eps softplus(u / eps) is
+# at least eps ln 2 on average (Jensen), so the risk holds a policy-free
+# offset of at least beta eps ln 2, which at epsilon = 1e308 overflows the
+# bootstrap standard error.  A width a millionfold over unit costs already
+# smooths away the risk aversion.
+MAX_EPSILON = 1e6
+
 
 @dataclass(frozen=True)
 class RiskFunction:
@@ -47,6 +60,9 @@ class RiskFunction:
       mean_deviation            mean + beta * L2-deviation
       smoothed_semideviation    mean + beta * E[(X - mean) smoothed-positive-part]
       entropic                  log E[exp(theta X)] / theta
+
+    beta is in (0, MAX_BETA] and epsilon in (0, MAX_EPSILON].  Each error
+    names the field it rejects.
     """
 
     kind: str
@@ -57,10 +73,18 @@ class RiskFunction:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown risk kind {self.kind!r}")
-        if self.kind in (MEAN_DEVIATION, SMOOTHED_SEMIDEVIATION) and self.beta <= 0.0:
-            raise ValueError("beta must be > 0")
-        if self.kind == SMOOTHED_SEMIDEVIATION and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
+        if self.kind in (MEAN_DEVIATION, SMOOTHED_SEMIDEVIATION) and not (
+            0.0 < self.beta <= MAX_BETA
+        ):
+            raise ValueError(
+                f"beta must be in (0, {MAX_BETA:g}], got {self.beta!r}"
+            )
+        if self.kind == SMOOTHED_SEMIDEVIATION and not (
+            0.0 < self.epsilon <= MAX_EPSILON
+        ):
+            raise ValueError(
+                f"epsilon must be in (0, {MAX_EPSILON:g}], got {self.epsilon!r}"
+            )
         if self.kind == ENTROPIC and self.theta <= 0.0:
             raise ValueError("theta must be > 0")
 

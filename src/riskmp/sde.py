@@ -469,7 +469,8 @@ _VANISHED_MASS = 1e-300
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
+def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms,
+                       out=None):
     """Mix a batch of clipped-affine weight maps, one row block at a time.
 
     Component c maps the raw features phi to pre-weights
@@ -482,7 +483,8 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
     _BLOCK_ELEMENTS elements, and each block is one matmul, an in-place
     intercept add and clip, one mass contraction and one mixing contraction
     with the normalization folded into the scales.  A vanished component row
-    spreads its scale uniformly over all n_atoms atoms.
+    spreads its scale uniformly over all n_atoms atoms.  out, an (n, n_atoms)
+    array, is zero-filled and receives the mixture when given.
     """
     phi = basis.design(states)
     n, m = phi.shape
@@ -498,7 +500,10 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms):
     raw_buf = np.empty((min(rows, n), n_comp * n_act))
     mass_buf = np.empty((min(rows, n), n_comp))
     mix_buf = np.empty((min(rows, n), n_act))
-    out = np.zeros((n, n_atoms))
+    if out is None:
+        out = np.zeros((n, n_atoms))
+    else:
+        out.fill(0.0)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         raw = np.matmul(phi[lo:hi], coef, out=raw_buf[: hi - lo])
@@ -537,9 +542,14 @@ class _MixturePolicy(MeasurePolicy):
         self.components = components
         self.n_atoms = n_atoms
 
-    def weights_at(self, k, t, states):
+    def weights_at(self, k, t, states, out=None):
+        """The step-k weights; out, an (n, n_atoms) array, receives them if given.
+
+        out is written only when some component depends on the state; the
+        weights of constant components alone are one broadcast row.
+        """
         row = None  # the constant components, summed
-        out = None  # the other components, summed
+        acc = None  # the other components, summed into out when given
         batches = {}
         for scale, comp in self.components:
             if isinstance(comp, _FittedComponent):
@@ -552,18 +562,22 @@ class _MixturePolicy(MeasurePolicy):
                 w = scale * comp.row(k)
                 row = w if row is None else row + w
             else:
-                w = scale * comp.weights_at(k, t, states)
-                out = w if out is None else out + w
+                w = comp.weights_at(k, t, states)
+                if acc is None:
+                    acc = np.multiply(scale, w, out=out)
+                else:
+                    acc += scale * w
         for basis, scales, intercepts, coefs in batches.values():
-            w = _eval_affine_batch(
-                basis, states, scales, intercepts, coefs, self.n_atoms
-            )
-            out = w if out is None else out + w
-        if out is None:
+            args = (basis, states, scales, intercepts, coefs, self.n_atoms)
+            if acc is None:
+                acc = _eval_affine_batch(*args, out=out)
+            else:
+                acc += _eval_affine_batch(*args)
+        if acc is None:
             return np.broadcast_to(row, (states.shape[0], self.n_atoms))
         if row is not None:
-            out += row
-        return out
+            acc += row
+        return acc
 
 
 def _mixture_terms(policy, scale):
@@ -640,7 +654,8 @@ def _averaged_coefficients(model, t, x, weights):
     return [np.einsum("na,an...->n...", weights, tabs[key]) for key in keys]
 
 
-def simulate_forward(model, policy, driver, grid, keep_weights=False):
+def simulate_forward(model, policy, driver, grid, keep_weights=False,
+                     out=None):
     """Euler-Maruyama integration of the measure-controlled state equation.
 
     Per step the update is
@@ -650,6 +665,12 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False):
     the increments, and the running cost accumulates sum_a w_a c(t_k, x_k, a) dt
     with the left-endpoint rule.  keep_weights stores the evaluated per-step
     weight arrays on the returned ensemble.
+
+    out, when given, holds the destinations, overwritten here: step-major
+    states (n, n_steps + 1, dim_x) and running_cost (n, n_steps + 1) arrays,
+    and a weights (n_steps, n, n_atoms) block into which a mixture policy's
+    kept weights are evaluated.  Other policies keep returning their own
+    arrays, such as a constant policy's broadcast row.
 
     Raises:
       NumericalBlowup: if any path hits a NaN/Inf state or cost.
@@ -663,17 +684,29 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False):
 
     n = driver.n_paths
     dt = grid.dt
-    x = _step_major((n, grid.n_steps + 1, model.dim_x))
-    xp = _step_major((n, grid.n_steps + 1), np.zeros)
+    if out is None:
+        x = _step_major((n, grid.n_steps + 1, model.dim_x))
+        xp = _step_major((n, grid.n_steps + 1), np.zeros)
+    else:
+        x, xp = out.states, out.running_cost
+        xp[:, 0] = 0.0
     x[:, 0] = model.initial(_path_stream(driver.seed, _INITIAL_STREAM), n)
     if not np.isfinite(x[:, 0]).all():
         raise NumericalBlowup(0, "initial state")
 
     kept = [] if keep_weights else None
+    into = (
+        out.weights
+        if out is not None and keep_weights and isinstance(policy, _MixturePolicy)
+        else None
+    )
     for k in range(grid.n_steps):
         t = grid.nodes[k]
         xk = x[:, k]
-        w = policy.weights_at(k, t, xk)
+        if into is None:
+            w = policy.weights_at(k, t, xk)
+        else:
+            w = policy.weights_at(k, t, xk, into[k])
         if isinstance(policy, _MixturePolicy):
             # Convex combinations of clipped, renormalized fits, of constant
             # rows checked when built and of rules checked when evaluated:

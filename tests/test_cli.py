@@ -585,6 +585,34 @@ def test_value_above_its_bound_is_config_error(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "config, key, value, message",
+    [
+        ("custom_linear", "epsilon", 1e308, "must be in (0, 1e+06]"),
+        ("custom_linear", "beta", 1e308, "must be in (0, 1e+06]"),
+        ("portfolio_mean_deviation", "beta", 1e308, "must be in (0, 1e+06]"),
+    ],
+    ids=["epsilon-1e308", "semideviation-beta-1e308", "mean-deviation-beta-1e308"],
+)
+def test_risk_value_above_its_bound_is_config_error(
+    tmp_path, capsys, recwarn, config, key, value, message
+):
+    # A huge epsilon exited 0 with an infinite final_objective_se; a huge
+    # beta printed RuntimeWarnings and then failed as a non-finite adjoint.
+    with open(os.path.join(CONFIGS, f"{config}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sim"].update(n_steps=3, n_paths=50)
+    cfg["msa"].update(max_iters=2, n_boot=20)
+    cfg["risk"][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert f"risk.{key} {message}" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_overflowing_regression_design_names_its_step(tmp_path, recwarn):
     # A drift of 1e308 gives finite states whose cubes overflow: the slice
     # fit used to turn NaN silently, with RuntimeWarnings from the design,

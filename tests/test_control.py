@@ -20,6 +20,7 @@ from riskmp import (
     RegressionBasis,
     RiskFunction,
     build_time_grid,
+    convex_combine,
     merton_allocation,
     msa_solve,
     objective,
@@ -38,7 +39,8 @@ from riskmp.control import (
 )
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
 from riskmp.models import model_from_tables, sign_volatility_model
-from riskmp.sde import _averaged_coefficients
+from riskmp.risk import EmpiricalSample, l_derivative
+from riskmp.sde import _averaged_coefficients, total_cost
 
 from conftest import TABLE_LAYOUTS, _constant_2d_model, make_model
 
@@ -754,3 +756,120 @@ def test_msa_tie_mixing_recovers_mixed_volatility_control():
     w = pol.weights_at(0, 0.0, np.zeros((4, 1)))
     np.testing.assert_allclose(w, 0.5, atol=1e-12)
     assert all(r.objective == 0.0 for r in report.records)
+
+
+# ------------------------------------------------------- per-solve workspace
+
+def _workspace_policy(model, n_steps, rng):
+    """A mixture of uniform weights and three fitted components on two
+    bases, so the kernel mixes two basis batches."""
+    n_atoms = model.n_atoms
+    policy = MeasurePolicy.uniform(n_atoms)
+    for degree, alpha in ((2, 0.5), (3, 0.4), (2, 0.3)):
+        basis = RegressionBasis(degree=degree)
+        steps = [
+            (rng.normal(0.1, 0.3, n_atoms), rng.normal(0.0, 0.3, (degree, n_atoms)))
+            for _ in range(n_steps)
+        ]
+        policy = convex_combine(
+            policy, MeasurePolicy.fitted(steps, basis, n_atoms), alpha
+        )
+    assert len(policy.components) == 4
+    return policy
+
+
+def _run_into(model, policy, driver, grid, risk, out=None):
+    """The ensemble and adjoints of one forward and backward pass."""
+    ens = simulate_forward(model, policy, driver, grid, keep_weights=True, out=out)
+    deriv = l_derivative(risk, EmpiricalSample(total_cost(ens, model)))
+    adj = solve_adjoint_system(
+        model, ens, deriv, RegressionBasis(degree=2), out=out
+    )
+    return ens, adj
+
+
+@pytest.mark.parametrize(
+    "risk", [RiskFunction.expectation(), RiskFunction.entropic(1.0)],
+    ids=["expectation", "entropic"],
+)
+@pytest.mark.parametrize("problem", ["portfolio", "custom"])
+def test_workspace_runs_have_the_fresh_allocation_bits(problem, risk):
+    # Every array of a workspace starts as NaN, so an entry the passes do
+    # not write (the running cost at step 0, the zeros of z' and z where an
+    # increment is exactly zero, the kernel's zero fill) shows.
+    if problem == "portfolio":
+        model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
+    else:
+        model = model_from_tables(_CUSTOM_1D)
+    grid = build_time_grid(1.0, 6)
+    driver = sample_brownian(grid, 300, model.dim_w, seed=41)
+    policy = _workspace_policy(model, grid.n_steps, np.random.default_rng(5))
+    ws = control._Workspace(model, driver.n_paths, grid.n_steps)
+    for a in vars(ws).values():
+        a.fill(np.nan)
+
+    fresh_ens, fresh_adj = _run_into(model, policy, driver, grid, risk)
+    ens, adj = _run_into(model, policy, driver, grid, risk, out=ws)
+    pairs = [
+        (ens.states, fresh_ens.states, ws.states),
+        (ens.running_cost, fresh_ens.running_cost, ws.running_cost),
+        (np.stack(ens.policy_weights), np.stack(fresh_ens.policy_weights), None),
+        (adj.yprime, fresh_adj.yprime, ws.yprime),
+        (adj.zprime, fresh_adj.zprime, ws.zprime),
+        (adj.y, fresh_adj.y, ws.y),
+        (adj.z, fresh_adj.z, ws.z),
+    ]
+    for got, ref, dest in pairs:
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        if dest is not None:
+            assert got is dest
+    assert all(
+        np.shares_memory(w, ws.weights[k]) for k, w in enumerate(ens.policy_weights)
+    )
+    assert adj.residuals_y == fresh_adj.residuals_y
+    assert adj.residuals_yprime == fresh_adj.residuals_yprime
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
+    # Once the policy is a mixture, its kept weights are evaluated into the
+    # workspace's block.  The backward solves write one set of adjoints.
+    passes, solves = [], []
+    forward, backward = control.simulate_forward, control.solve_adjoint_system
+
+    def spy_forward(model, policy, *args, **kwargs):
+        ens = forward(model, policy, *args, **kwargs)
+        passes.append((
+            isinstance(policy, sde._MixturePolicy),
+            _address(ens.states),
+            _address(ens.running_cost),
+            _address(ens.policy_weights[0]),
+        ))
+        return ens
+
+    def spy_backward(*args, **kwargs):
+        adj = backward(*args, **kwargs)
+        solves.append(tuple(
+            _address(a) for a in (adj.yprime, adj.zprime, adj.y, adj.z)
+        ))
+        return adj
+
+    monkeypatch.setattr(control, "simulate_forward", spy_forward)
+    monkeypatch.setattr(control, "solve_adjoint_system", spy_backward)
+    model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
+    grid = build_time_grid(1.0, 5)
+    driver = sample_brownian(grid, 400, 1, seed=13)
+    _, report = msa_solve(
+        model, RiskFunction.entropic(1.0), MeasurePolicy.uniform(7),
+        MsaConfig(max_iters=5, tol=0.0, n_boot=20), driver,
+        RegressionBasis(degree=2), grid,
+    )
+    assert len(passes) == report.n_iters == 5
+    assert len({(states, cost) for _, states, cost, _ in passes}) == 1
+    mixed = {weights for mixture, *_, weights in passes if mixture}
+    assert sum(mixture for mixture, *_ in passes) >= 3 and len(mixed) == 1
+    assert len(solves) == 5 and len(set(solves)) == 1

@@ -174,6 +174,38 @@ def test_mixture_kernel_matches_per_component_formula(
         _check_rows(w)
 
 
+@pytest.mark.parametrize(
+    "parts", [("fitted",), ("fitted", "constant"), ("rule", "fitted", "constant"),
+              ("rule",), ("constant",)],
+)
+def test_mixture_weights_into_out_have_the_fresh_bits(parts):
+    # out starts as NaN, so an entry the evaluation does not write shows.
+    # Two bases give two kernel batches; a rule is evaluated on its own.
+    rng = np.random.default_rng(17)
+    n, n_atoms = 700, 5
+    comps = []
+    if "rule" in parts:
+        comps.append(_rule(n_atoms))
+    if "fitted" in parts:
+        comps += [
+            _fitted(rng, RegressionBasis(degree=d), n_atoms, 2) for d in (2, 3, 2)
+        ] + [_fitted(rng, RegressionBasis(degree=1), n_atoms, 2, vanish=True)]
+    if "constant" in parts:
+        comps.append(_constant(rng, n_atoms, 2))
+    scales = rng.random(len(comps)) + 0.05
+    policy = _MixturePolicy(list(zip(scales / scales.sum(), comps)), n_atoms)
+    states = rng.normal(0.0, 1.5, (n, 1))
+    for k in range(2):
+        fresh = policy.weights_at(k, 0.0, states)
+        out = np.full((n, n_atoms), np.nan)
+        w = policy.weights_at(k, 0.0, states, out=out)
+        assert w.tobytes() == fresh.tobytes()
+        if parts == ("constant",):
+            assert w.strides[0] == 0 and np.isnan(out).all()
+        else:
+            assert w is out
+
+
 def test_kernel_uniform_fallback_rows():
     basis = RegressionBasis(degree=1)
     states = np.array([[-2.0], [0.5], [2.0]])

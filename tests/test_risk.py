@@ -16,7 +16,7 @@ from riskmp import (
     evaluate,
     l_derivative,
 )
-from riskmp.risk import _evaluate_rows, _softplus
+from riskmp.risk import MAX_BETA, MAX_EPSILON, _evaluate_rows, _softplus
 from riskmp.sde import _BLOCK_ELEMENTS
 
 from conftest import python_in_subprocess
@@ -343,3 +343,14 @@ def test_sample_validation():
         RiskFunction.mean_deviation(-1.0)
     with pytest.raises(ValueError):
         RiskFunction.smoothed_semideviation(0.5, 0.0)
+
+
+def test_beta_and_epsilon_bounds():
+    RiskFunction.mean_deviation(MAX_BETA)
+    RiskFunction.smoothed_semideviation(MAX_BETA, MAX_EPSILON)
+    with pytest.raises(ValueError, match="beta must be in"):
+        RiskFunction.mean_deviation(np.nextafter(MAX_BETA, np.inf))
+    with pytest.raises(ValueError, match="beta must be in"):
+        RiskFunction.smoothed_semideviation(1e308, 0.1)
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        RiskFunction.smoothed_semideviation(0.5, np.nextafter(MAX_EPSILON, np.inf))
