@@ -13,9 +13,9 @@ backward recursions estimate
 Centering the increment targets is what makes the risk-neutral case collapse
 exactly: constant D fits with zero residual, so z' vanishes identically
 instead of inheriting O(1/sqrt(n dt)) regression noise.  A path-constant
-target (sde._path_constant) fits to its mean with zero coefficients, and a
-slice is factorized only once some target varies over paths, so a
-risk-neutral solve of the Merton portfolio factorizes none.
+target (sde._path_constant) fits to its mean with zero coefficients, and
+each slice is factorized on its own first fit of a target that varies over
+paths, so a risk-neutral solve of the Merton portfolio factorizes none.
 
 Regressions work feature-major: a slice stores its standardized design as
 one C-ordered (features, paths) array and copies each target block into
@@ -146,51 +146,20 @@ def _factorize(states, basis, step):
 
 
 def _design_may_overflow(basis, states):
-    """Whether the factorization of one of the states could be non-finite.
+    """Whether the factorization of one slice's states could be non-finite.
 
-    states is a list of (n, dim_x) arrays.  No monomial exceeds
+    states is an (n, dim_x) array.  No monomial exceeds
     B = max(1, |x|)^degree, for |x| the largest state size, and then no
     mean, centered entry, squared sum, scale or Gram entry of _factorize
-    exceeds 4 n B^2.  So the factorizations are finite when 8 n B^2 is, a
+    exceeds 4 n B^2.  So the factorization is finite when 8 n B^2 is, a
     factor 2 spare for rounding, which needs no design.  NaN states fail
     the test.
     """
     if basis.degree == 0:
         return False
-    n = states[0].shape[0]
-    size = np.max([a for x in states for a in (x.max(), -x.min())])
+    n = states.shape[0]
+    size = max(states.max(), -states.min())
     return not size <= (sys.float_info.max / (8 * n)) ** (0.5 / basis.degree)
-
-
-class _Factorizations:
-    """The factorizations of a solve's slices, all built when one is first read.
-
-    states maps each step to its states, in step order.  The slices are
-    factorized in that order, so NumericalBlowup(step, "regression design")
-    and RankDeficient name the first step that fails, as a build of every
-    slice up front would.  States whose design may overflow
-    (_design_may_overflow) are factorized at once, so a design that is not
-    finite raises at the same step whether or not a slice is solved.
-    Otherwise a solve whose targets are all path-constant builds none.
-    """
-
-    def __init__(self, basis, states):
-        self._basis = basis
-        self._states = states
-        self._built = None
-        if _design_may_overflow(basis, list(states.values())):
-            self._build()
-
-    def _build(self):
-        self._built = {
-            k: _factorize(x, self._basis, k) for k, x in self._states.items()
-        }
-        self._states = None
-
-    def __getitem__(self, step):
-        if self._built is None:
-            self._build()
-        return self._built[step]
 
 
 class _SliceRegression:
@@ -199,27 +168,31 @@ class _SliceRegression:
     The standardized design is stored feature-major, as one C-ordered (m, n)
     array, and targets are solved as (r, n) rows, so every mean, scale, Gram
     entry and right-hand side is a sum along a contiguous row of paths.  The
-    factorization is built on first use (_Factorizations), by the first
-    target that varies over paths: a path-constant one (sde._path_constant)
-    fits to its mean with zero coefficients and needs none.  factors shares
-    the factorizations of a solve's slices; by default the slice has its
-    own.
+    slice is factorized on first use, by the first target that varies over
+    paths: a path-constant one (sde._path_constant) fits to its mean with
+    zero coefficients and needs none.  States whose design may overflow
+    (_design_may_overflow) are factorized at once, so a design that is not
+    finite raises NumericalBlowup(step, "regression design") whether or not
+    the slice is solved.
     """
 
-    def __init__(self, states, basis, step=None, factors=None):
+    def __init__(self, states, basis, step=None):
         states = np.asarray(states, dtype=float)
         self.n = states.shape[0]
         dim_x = 1 if states.ndim == 1 else states.shape[1]
         self.m = math.comb(dim_x + basis.degree, basis.degree) - 1  # features
-        self._step = step
-        self._factors = (
-            _Factorizations(basis, {step: states}) if factors is None else factors
-        )
+        self._states, self._basis, self._step = states, basis, step
+        if _design_may_overflow(basis, states):
+            self._factors  # factorized now, so a non-finite design raises here
 
-    _phi_rows = property(lambda self: self._factors[self._step][0])
-    _mu = property(lambda self: self._factors[self._step][1])
-    _scale = property(lambda self: self._factors[self._step][2])
-    _solve_mat = property(lambda self: self._factors[self._step][3])
+    @functools.cached_property
+    def _factors(self):
+        return _factorize(self._states, self._basis, self._step)
+
+    _phi_rows = property(lambda self: self._factors[0])
+    _mu = property(lambda self: self._factors[1])
+    _scale = property(lambda self: self._factors[2])
+    _solve_mat = property(lambda self: self._factors[3])
 
     def _means(self, t, columns):
         """Means over all n paths of the given columns of (n, r) targets t.
@@ -299,19 +272,20 @@ class _SliceRegression:
 
 
 def _slice_regressions(ensemble, basis):
-    """One least-squares slice per interior time slice, factorized lazily.
+    """One least-squares slice per interior time slice, in step order.
 
-    The first fit of a target that varies over paths factorizes every slice,
-    in step order, or this call does when the states are large enough that
-    a design could overflow (_Factorizations).
+    Each slice is factorized on its first fit of a target that varies over
+    paths, or here when its states are large enough that its design could
+    overflow (_SliceRegression).
 
     Raises (here or from that fit):
       NumericalBlowup: at the first step whose design or Gram matrix is not
         finite.
     """
-    states = {k: ensemble.states[:, k] for k in range(ensemble.grid.n_steps)}
-    factors = _Factorizations(basis, states)
-    return [_SliceRegression(x, basis, k, factors) for k, x in states.items()]
+    return [
+        _SliceRegression(ensemble.states[:, k], basis, k)
+        for k in range(ensemble.grid.n_steps)
+    ]
 
 
 def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,

@@ -194,16 +194,22 @@ def objective(model, risk, policy, driver, grid):
 # under 0.1%, so more buy nothing.
 MAX_N_BOOT = 1_000_000
 
+# The largest relative tie tolerance.  At 1e6 an atom already ties unless
+# its H exceeds H_min by a millionfold of 1 + |H_min|, and a larger eta
+# only brings eta * (1 + |H_min|) nearer to overflow.
+MAX_ETA = 1e6
+
 
 @dataclass(frozen=True)
 class MsaConfig:
     """Iteration controls for msa_solve.
 
     The damping schedule is alpha_k = damping_base / (1 + k / damping_scale),
-    nonincreasing in k.  eta is the relative Hamiltonian tie tolerance, tol
-    the convergence threshold on the objective change, and seed drives the
-    n_boot bootstrap resamples, 2 to MAX_N_BOOT, whose standard errors the
-    report records.  Each error names the field it rejects first.
+    nonincreasing in k.  eta is the relative Hamiltonian tie tolerance, at
+    most MAX_ETA, tol the convergence threshold on the objective change,
+    and seed drives the n_boot bootstrap resamples, 2 to MAX_N_BOOT, whose
+    standard errors the report records.  Each error names the field it
+    rejects first.
     """
 
     max_iters: int = 25
@@ -221,8 +227,8 @@ class MsaConfig:
             raise ValueError("damping_base must be in (0, 1]")
         if self.damping_scale <= 0.0:
             raise ValueError("damping_scale must be > 0")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be > 0")
+        if not 0.0 < self.eta <= MAX_ETA:
+            raise ValueError(f"eta must be in (0, {MAX_ETA:g}], got {self.eta!r}")
         if self.tol < 0.0:
             raise ValueError("tol must be >= 0")
         if self.n_boot < 2:

@@ -28,9 +28,19 @@ __all__ = [
 ]
 
 
+# The largest initial log-wealth size |x0|.  A log-wealth step of about
+# 0.04 falls below one ulp of x0 well before 1e100 (a run from x0 = 1e100
+# ends in DegenerateSample), and at 1e308 the risk of -x_T overflows its
+# squares; one ulp of 1e6 is 1.2e-10.
+MAX_X0 = 1e6
+
+
 @dataclass(frozen=True)
 class PortfolioParams:
-    """Market and constraint parameters of the allocation problem."""
+    """Market and constraint parameters of the allocation problem.
+
+    x0 is the initial log-wealth, at most MAX_X0 in size.
+    """
 
     r: float = 0.02
     mu: float = 0.08
@@ -46,6 +56,10 @@ class PortfolioParams:
             raise InvalidBounds("sigma must be > 0")
         if self.horizon <= 0.0:
             raise InvalidBounds("horizon must be > 0")
+        if not -MAX_X0 <= self.x0 <= MAX_X0:
+            raise InvalidBounds(
+                f"x0 must be in [-{MAX_X0:g}, {MAX_X0:g}], got {self.x0!r}"
+            )
         if not (0.0 < self.phi_low < self.phi_high and math.isfinite(self.phi_high)):
             raise InvalidBounds(
                 "phi_low and phi_high need 0 < phi_low < phi_high < inf, "

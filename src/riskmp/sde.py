@@ -719,12 +719,15 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
         if keep_weights:
             kept.append(w)
         bbar, sbar, cbar = _averaged_coefficients(model, t, xk, w)
-        x[:, k + 1] = (
-            xk
-            + bbar * dt
-            + np.einsum("nij,nj->ni", sbar, driver.increments[:, k])
-        )
-        xp[:, k + 1] = xp[:, k] + cbar * dt
+        # An update that overflows is caught by the checks below, which
+        # raise NumericalBlowup instead of letting RuntimeWarnings through.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x[:, k + 1] = (
+                xk
+                + bbar * dt
+                + np.einsum("nij,nj->ni", sbar, driver.increments[:, k])
+            )
+            xp[:, k + 1] = xp[:, k] + cbar * dt
         if not np.isfinite(x[:, k + 1]).all():
             raise NumericalBlowup(k + 1, "state")
         if not np.isfinite(xp[:, k + 1]).all():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from riskmp import (
     BrownianDriver,
     MeasurePolicy,
+    NumericalBlowup,
     RankDeficient,
     RegressionBasis,
     build_time_grid,
@@ -20,6 +22,7 @@ from riskmp import (
     solve_adjoint_system,
     solve_risk_adjustment,
 )
+from riskmp import adjoint
 from riskmp.adjoint import _norm, _SliceRegression
 from riskmp.models import model_from_tables
 from riskmp.portfolio import PortfolioParams, build_portfolio_model
@@ -156,6 +159,57 @@ def test_rank_deficient_slice_raises_only_when_solved(rng):
     assert np.array_equal(reg.fit(np.full(50, 2.0)), np.full(50, 2.0))
     with pytest.raises(RankDeficient):
         reg.fit(rng.standard_normal(50))
+
+
+def _spied_slices(monkeypatch, states):
+    """The slices of step-major (K, n, 1) states, and the steps factorized.
+
+    The slices are _slice_regressions at degree 1, and the list of steps
+    grows by one each time adjoint._factorize runs.
+    """
+    factorized = []
+    factorize = adjoint._factorize
+
+    def spy(x, basis, step):
+        factorized.append(step)
+        return factorize(x, basis, step)
+
+    monkeypatch.setattr(adjoint, "_factorize", spy)
+    ensemble = types.SimpleNamespace(
+        states=np.swapaxes(states, 0, 1),
+        grid=types.SimpleNamespace(n_steps=states.shape[0]),
+    )
+    slices = adjoint._slice_regressions(ensemble, RegressionBasis(degree=1))
+    return slices, factorized
+
+
+def test_a_varying_fit_factorizes_its_own_slice_only(rng, monkeypatch):
+    slices, factorized = _spied_slices(
+        monkeypatch, rng.standard_normal((4, 100, 1))
+    )
+    assert factorized == []
+    slices[1].fit(np.full(100, 3.0))  # path-constant: no factorization
+    slices[2].fit(rng.standard_normal(100))
+    slices[2].fit_coefficients(rng.standard_normal((100, 2)))
+    assert factorized == [2]
+
+
+def test_states_whose_design_may_overflow_are_factorized_when_built(
+    rng, monkeypatch
+):
+    # At degree 1 and 100 paths, _design_may_overflow flags states above
+    # sqrt(max float / 800) = 4.7e152; at 5e152 the design is still finite.
+    states = rng.uniform(-1.0, 1.0, (4, 100, 1))
+    states[1] = states[3] = np.linspace(-5e152, 5e152, 100)[:, None]
+    slices, factorized = _spied_slices(monkeypatch, states)
+    assert factorized == [1, 3]
+    assert np.isfinite(slices[3].fit(rng.standard_normal(100))).all()
+    assert factorized == [1, 3]
+    states[2] *= 1e200  # its squares overflow, and so does step 3's design
+    states[3] *= 1e100
+    with pytest.raises(NumericalBlowup) as info:
+        _spied_slices(monkeypatch, states)
+    assert info.value.step == 2
 
 
 def test_higher_degree_never_increases_residual(rng):

@@ -522,9 +522,9 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, overrides, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
-def _entropic_config(tmp_path, section, key, value):
-    """configs/portfolio_entropic.json at 50 paths, with one value replaced."""
-    with open(os.path.join(CONFIGS, "portfolio_entropic.json")) as fh:
+def _shrunk_config(tmp_path, config, section, key, value):
+    """configs/<config>.json at 50 paths and 3 steps, with one value replaced."""
+    with open(os.path.join(CONFIGS, f"{config}.json")) as fh:
         cfg = json.load(fh)
     cfg["sim"].update(n_steps=3, n_paths=50)
     cfg["msa"].update(max_iters=2, n_boot=20)
@@ -532,6 +532,11 @@ def _entropic_config(tmp_path, section, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _entropic_config(tmp_path, section, key, value):
+    """configs/portfolio_entropic.json at 50 paths, with one value replaced."""
+    return _shrunk_config(tmp_path, "portfolio_entropic", section, key, value)
 
 
 @pytest.mark.parametrize(
@@ -624,6 +629,50 @@ def test_overflowing_regression_design_names_its_step(tmp_path, recwarn):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "NumericalBlowup"
     assert record["message"] == "non-finite regression design at time step 1"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "config, section, key, value, message",
+    [
+        ("custom_linear", "msa", "eta", 1e308, "must be in (0, 1e+06]"),
+        ("portfolio_mean_deviation", "problem", "x0", 1e308,
+         "must be in [-1e+06, 1e+06]"),
+        ("portfolio_mean_deviation", "problem", "x0", -1e308,
+         "must be in [-1e+06, 1e+06]"),
+        ("portfolio_entropic", "problem", "x0", 1e308,
+         "must be in [-1e+06, 1e+06]"),
+        ("portfolio_riskneutral", "problem", "x0", -1e308,
+         "must be in [-1e+06, 1e+06]"),
+    ],
+    ids=[
+        "eta-1e308", "mean-deviation-x0-1e308", "mean-deviation-x0--1e308",
+        "entropic-x0-1e308", "riskneutral-x0--1e308",
+    ],
+)
+def test_run_value_above_its_bound_is_config_error(
+    tmp_path, capsys, recwarn, config, section, key, value, message
+):
+    # A huge eta exited 0 after an overflow warning from the tie tolerance
+    # eta * (1 + |H_min|); a huge x0 printed overflow warnings from the
+    # mean-deviation risk and then failed as a non-finite regression design.
+    path = _shrunk_config(tmp_path, config, section, key, value)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"{section}.{key} {message}" in capsys.readouterr().err
+    assert not (out / "solve_summary.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_time_step_is_a_state_blowup(tmp_path, recwarn):
+    # A horizon of 1e308 over 3 steps overflows the drift term of the Euler
+    # update, which printed a RuntimeWarning before the state check raised.
+    path = _shrunk_config(tmp_path, "custom_linear", "problem", "horizon", 1e308)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalBlowup"
+    assert record["message"] == "non-finite state at time step 2"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

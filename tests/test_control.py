@@ -642,8 +642,10 @@ def test_msa_config_validation():
         MsaConfig(max_iters=0)
     with pytest.raises(ValueError):
         MsaConfig(damping_base=1.5)
-    with pytest.raises(ValueError):
-        MsaConfig(eta=0.0)
+    assert MsaConfig(eta=control.MAX_ETA).eta == control.MAX_ETA
+    for eta in (0.0, np.nextafter(control.MAX_ETA, np.inf), np.nan):
+        with pytest.raises(ValueError, match="eta must be in"):
+            MsaConfig(eta=eta)
     for n_boot in (-1, 0, 1):
         with pytest.raises(ValueError, match="n_boot"):
             MsaConfig(n_boot=n_boot)

@@ -26,7 +26,7 @@ from riskmp import (
     total_cost,
     validate_gradients,
 )
-from riskmp.portfolio import PortfolioParams
+from riskmp.portfolio import MAX_X0, PortfolioParams
 
 PARAMS = PortfolioParams()
 
@@ -79,6 +79,11 @@ def test_bounds_validation():
         PortfolioParams(sigma=0.0)
     with pytest.raises(InvalidBounds):
         build_portfolio_model(PARAMS, 1)
+    for x0 in (-MAX_X0, 0.0, MAX_X0):
+        assert PortfolioParams(x0=x0).x0 == x0
+    for x0 in (np.nextafter(MAX_X0, np.inf), -1e308, np.nan):
+        with pytest.raises(InvalidBounds, match="x0 must be in"):
+            PortfolioParams(x0=x0)
 
 
 # ------------------------------------------------------------------- merton
