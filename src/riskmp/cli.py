@@ -246,6 +246,33 @@ def _portfolio_params(problem):
         _fail(f"problem.{exc}")
 
 
+# The most elements one path array of a solve may hold.  The largest arrays a
+# solve allocates hold a value per path and time node for each atom (the kept
+# policy weights) or for each of dim_x * dim_w entries (the adjoint z).  At
+# 2**30 float64 such an array takes 8 GiB, and a solve holds several at once,
+# so a larger run cannot finish in memory; far larger ones failed inside numpy
+# with errors that named no config key.
+MAX_PATH_ARRAY_ELEMENTS = 2**30
+
+
+def _check_sim_sizes(sim, width, width_key):
+    """Reject too few steps or paths, and path arrays past their bound.
+
+    width is the values per path and time node, named width_key.
+    """
+    n_steps, n_paths = sim["n_steps"], sim["n_paths"]
+    if n_steps < 1:
+        _fail(f"sim.n_steps must be >= 1, got {n_steps}")
+    if n_paths < 2:
+        _fail(f"sim.n_paths must be >= 2, got {n_paths}")
+    if n_paths * (n_steps + 1) * width > MAX_PATH_ARRAY_ELEMENTS:
+        _fail(
+            f"sim.n_paths * (sim.n_steps + 1) * {width_key} must be at most "
+            f"{MAX_PATH_ARRAY_ELEMENTS} path-array elements, got "
+            f"{n_paths} * {n_steps + 1} * {width}"
+        )
+
+
 def build_experiment(cfg):
     """Instantiate model, grid, driver, risk, basis, and policies from config.
 
@@ -259,6 +286,9 @@ def build_experiment(cfg):
         params = None
         if problem["type"] == "portfolio":
             params = _portfolio_params(problem)
+            if sim["n_actions"] < 2:
+                _fail(f"sim.n_actions must be >= 2, got {sim['n_actions']}")
+            _check_sim_sizes(sim, sim["n_actions"], "sim.n_actions")
             model = build_portfolio_model(params, sim["n_actions"])
         elif problem["type"] == "example1":
             model = sign_volatility_model()
@@ -266,6 +296,9 @@ def build_experiment(cfg):
             model = on_off_volatility_model()
         else:
             model = model_from_tables(_custom_tables(problem))
+        if params is None:
+            width = max(model.n_atoms, model.dim_x * model.dim_w)
+            _check_sim_sizes(sim, width, "max(atoms, dim_x * dim_w)")
         horizon = (
             params.horizon if params
             else _real("problem.horizon", problem.get("horizon", 1.0))
@@ -280,8 +313,6 @@ def build_experiment(cfg):
 
         grid = build_time_grid(horizon, sim["n_steps"])
         n_paths = sim["n_paths"]
-        if n_paths < 2:
-            _fail(f"sim.n_paths must be >= 2, got {n_paths}")
         basis = _section_dataclass(RegressionBasis, cfg, "basis")
         # The feature count comb(dim_x + degree, degree) - 1 grows with the
         # degree, and exceeds n_paths at degree n_paths + 1 already, so it is

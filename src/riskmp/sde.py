@@ -359,7 +359,14 @@ class MeasurePolicy:
 
     n_atoms: int
 
-    def weights_at(self, k, t, states):
+    def weights_at(self, k, t, states, out=None):
+        """Checked step-k (n, n_atoms) weights at the (n, dim_x) states.
+
+        Each policy checks the weights it makes, so callers check nothing.
+        It may write them into out, an (n, n_atoms) array, or return its own
+        array, such as a constant policy's broadcast row.  A fault at step k
+        raises InvalidPolicyWeights or NumericalBlowup(k, "policy weights").
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -442,7 +449,7 @@ class _ConstantPolicy(MeasurePolicy):
     def row(self, k):
         return self.weights[k] if self.weights.shape[0] > 1 else self.weights[0]
 
-    def weights_at(self, k, t, states):
+    def weights_at(self, k, t, states, out=None):
         return np.broadcast_to(self.row(k), (states.shape[0], self.n_atoms))
 
 
@@ -451,7 +458,7 @@ class _RulePolicy(MeasurePolicy):
         self.rule = rule
         self.n_atoms = n_atoms
 
-    def weights_at(self, k, t, states):
+    def weights_at(self, k, t, states, out=None):
         w = np.asarray(self.rule(k, t, states), dtype=float)
         w = np.broadcast_to(w, (states.shape[0], self.n_atoms))
         _check_weight_rows(w, f"feedback policy, step {k}", step=k)
@@ -546,7 +553,8 @@ class _MixturePolicy(MeasurePolicy):
         """The step-k weights; out, an (n, n_atoms) array, receives them if given.
 
         out is written only when some component depends on the state; the
-        weights of constant components alone are one broadcast row.
+        weights of constant components alone are one broadcast row.  Other
+        components' weights must sum to a finite total.
         """
         row = None  # the constant components, summed
         acc = None  # the other components, summed into out when given
@@ -575,6 +583,12 @@ class _MixturePolicy(MeasurePolicy):
                 acc += _eval_affine_batch(*args)
         if acc is None:
             return np.broadcast_to(row, (states.shape[0], self.n_atoms))
+        # Convex combinations of clipped, renormalized fits, of constant rows
+        # checked when built and of rules checked when evaluated: only a
+        # non-finite coefficient can spoil them, and finite weights lie in
+        # [0, 1], so it shows in the total.
+        if not math.isfinite(np.add.reduce(acc, axis=None)):
+            raise NumericalBlowup(k, "policy weights")
         if row is not None:
             acc += row
         return acc
@@ -664,13 +678,13 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
     i.e. coefficients are averaged against the step's measure before touching
     the increments, and the running cost accumulates sum_a w_a c(t_k, x_k, a) dt
     with the left-endpoint rule.  keep_weights stores the evaluated per-step
-    weight arrays on the returned ensemble.
+    weight arrays on the returned ensemble.  The weights come checked from
+    the policy (MeasurePolicy.weights_at), whose errors pass through.
 
     out, when given, holds the destinations, overwritten here: step-major
     states (n, n_steps + 1, dim_x) and running_cost (n, n_steps + 1) arrays,
-    and a weights (n_steps, n, n_atoms) block into which a mixture policy's
-    kept weights are evaluated.  Other policies keep returning their own
-    arrays, such as a constant policy's broadcast row.
+    and a weights (n_steps, n, n_atoms) block whose slice k each step offers
+    the policy when the weights are kept.  Only a mixture writes it.
 
     Raises:
       NumericalBlowup: if any path hits a NaN/Inf state or cost.
@@ -695,27 +709,11 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
         raise NumericalBlowup(0, "initial state")
 
     kept = [] if keep_weights else None
-    into = (
-        out.weights
-        if out is not None and keep_weights and isinstance(policy, _MixturePolicy)
-        else None
-    )
+    into = out.weights if out is not None and keep_weights else None
     for k in range(grid.n_steps):
         t = grid.nodes[k]
         xk = x[:, k]
-        if into is None:
-            w = policy.weights_at(k, t, xk)
-        else:
-            w = policy.weights_at(k, t, xk, into[k])
-        if isinstance(policy, _MixturePolicy):
-            # Convex combinations of clipped, renormalized fits, of constant
-            # rows checked when built and of rules checked when evaluated:
-            # only a non-finite coefficient can spoil them, and finite
-            # weights lie in [0, 1], so it shows in the total.
-            if not math.isfinite(np.add.reduce(w, axis=None)):
-                raise NumericalBlowup(k, "policy weights")
-        else:
-            _check_weight_rows(w, f"step {k}", step=k)
+        w = policy.weights_at(k, t, xk, None if into is None else into[k])
         if keep_weights:
             kept.append(w)
         bbar, sbar, cbar = _averaged_coefficients(model, t, xk, w)

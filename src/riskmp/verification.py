@@ -29,6 +29,7 @@ from .portfolio import (
     brute_force_constant_policy,
     build_portfolio_model,
     merton_allocation,
+    risk_premium,
 )
 from .risk import (
     EmpiricalSample,
@@ -394,6 +395,50 @@ def portfolio_adjoint_identity(adj):
     )
 
 
+def _entropic_allocation(params, theta):
+    """phi* = (mu - r) / ((1 + theta) sigma^2), clipped to the bounds: the
+    optimal allocation under entropic risk of -log N_T."""
+    phi = (params.mu - params.r) / ((1.0 + theta) * params.sigma**2)
+    return float(np.clip(phi, params.phi_low, params.phi_high))
+
+
+def _half_spacing(model):
+    return 0.5 * float(np.diff(model.action_grid[:, 0]).max())
+
+
+def entropic_allocation_closed_form(params, theta, model, ensemble):
+    """Each step's path-mean allocation sum_a w_a phi_a is within half an atom
+    spacing of the entropic optimum phi*."""
+    atoms = model.action_grid[:, 0]
+    target = _entropic_allocation(params, theta)
+    worst = max(
+        abs(float((ensemble.weights_at(k) @ atoms).mean()) - target)
+        for k in range(ensemble.grid.n_steps)
+    )
+    tol = _half_spacing(model)
+    return _result(
+        "entropic_allocation_closed_form",
+        worst <= tol,
+        f"worst |mean phi - phi*| {worst:.4f}, phi* {target:.4f}, tol {tol:.4f}",
+    )
+
+
+def entropic_premium_closed_form(params, theta, model, phi, adj):
+    """Under a constant allocation phi, the entropic y' is the exponential
+    martingale of -theta sigma phi W, so iota = sigma z' / y' = -theta
+    sigma^2 phi.  Each step's path-mean iota is within sigma^2 times half an
+    atom spacing of it, the premium error of half a spacing in phi."""
+    target = -theta * params.sigma**2 * phi
+    iota = risk_premium(adj.yprime, adj.zprime, params.sigma).mean(axis=0)
+    worst = float(np.abs(iota - target).max())
+    tol = params.sigma**2 * _half_spacing(model)
+    return _result(
+        "entropic_premium_closed_form",
+        worst <= tol,
+        f"worst |mean iota - iota*| {worst:.5f}, iota* {target:.4f}, tol {tol:.5f}",
+    )
+
+
 def _verify_adjoints():
     params = PortfolioParams()
     model = build_portfolio_model(params, 15)
@@ -420,11 +465,13 @@ def _verify_adjoints():
     ens3 = simulate_forward(model31, MeasurePolicy.dirac(atom, 31), wide, grid50)
     deriv3 = l_derivative(risk, EmpiricalSample(total_cost(ens3, model31)))
     adj3 = solve_adjoint_system(model31, ens3, deriv3, RegressionBasis(degree=2))
+    phi = float(model31.action_grid[atom, 0])
     return [
         collapse,
         martingale_property(adj.yprime),
         positive_risk_adjustment(adj.yprime),
         portfolio_adjoint_identity(adj3),
+        entropic_premium_closed_form(params, 1.0, model31, phi, adj3),
     ]
 
 
@@ -526,6 +573,7 @@ CHECKS = (
             "martingale_diagnostics",
             "positive_risk_adjustment",
             "portfolio_adjoint_identity",
+            "entropic_premium_closed_form",
         ),
         lambda rng: _verify_adjoints(),
     ),

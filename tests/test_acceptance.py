@@ -34,7 +34,10 @@ from riskmp import (
 from riskmp.cli import main as cli_main
 from riskmp.portfolio import PortfolioParams, build_portfolio_model, merton_allocation
 from riskmp.verification import (
+    _entropic_allocation,
     derivative_fd,
+    entropic_allocation_closed_form,
+    entropic_premium_closed_form,
     example1_mixed_volatility,
     example2_perturbation_bound,
     martingale_property,
@@ -255,6 +258,46 @@ def test_criterion_09_risk_aware_optimality(setup, mean_dev_run, entropic_run):
     ok &= worst_sigma <= 3.0
     details.append(f"entropic table worst dev {worst_sigma:.2f} SE")
     _conclude(9, "risk-aware optimality vs oracle", ok, "; ".join(details))
+
+
+# The paper's risk premium in closed form, on the entropic fixtures.  These
+# are checks beside the ten criteria, not an eleventh one.
+
+def test_entropic_allocation_matches_closed_form(setup, entropic_run):
+    result = entropic_allocation_closed_form(
+        setup["params"], entropic_run["risk"].theta, setup["model"],
+        entropic_run["ensemble"],
+    )
+    assert result.passed, result.detail
+
+
+def test_entropic_premium_matches_closed_form(
+    setup, entropic_run, wide_entropic_adjoint
+):
+    params, theta = setup["params"], entropic_run["risk"].theta
+    result = entropic_premium_closed_form(
+        params, theta, setup["model"], _entropic_allocation(params, theta),
+        wide_entropic_adjoint["adjoint"],
+    )
+    assert result.passed, result.detail
+
+
+def test_entropic_objective_matches_closed_form(setup, entropic_run):
+    # The entropic risk of -x_T under the constant allocation phi* is
+    # -x0 - (r + (mu - r) phi* - sigma^2 phi*^2 / 2) T + theta sigma^2 phi*^2 T / 2.
+    params, theta = setup["params"], entropic_run["risk"].theta
+    phi = _entropic_allocation(params, theta)
+    drift = params.r + (params.mu - params.r) * phi - 0.5 * params.sigma**2 * phi**2
+    closed = (
+        -params.x0
+        - drift * params.horizon
+        + 0.5 * theta * params.sigma**2 * phi**2 * params.horizon
+    )
+    last = entropic_run["report"].records[-1]
+    assert abs(last.objective - closed) <= 2.0 * last.objective_se, (
+        f"objective {last.objective:.6f} vs closed form {closed:.6f}, "
+        f"SE {last.objective_se:.1e}"
+    )
 
 
 def test_criterion_10_byte_identical_solves(tmp_path):

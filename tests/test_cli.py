@@ -664,6 +664,42 @@ def test_run_value_above_its_bound_is_config_error(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "config, key, value, message",
+    [
+        ("portfolio_entropic", "n_steps", 0, "must be >= 1"),
+        ("portfolio_entropic", "n_steps", 1e18, "must be at most"),
+        ("portfolio_entropic", "n_steps", 10**400, "must be at most"),
+        ("custom_linear", "n_steps", 1e18, "must be at most"),
+        ("portfolio_entropic", "n_paths", 1e18, "must be at most"),
+        ("portfolio_entropic", "n_paths", 10**400, "must be at most"),
+        ("custom_linear", "n_paths", 10**400, "must be at most"),
+        ("portfolio_entropic", "n_actions", 1, "must be >= 2"),
+        ("portfolio_entropic", "n_actions", 1e308, "must be at most"),
+        ("portfolio_entropic", "n_actions", 10**400, "must be at most"),
+    ],
+    ids=[
+        "n-steps-0", "n-steps-1e18", "n-steps-400-digits", "custom-n-steps-1e18",
+        "n-paths-1e18", "n-paths-400-digits", "custom-n-paths-400-digits",
+        "n-actions-1", "n-actions-1e308", "n-actions-400-digits",
+    ],
+)
+def test_sim_size_out_of_range_is_config_error(
+    tmp_path, capsys, recwarn, config, key, value, message
+):
+    # Huge sizes raised an uncaught MemoryError or ValueError from numpy
+    # (np.linspace in the time grid, the Brownian driver), or exited 2 with
+    # an error naming no key, as did a zero step count and a single atom.
+    # Every value here is rejected before anything is allocated.
+    path = _shrunk_config(tmp_path, config, "sim", key, value)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"sim.{key}" in err and message in err
+    assert not (out / "solve_summary.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_overflowing_time_step_is_a_state_blowup(tmp_path, recwarn):
     # A horizon of 1e308 over 3 steps overflows the drift term of the Euler
     # update, which printed a RuntimeWarning before the state check raised.
@@ -714,7 +750,7 @@ def test_verify_command_passes_and_emits_table(tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "name,passed,detail"
     rows = lines[2:]
-    assert len(rows) == 26
+    assert len(rows) == 27
     assert [row.split(",")[0] for row in rows] == [
         name for check in CHECKS for name in check.names
     ]

@@ -254,6 +254,56 @@ def test_nan_fitted_coefficient_is_caught_at_its_step():
     assert (err.value.step, err.value.what) == (2, "policy weights")
 
 
+def test_nan_fitted_coefficient_is_caught_outside_a_forward_pass():
+    # The mixture checks its own weights, so a blend toward a q with a NaN
+    # coefficient stops at that step, not one step later in the state.
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 8, 1, seed=4)
+    ens = simulate_forward(model, MeasurePolicy.uniform(2), driver, grid)
+    steps = [(np.array([0.5, 0.5]), np.array([[0.1, -0.1]])) for _ in range(4)]
+    steps[2] = (steps[2][0], np.array([[np.nan, 0.0]]))
+    q = MeasurePolicy.fitted(steps, RegressionBasis(degree=1), 2)
+    with pytest.raises(NumericalBlowup) as err:
+        simulate_variational(model, ens, q)
+    assert (err.value.step, err.value.what) == (2, "policy weights")
+
+
+def _count_weight_checks(monkeypatch):
+    calls = []
+    check = sde._check_weight_rows
+
+    def spy(w, where, step=None):
+        calls.append(step)
+        return check(w, where, step)
+
+    monkeypatch.setattr(sde, "_check_weight_rows", spy)
+    return calls
+
+
+def test_forward_pass_checks_no_constant_weights(monkeypatch):
+    # Constant rows are checked once, when the policy is built.
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 8, 1, seed=4)
+    for policy in (MeasurePolicy.uniform(2), MeasurePolicy.constant([[0.3, 0.7]] * 4)):
+        calls = _count_weight_checks(monkeypatch)
+        simulate_forward(model, policy, driver, grid)
+        assert calls == []
+
+
+def test_forward_pass_checks_feedback_weights_once_per_step(monkeypatch):
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 8, 1, seed=4)
+    policy = MeasurePolicy.feedback(
+        lambda k, t, x: np.where(x > 0.0, [0.2, 0.8], [0.6, 0.4]), 2
+    )
+    calls = _count_weight_checks(monkeypatch)
+    simulate_forward(model, policy, driver, grid)
+    assert calls == [0, 1, 2, 3]
+
+
 # -------------------------------------------------------------- total cost
 
 def test_total_cost_terminal_state_only():
