@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -25,12 +26,7 @@ import numpy as np
 from . import __version__
 from .adjoint import RegressionBasis, martingale_diagnostics, solve_adjoint_system
 from .control import IterationRecord, MsaConfig, msa_solve, policy_entropy
-from .errors import (
-    ConfigInvalid,
-    InvalidBounds,
-    NonPositiveAdjustment,
-    RiskmpError,
-)
+from .errors import ConfigInvalid, NonPositiveAdjustment, NumericalBlowup, RiskmpError
 from .models import (
     CUSTOM_TABLE_KEYS,
     model_from_tables,
@@ -49,36 +45,53 @@ from .sde import (
 )
 from .verification import run_checks
 
-# The config schema.  Every key a config may set is listed here; anything
-# else is a typo that would change config_hash without changing the run, so
-# load_config rejects it.  load_config fills in the `_DEFAULTS` sections, so
-# their values are part of the effective config and its hash; problem and
-# risk defaults are applied only when the experiment is built.
-_DEFAULTS = {
-    "sim": {"n_steps": 50, "n_paths": 20_000, "n_actions": 31},
-    "basis": {f.name: f.default for f in dataclasses.fields(RegressionBasis)},
-    "msa": {
-        f.name: f.default for f in dataclasses.fields(MsaConfig) if f.name != "seed"
+
+def _fields(cls, *skip):
+    """The defaults of dataclass cls's fields, but skip's."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# The config schema: every key a config may set, so that a typo, which would
+# change config_hash without changing the run, is an error.  A key's entry is
+# its default, whose type is the key's kind: an int is a count (`_integer`), a
+# float a real number (`_real`), anything else a number table
+# (`_table_numbers`).  A required key's entry is its kind itself, list for a
+# table; an optional table's entry is None, its default the constructor's.
+# An object's entry holds its own keys.  problem, risk and init_policy hold
+# one object per type, and the string "uniform" is the init_policy of uniform
+# weights.  Ranges are the constructors' to check.  load_config fills in the
+# sim, basis and msa defaults, so they enter config_hash; the others are
+# filled in when the experiment is built.
+_SCHEMA = {
+    "seed": int,
+    "sim": {"n_steps": 50, "n_paths": 20_000},
+    "basis": _fields(RegressionBasis),
+    "msa": _fields(MsaConfig, "seed"),
+    "problem": {
+        "portfolio": _fields(PortfolioParams),
+        "example1": {"horizon": 1.0},
+        "example2": {"horizon": 1.0},
+        "custom": {"horizon": 1.0, **CUSTOM_TABLE_KEYS},
     },
+    "risk": {
+        "expectation": {},
+        "mean_deviation": {"beta": 0.5},
+        "smoothed_semideviation": {"beta": 0.5, "epsilon": 0.1},
+        "entropic": {"theta": 1.0},
+    },
+    "init_policy": {"dirac": {"atom": int}, "constant": {"weights": list}},
 }
-# Problem types and their keys.  The portfolio takes its defaults from
-# PortfolioParams; the other problems default only `horizon`, to 1.0.
-_PORTFOLIO_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PortfolioParams)}
-_PROBLEMS = {
-    "portfolio": set(_PORTFOLIO_DEFAULTS),
-    "example1": {"horizon"},
-    "example2": {"horizon"},
-    "custom": {"horizon", *CUSTOM_TABLE_KEYS},
-}
-# Risk types, each a RiskFunction constructor, with its parameters' defaults.
-_BETA = {"beta": 0.5}
-_RISKS = {
-    "expectation": {},
-    "mean_deviation": _BETA,
-    "smoothed_semideviation": {**_BETA, "epsilon": 0.1},
-    "entropic": {"theta": 1.0},
-}
-_INIT_POLICY_KEYS = {"dirac": {"atom"}, "constant": {"weights"}}
+# The keys a problem type adds to other sections: only the portfolio reads a
+# count of allocation atoms.
+_PROBLEM_KEYS = {"portfolio": {"sim": {"n_actions": 31}}}
+_TYPED = ("problem", "risk", "init_policy")
+# The section of each key name, "" at the top level.  No name is in two
+# sections, so a constructor's error that starts with a name is that key's.
+_SECTION_OF = {"seed": ""}
+for _name, _section in [*_SCHEMA.items(), *_PROBLEM_KEYS["portfolio"].items()]:
+    if isinstance(_section, dict):
+        for _keys in _section.values() if _name in _TYPED else [_section]:
+            _SECTION_OF.update(dict.fromkeys(_keys, _name))
 
 
 def config_hash(cfg):
@@ -89,70 +102,6 @@ def config_hash(cfg):
 
 def _fail(msg):
     raise ConfigInvalid(msg)
-
-
-def _type_of(section):
-    """The "type" of a config section when it is a string, else None.
-
-    A list or object would be unhashable, so it must not reach a lookup in
-    a dict of types.
-    """
-    kind = section.get("type") if isinstance(section, dict) else None
-    return kind if isinstance(kind, str) else None
-
-
-def _check_keys(section, allowed, where):
-    """Reject a non-object section or any key outside allowed."""
-    if not isinstance(section, dict):
-        _fail(f"{where} must be an object")
-    for key in sorted(set(section) - set(allowed)):
-        _fail(f"unknown config key '{where + '.' if where else ''}{key}'")
-
-
-def _check_known_keys(cfg):
-    _check_keys(cfg, {"problem", "risk", "init_policy", "seed", *_DEFAULTS}, "")
-    for name, defaults in _DEFAULTS.items():
-        _check_keys(cfg.get(name, {}), defaults, name)
-    problem = cfg["problem"]
-    _check_keys(problem, {"type"} | _PROBLEMS[problem["type"]], "problem")
-    if problem["type"] == "custom":
-        for name, allowed in CUSTOM_TABLE_KEYS.items():
-            if allowed is not None and name in problem:
-                _check_keys(problem[name], allowed, f"problem.{name}")
-    risk = cfg["risk"]
-    _check_keys(risk, {"type", *_RISKS[risk["type"]]}, "risk")
-    init = cfg["init_policy"]
-    if _type_of(init) in _INIT_POLICY_KEYS:
-        allowed = {"type"} | _INIT_POLICY_KEYS[init["type"]]
-        _check_keys(init, allowed, "init_policy")
-
-
-def load_config(path, seed_override=None):
-    """Parse, default-fill, and validate an experiment configuration."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        _fail(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        _fail(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        _fail("config root must be an object")
-
-    cfg.setdefault("init_policy", "uniform")
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
-    if "seed" not in cfg:
-        _fail("config must set an explicit seed")
-
-    for name, kinds in (("problem", _PROBLEMS), ("risk", _RISKS)):
-        if _type_of(cfg.get(name)) not in kinds:
-            _fail(f"{name}.type must be one of {tuple(kinds)}")
-    _check_known_keys(cfg)
-
-    for name, defaults in _DEFAULTS.items():
-        cfg[name] = {**defaults, **cfg.get(name, {})}
-    return cfg
 
 
 def _integer(key, value):
@@ -174,76 +123,108 @@ def _real(key, value):
     return float(value)
 
 
-_CASTS = {int: _integer, float: _real}
-
-
-def _cast(section, where, defaults):
-    """section without its type, each value cast to the type of its default."""
-    return {
-        k: _CASTS[type(defaults[k])](f"{where}.{k}", v)
-        for k, v in section.items() if k != "type"
-    }
-
-
-def _section(cfg, name):
-    """A filled-in `_DEFAULTS` section, cast by `_cast`."""
-    return _cast(cfg[name], name, _DEFAULTS[name])
-
-
-def _section_dataclass(cls, cfg, name, **extra):
-    """cls built from the cast `_DEFAULTS` section name, and extra.
-
-    Its ValueErrors start with the name of a field, which becomes the dotted
-    key.
-    """
-    try:
-        return cls(**_section(cfg, name), **extra)
-    except ValueError as exc:
-        _fail(f"{name}.{exc}")
-
-
 def _table_numbers(key, value):
-    """Check each number in value, through lists and objects, with `_real`.
+    """value, each number in it, through lists, checked with `_real`.
 
     problem.growth.pbar3 may also be +inf, as a number or as the string
     "inf" or "Infinity".
     """
-    if isinstance(value, dict):
-        for sub, item in value.items():
-            _table_numbers(f"{key}.{sub}", item)
-    elif isinstance(value, list):
+    if isinstance(value, list):
         for item in value:
             _table_numbers(key, item)
     elif not (
         key == "problem.growth.pbar3" and value in ("inf", "Infinity", math.inf)
     ):
         _real(key, value)
+    return value
 
 
-def _custom_tables(problem):
-    """The custom problem with integer dims and finite numbers in its tables.
+# The kind of a key: how its value is cast.  A str entry is a type, which
+# `_entries` has checked.
+_KINDS = {int: _integer, float: _real, str: lambda key, value: value}
 
-    The growth exponent pbar3 may also be +inf.
+
+def _entries(cfg):
+    """The schema of cfg: its problem, risk and init_policy types' entries."""
+    if not isinstance(cfg, dict):
+        _fail("config root must be an object")
+    entries = dict(_SCHEMA)
+    for name in _TYPED:
+        section, types = cfg.get(name), _SCHEMA[name]
+        if name == "init_policy" and section == "uniform":
+            entries[name] = section
+            continue
+        # A list or object "type" is unhashable: test it before the lookup.
+        kind = section.get("type") if isinstance(section, dict) else None
+        if not isinstance(kind, str) or kind not in types:
+            _fail(f"{name}.type must be one of {tuple(types)}")
+        entries[name] = {"type": kind, **types[kind]}
+    for name, keys in _PROBLEM_KEYS.get(cfg["problem"]["type"], {}).items():
+        entries[name] = {**entries[name], **keys}
+    return entries
+
+
+def _walk(given, entries, where=""):
+    """given's values, each cast by its kind, with the defaults filled in.
+
+    A non-object, an unknown key and a missing required key are errors that
+    name their dotted key.  An object that is not given is left out.
     """
-    dims = {
-        k: _integer(f"problem.{k}", problem[k])
-        for k in ("dim_x", "dim_w") if k in problem
-    }
-    for k, value in problem.items():
-        if k in CUSTOM_TABLE_KEYS and k not in dims:
-            _table_numbers(f"problem.{k}", value)
-    return {**problem, **dims}
+    if not isinstance(given, dict):
+        _fail(f"{where} must be an object")
+    prefix = f"{where}." if where else ""
+    for key in sorted(set(given) - set(entries)):
+        _fail(f"unknown config key '{prefix}{key}'")
+    values = {}
+    for key, entry in entries.items():
+        if key in given and isinstance(entry, dict):
+            values[key] = _walk(given[key], entry, prefix + key)
+        elif key in given:
+            kind = entry if isinstance(entry, type) else type(entry)
+            values[key] = _KINDS.get(kind, _table_numbers)(prefix + key, given[key])
+        elif isinstance(entry, type):
+            _fail(f"missing config key '{prefix}{key}'")
+        elif isinstance(entry, (int, float, str)):
+            values[key] = entry
+    return values
 
 
-def _portfolio_params(problem):
-    """PortfolioParams of a portfolio problem.
+def load_config(path, seed_override=None):
+    """Parse, default-fill, and validate an experiment configuration."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        _fail(f"cannot read config: {exc}")
+    except json.JSONDecodeError as exc:
+        _fail(f"config is not valid JSON: {exc}")
+    if isinstance(cfg, dict):
+        cfg.setdefault("init_policy", "uniform")
+        if seed_override is not None:
+            cfg["seed"] = int(seed_override)
+    entries = _entries(cfg)
+    _walk(cfg, entries)
+    for name in ("sim", "basis", "msa"):
+        cfg[name] = {**entries[name], **cfg.get(name, {})}
+    return cfg
 
-    Its errors start with the name of a field, which becomes the dotted key.
+
+def _build(key, make, *args, **kwargs):
+    """make(*args, **kwargs), with its error a ConfigInvalid naming keys.
+
+    A message that starts with a key name (a field name, dotted for a
+    sub-key) is about that key's section, and each of that section's key
+    names in it becomes a dotted key; any other message is key's.
     """
     try:
-        return PortfolioParams(**_cast(problem, "problem", _PORTFOLIO_DEFAULTS))
-    except InvalidBounds as exc:
-        _fail(f"problem.{exc}")
+        return make(*args, **kwargs)
+    except (RiskmpError, ValueError) as exc:
+        msg = str(exc)
+        section = _SECTION_OF.get(re.match(r"\w*", msg)[0])
+        if section is None:
+            _fail(f"{key}: {msg}")
+        names = "|".join(k for k, s in _SECTION_OF.items() if s == section)
+        _fail(re.sub(rf"\b({names})\b", rf"{section}.\1", msg) if section else msg)
 
 
 # The most elements one path array of a solve may hold.  The largest arrays a
@@ -255,16 +236,9 @@ def _portfolio_params(problem):
 MAX_PATH_ARRAY_ELEMENTS = 2**30
 
 
-def _check_sim_sizes(sim, width, width_key):
-    """Reject too few steps or paths, and path arrays past their bound.
-
-    width is the values per path and time node, named width_key.
-    """
+def _check_path_arrays(sim, width, width_key):
+    """Reject path arrays past their bound; width values per path and node."""
     n_steps, n_paths = sim["n_steps"], sim["n_paths"]
-    if n_steps < 1:
-        _fail(f"sim.n_steps must be >= 1, got {n_steps}")
-    if n_paths < 2:
-        _fail(f"sim.n_paths must be >= 2, got {n_paths}")
     if n_paths * (n_steps + 1) * width > MAX_PATH_ARRAY_ELEMENTS:
         _fail(
             f"sim.n_paths * (sim.n_steps + 1) * {width_key} must be at most "
@@ -276,66 +250,52 @@ def _check_sim_sizes(sim, width, width_key):
 def build_experiment(cfg):
     """Instantiate model, grid, driver, risk, basis, and policies from config.
 
-    Raises ConfigInvalid on any invalid parameter, including feasibility
-    violations of the problem's growth exponents.
+    Each value is cast by its kind and checked by the constructor it is
+    passed to, before anything is allocated for the paths.  Raises
+    ConfigInvalid, naming the key at fault, on any invalid value, including
+    infeasible growth exponents.
     """
-    problem = cfg["problem"]
-    try:
-        sim = _section(cfg, "sim")
-        seed = _integer("seed", cfg["seed"])
-        params = None
-        if problem["type"] == "portfolio":
-            params = _portfolio_params(problem)
-            if sim["n_actions"] < 2:
-                _fail(f"sim.n_actions must be >= 2, got {sim['n_actions']}")
-            _check_sim_sizes(sim, sim["n_actions"], "sim.n_actions")
-            model = build_portfolio_model(params, sim["n_actions"])
-        elif problem["type"] == "example1":
+    values = _walk(cfg, _entries(cfg))
+    sim, problem, risk = values["sim"], values["problem"], values["risk"]
+    n_paths = sim["n_paths"]
+    if n_paths < 2:
+        _fail(f"sim.n_paths must be >= 2, got {n_paths}")
+    kind = problem.pop("type")
+    params = None
+    if kind == "portfolio":
+        params = _build("problem", PortfolioParams, **problem)
+        _check_path_arrays(sim, sim["n_actions"], "sim.n_actions")
+        model = _build("sim.n_actions", build_portfolio_model, params, sim["n_actions"])
+    else:
+        if kind == "custom":
+            model = _build("problem", model_from_tables, problem)
+        elif kind == "example1":
             model = sign_volatility_model()
-        elif problem["type"] == "example2":
-            model = on_off_volatility_model()
         else:
-            model = model_from_tables(_custom_tables(problem))
-        if params is None:
-            width = max(model.n_atoms, model.dim_x * model.dim_w)
-            _check_sim_sizes(sim, width, "max(atoms, dim_x * dim_w)")
-        horizon = (
-            params.horizon if params
-            else _real("problem.horizon", problem.get("horizon", 1.0))
+            model = on_off_volatility_model()
+        width = max(model.n_atoms, model.dim_x * model.dim_w)
+        _check_path_arrays(sim, width, "max(atoms, dim_x * dim_w)")
+    risk = _build("risk", getattr(RiskFunction, risk.pop("type")), **risk)
+    grid = _build("sim.n_steps", build_time_grid, problem["horizon"], sim["n_steps"])
+    basis = _build("basis", RegressionBasis, **values["basis"])
+    # The feature count comb(dim_x + degree, degree) - 1 grows with the
+    # degree, and exceeds n_paths at degree n_paths + 1 already, so it is
+    # counted at no higher degree: the design would not fit in memory.
+    degree = min(basis.degree, n_paths + 1)
+    if math.comb(model.dim_x + degree, degree) - 1 > n_paths:
+        _fail(
+            "basis.degree must give at most sim.n_paths = "
+            f"{n_paths} regression features, got {cfg['basis']['degree']!r}"
         )
-
-        kind = cfg["risk"]["type"]
-        values = {**_RISKS[kind], **_cast(cfg["risk"], "risk", _RISKS[kind])}
-        try:
-            risk = getattr(RiskFunction, kind)(**values)
-        except ValueError as exc:  # its message starts with the field name
-            _fail(f"risk.{exc}")
-
-        grid = build_time_grid(horizon, sim["n_steps"])
-        n_paths = sim["n_paths"]
-        basis = _section_dataclass(RegressionBasis, cfg, "basis")
-        # The feature count comb(dim_x + degree, degree) - 1 grows with the
-        # degree, and exceeds n_paths at degree n_paths + 1 already, so it is
-        # counted at no higher degree: the design would not fit in memory.
-        degree = min(basis.degree, n_paths + 1)
-        if math.comb(model.dim_x + degree, degree) - 1 > n_paths:
-            _fail(
-                "basis.degree must give at most sim.n_paths = "
-                f"{n_paths} regression features, got {cfg['basis']['degree']!r}"
-            )
-        msa_cfg = _section_dataclass(MsaConfig, cfg, "msa", seed=seed)
-        init = _init_policy(cfg["init_policy"], model.n_atoms)
-        table = getattr(init, "weights", None)  # a constant policy's rows
-        allowed = {(1, model.n_atoms), (grid.n_steps, model.n_atoms)}
-        if table is not None and table.shape not in allowed:
-            _fail(
-                f"init_policy.weights must be 1 or {grid.n_steps} rows of "
-                f"{model.n_atoms} atoms, got shape {table.shape}"
-            )
-    except RiskmpError as exc:
-        raise ConfigInvalid(str(exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad configuration value: {exc}") from exc
+    msa_cfg = _build("msa", MsaConfig, **values["msa"], seed=values["seed"])
+    init = _init_policy(values["init_policy"], model.n_atoms)
+    table = getattr(init, "weights", None)  # a constant policy's rows
+    allowed = {(1, model.n_atoms), (grid.n_steps, model.n_atoms)}
+    if table is not None and table.shape not in allowed:
+        _fail(
+            f"init_policy.weights must be 1 or {grid.n_steps} rows of "
+            f"{model.n_atoms} atoms, got shape {table.shape}"
+        )
 
     if model.growth is not None:
         report = check_feasibility(model.growth)
@@ -352,24 +312,17 @@ def build_experiment(cfg):
         "msa": msa_cfg,
         "init": init,
         "n_paths": n_paths,
-        "seed": seed,
+        "seed": values["seed"],
     }
 
 
 def _init_policy(spec, n_atoms):
+    """The initial policy of a cast init_policy, on n_atoms."""
     if spec == "uniform":
         return MeasurePolicy.uniform(n_atoms)
-    if isinstance(spec, dict) and spec.get("type") == "dirac":
-        atom = spec["atom"]
-        if isinstance(atom, bool) or not isinstance(atom, int):
-            _fail(f"init_policy.atom must be an integer, got {atom!r}")
-        try:
-            return MeasurePolicy.dirac(atom, n_atoms)
-        except ValueError as exc:
-            _fail(f"init_policy.atom: {exc}")
-    if isinstance(spec, dict) and spec.get("type") == "constant":
-        return MeasurePolicy.constant(spec["weights"])
-    _fail(f"unsupported init_policy {spec!r}")
+    if spec["type"] == "dirac":
+        return _build("init_policy.atom", MeasurePolicy.dirac, spec["atom"], n_atoms)
+    return _build("init_policy.weights", MeasurePolicy.constant, spec["weights"])
 
 
 # ------------------------------------------------------------------ file IO
@@ -431,24 +384,20 @@ def cmd_simulate(exp, out_dir, stamp):
     ens = simulate_forward(model, exp["init"], driver, grid)
     costs = total_cost(ens, model)
 
-    rows = []
-    for k in range(grid.n_steps + 1):
-        xk = ens.states[:, k]
-        row = [k, float(grid.nodes[k])]
-        for i in range(model.dim_x):
-            row += [float(xk[:, i].mean()), float(xk[:, i].std())]
-        row.append(float(ens.running_cost[:, k].mean()))
-        rows.append(row)
-    header = ["step", "time"]
-    for i in range(model.dim_x):
-        header += [f"x{i}_mean", f"x{i}_std"]
-    header.append("running_cost_mean")
-    _write_csv(os.path.join(out_dir, "paths_summary.csv"), stamp, header, rows)
-
-    _write_json(
-        os.path.join(out_dir, "cost_summary.json"),
-        stamp,
-        {
+    # Finite states can still overflow a sum or a square: such a summary is a
+    # blow-up, not a number to write.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = []
+        for k in range(grid.n_steps + 1):
+            xk = ens.states[:, k]
+            row = [k, float(grid.nodes[k])]
+            for i in range(model.dim_x):
+                row += [float(xk[:, i].mean()), float(xk[:, i].std())]
+            row.append(float(ens.running_cost[:, k].mean()))
+            if not np.isfinite(row).all():
+                raise NumericalBlowup(k, "path summary")
+            rows.append(row)
+        summary = {
             "n_paths": exp["n_paths"],
             "cost_mean": float(costs.mean()),
             "cost_std": float(costs.std(ddof=1)),
@@ -456,8 +405,15 @@ def cmd_simulate(exp, out_dir, stamp):
             # diagnostic: terminal values are unbounded, the sample max grows
             # with the path count
             "max_abs_terminal_state": float(np.abs(ens.states[:, -1]).max()),
-        },
-    )
+        }
+    if not np.isfinite(list(summary.values())).all():
+        raise NumericalBlowup(grid.n_steps, "cost summary")
+    header = ["step", "time"]
+    for i in range(model.dim_x):
+        header += [f"x{i}_mean", f"x{i}_std"]
+    header.append("running_cost_mean")
+    _write_csv(os.path.join(out_dir, "paths_summary.csv"), stamp, header, rows)
+    _write_json(os.path.join(out_dir, "cost_summary.json"), stamp, summary)
     return 0
 
 

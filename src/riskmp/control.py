@@ -207,9 +207,10 @@ class MsaConfig:
     The damping schedule is alpha_k = damping_base / (1 + k / damping_scale),
     nonincreasing in k.  eta is the relative Hamiltonian tie tolerance, at
     most MAX_ETA, tol the convergence threshold on the objective change,
-    and seed drives the n_boot bootstrap resamples, 2 to MAX_N_BOOT, whose
-    standard errors the report records.  Each error names the field it
-    rejects first.
+    and seed, in [0, 2**64), drives the n_boot bootstrap resamples, 2 to
+    MAX_N_BOOT, whose standard errors the report records; the Brownian driver
+    keys its streams with the seed mod 2**64, so a larger seed would repeat
+    a smaller one's paths.  Each error names the field it rejects first.
     """
 
     max_iters: int = 25
@@ -235,6 +236,8 @@ class MsaConfig:
             raise ValueError(f"n_boot must be >= 2, got {self.n_boot}")
         if self.n_boot > MAX_N_BOOT:
             raise ValueError(f"n_boot must be at most {MAX_N_BOOT}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
     def alpha(self, k):
         return self.damping_base / (1.0 + k / self.damping_scale)

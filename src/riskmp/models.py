@@ -72,19 +72,54 @@ def on_off_volatility_model():
     return _pure_diffusion_model([0.0, 1.0])
 
 
-# The keys model_from_tables reads, each with the sub-keys it reads (None for
-# a plain value).
+# The keys model_from_tables reads, as the custom problem's entry in the
+# config schema (riskmp.cli): a required key's entry is its kind, int or list
+# (a number table); an optional table's entry is None, and its default is
+# model_from_tables'; an object's entry holds its own keys.  model_from_tables
+# itself requires drift, diffusion and, in a given growth, every exponent.
 CUSTOM_TABLE_KEYS = {
-    "dim_x": None,
-    "dim_w": None,
-    "action_grid": None,
+    "dim_x": int,
+    "dim_w": int,
+    "action_grid": list,
     "x0": None,
-    "drift": {"const", "x"},
-    "diffusion": {"const"},
-    "cost": {"const", "x"},
-    "terminal": {"const", "x"},
-    "growth": {f.name for f in dataclasses.fields(FeasibilityConfig)},
+    "drift": {"const": list, "x": None},
+    "diffusion": {"const": list},
+    "cost": {"const": None, "x": None},
+    "terminal": {"const": None, "x": None},
+    "growth": dict.fromkeys(f.name for f in dataclasses.fields(FeasibilityConfig)),
 }
+
+
+def _table(tables, key, shape=None, required=False):
+    """The number table at dotted key of tables as floats of shape.
+
+    A missing optional table is zeros.
+    """
+    value = tables
+    for name in key.split("."):
+        value = value.get(name) if isinstance(value, dict) else None
+    if value is None:
+        if required:
+            raise ConfigInvalid(f"{key} is required")
+        return np.zeros(shape)
+    try:
+        table = np.asarray(value, float)
+        return table if shape is None else table.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{key} must be a table of shape {shape}: {exc}") from exc
+
+
+def _dimension(tables, key, table_key, per_unit):
+    """tables[key], an integer >= 1 that makes table_key per_unit * key numbers."""
+    size = _table(tables, table_key, required=True).size
+    dim = tables.get(key)
+    if not isinstance(dim, (int, np.integer)) or dim < 1 or dim * per_unit != size:
+        raise ConfigInvalid(
+            f"{key} must be an integer >= 1, and {table_key} must hold "
+            f"{per_unit} * {key} numbers over the action_grid atoms, got "
+            f"{key} = {dim!r} and {size} numbers"
+        )
+    return int(dim)
 
 
 def model_from_tables(tables):
@@ -100,42 +135,32 @@ def model_from_tables(tables):
       growth:    optional feasibility exponent dict
 
     CUSTOM_TABLE_KEYS lists these keys and their sub-keys.  Atoms must be
-    distinct.
+    distinct.  A missing optional table is zeros, and each error starts with
+    the key at fault, dotted for a sub-key.
 
     Drift and cost are affine in the state with per-atom intercepts;
     diffusion is a per-atom constant.  Gradients are exact by construction,
     and the model's tables hook evaluates all atoms in closed form, computing
     only the tables it is asked for.
     """
-    try:
-        dim_x = int(tables["dim_x"])
-        dim_w = int(tables["dim_w"])
-        atoms = np.asarray(tables["action_grid"], float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        n_atoms, dim_a = atoms.shape
-        drift_const = np.asarray(tables["drift"]["const"], float).reshape(
-            n_atoms, dim_x
+    atoms = _table(tables, "action_grid", required=True)
+    if atoms.ndim == 1:
+        atoms = atoms[:, None]
+    if atoms.ndim != 2 or not atoms.size:
+        raise ConfigInvalid(
+            f"action_grid must be a nonempty list of atoms, got shape {atoms.shape}"
         )
-        drift_x = np.asarray(
-            tables["drift"].get("x", np.zeros((dim_x, dim_x))), float
-        ).reshape(dim_x, dim_x)
-        diff_const = np.asarray(tables["diffusion"]["const"], float).reshape(
-            n_atoms, dim_x, dim_w
-        )
-        cost_const = np.asarray(
-            tables.get("cost", {}).get("const", np.zeros(n_atoms)), float
-        ).reshape(n_atoms)
-        cost_x = np.asarray(
-            tables.get("cost", {}).get("x", np.zeros(dim_x)), float
-        ).reshape(dim_x)
-        term_const = float(tables.get("terminal", {}).get("const", 0.0))
-        term_x = np.asarray(
-            tables.get("terminal", {}).get("x", np.zeros(dim_x)), float
-        ).reshape(dim_x)
-        x0 = np.asarray(tables.get("x0", np.zeros(dim_x)), float).reshape(dim_x)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad coefficient tables: {exc}") from exc
+    n_atoms, dim_a = atoms.shape
+    dim_x = _dimension(tables, "dim_x", "drift.const", n_atoms)
+    dim_w = _dimension(tables, "dim_w", "diffusion.const", n_atoms * dim_x)
+    drift_const = _table(tables, "drift.const", (n_atoms, dim_x))
+    drift_x = _table(tables, "drift.x", (dim_x, dim_x))
+    diff_const = _table(tables, "diffusion.const", (n_atoms, dim_x, dim_w))
+    cost_const = _table(tables, "cost.const", (n_atoms,))
+    cost_x = _table(tables, "cost.x", (dim_x,))
+    term_const = float(_table(tables, "terminal.const", ()))
+    term_x = _table(tables, "terminal.x", (dim_x,))
+    x0 = _table(tables, "x0", (dim_x,))
 
     index = {tuple(a): j for j, a in enumerate(atoms)}
     if len(index) < n_atoms:
@@ -148,10 +173,14 @@ def model_from_tables(tables):
 
     growth = None
     if "growth" in tables:
-        growth = FeasibilityConfig(**{
-            k: (math.inf if v in ("inf", "Infinity") else float(v))
-            for k, v in tables["growth"].items()
-        })
+        exponents = {  # a string "inf" or "Infinity" reads as +inf
+            f.name: float(_table(tables, f"growth.{f.name}", (), required=True))
+            for f in dataclasses.fields(FeasibilityConfig)
+        }
+        try:
+            growth = FeasibilityConfig(**exponents)
+        except ValueError as exc:  # its message starts with the exponent
+            raise ConfigInvalid(f"growth.{exc}") from exc
 
     # The tables that depend on neither t nor x, with their path axis of size 1.
     constant_tabs = {

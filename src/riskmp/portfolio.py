@@ -139,7 +139,7 @@ def build_portfolio_model(params, n_actions):
     -log N_T).  n_actions uniform atoms span [phi_low, phi_high].
     """
     if n_actions < 2:
-        raise InvalidBounds("need at least 2 allocation atoms")
+        raise InvalidBounds(f"n_actions must be >= 2, got {n_actions}")
     atoms = np.linspace(params.phi_low, params.phi_high, int(n_actions))[:, None]
     return _model_on_atoms(params, atoms)
 

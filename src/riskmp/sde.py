@@ -14,7 +14,7 @@ and independent of thread count (reductions are fixed-order numpy ops).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -833,19 +833,22 @@ class FeasibilityConfig:
     p: float
 
     def __post_init__(self):
+        """Validate; each message starts with the name of the field at fault."""
         if not (0.0 <= self.pbar1 <= 1.0):
             raise ValueError("pbar1 must lie in [0, 1]")
-        if self.pbar2 < 0.0 or self.pbar3 <= 0.0:
-            raise ValueError("pbar2 must be >= 0 and pbar3 > 0")
-        if self.pbar < 1.0 or self.p < 1.0:
-            raise ValueError("pbar and p must be >= 1")
+        if self.pbar2 < 0.0:
+            raise ValueError("pbar2 must be >= 0")
+        if self.pbar3 <= 0.0:
+            raise ValueError("pbar3 must be > 0")
+        for name in ("pbar", "p"):
+            if getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("p1", "p2", "p1_prime", "p2_prime"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        finite = [self.L, self.pbar1, self.pbar2, self.pbar, self.p1,
-                  self.p2, self.p1_prime, self.p2_prime, self.p]
-        if not all(math.isfinite(v) for v in finite):
-            raise ValueError("only pbar3 may be infinite")
+        for f in fields(self):
+            if f.name != "pbar3" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite; only pbar3 may be infinite")
 
 
 @dataclass(frozen=True)

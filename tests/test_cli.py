@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -28,6 +29,8 @@ def _small_portfolio_config(tmp_path, **overrides):
         "seed": 314,
     }
     cfg.update(overrides)
+    if cfg["problem"]["type"] != "portfolio":  # only the portfolio has atoms to count
+        cfg["sim"] = {k: v for k, v in cfg["sim"].items() if k != "n_actions"}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path), cfg
@@ -61,7 +64,7 @@ def test_bad_risk_type_is_config_error(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_infeasible_exponents_rejected(tmp_path):
+def test_infeasible_exponents_rejected(tmp_path, capsys):
     # growth with p = pbar violates the strict order inequality
     problem = {
         "type": "custom",
@@ -80,6 +83,7 @@ def test_infeasible_exponents_rejected(tmp_path):
     }
     path, _ = _small_portfolio_config(tmp_path, problem=problem)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "problem exponents are infeasible" in capsys.readouterr().err
 
 
 def test_solve_emits_stamped_artifacts(tmp_path):
@@ -522,12 +526,20 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys, overrides, key):
     assert f"'{key}'" in capsys.readouterr().err
 
 
-def _shrunk_config(tmp_path, config, section, key, value):
-    """configs/<config>.json at 50 paths and 3 steps, with one value replaced."""
+def _bundled(config, **sections):
+    """configs/<config>.json at 50 paths, 3 steps and 2 iterations, with
+    sections replaced."""
     with open(os.path.join(CONFIGS, f"{config}.json")) as fh:
         cfg = json.load(fh)
     cfg["sim"].update(n_steps=3, n_paths=50)
     cfg["msa"].update(max_iters=2, n_boot=20)
+    cfg.update(sections)
+    return cfg
+
+
+def _shrunk_config(tmp_path, config, section, key, value):
+    """configs/<config>.json at 50 paths and 3 steps, with one value replaced."""
+    cfg = _bundled(config)
     cfg[section][key] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -765,3 +777,201 @@ def test_config_hash_is_stable_and_canonical(tmp_path):
     path2 = tmp_path / "cfg2.json"
     path2.write_text(json.dumps(reordered))
     assert config_hash(load_config(str(path2))) == h1
+
+
+def _run(tmp_path, cfg, *args, command="simulate"):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "o"), *args])
+
+
+@pytest.mark.parametrize(
+    "seed, args",
+    [
+        (-1, ()), (2**64, ()), (1e308, ()),
+        (7, ("--seed", "-1")), (7, ("--seed", str(2**64))),
+    ],
+    ids=["config-minus-one", "config-2-to-64", "config-1e308", "flag-minus-one",
+         "flag-2-to-64"],
+)
+def test_seed_outside_its_range_is_config_error(tmp_path, capsys, seed, args):
+    # -1 raised numpy's ValueError out of main; 2**64 ran seed 0's paths
+    # with another bootstrap stream and another hash.
+    cfg = _bundled("custom_linear", seed=seed)
+    assert _run(tmp_path, cfg, *args, command="solve") == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solve_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "init_policy, message",
+    [
+        ({"type": "constant", "weights": [True, False, False]},
+         "init_policy.weights must be a number, got True"),
+        ({"type": "constant"}, "missing config key 'init_policy.weights'"),
+        ({"type": "dirac"}, "missing config key 'init_policy.atom'"),
+        ({"type": "constant", "weights": [-0.5, 1.0, 0.5]},
+         "init_policy.weights: negative policy weight"),
+        ({"type": "constant", "weights": [0.5, 0.2, 0.2]},
+         "init_policy.weights: policy weights at constant policy sum off"),
+        ({"type": "constant", "weights": [[1.0, 0.0, 0.0], [0.5, 0.5]]},
+         "init_policy.weights: setting an array element"),
+    ],
+    ids=["boolean-weights", "no-weights", "no-atom", "negative-weight",
+         "weights-sum-off", "ragged-weights"],
+)
+def test_init_policy_error_names_its_key(tmp_path, capsys, init_policy, message):
+    # Booleans were coerced to weights 1 and 0 and ran; the others exited 2
+    # as "bad configuration value", naming no key.
+    assert _run(tmp_path, _bundled("custom_linear", init_policy=init_policy)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integral_float_dirac_atom_is_accepted(tmp_path):
+    # Like every other count, 1.0 is the atom 1; it was rejected.
+    cfg = _bundled("example2", init_policy={"type": "dirac", "atom": 1.0})
+    assert _run(tmp_path, cfg) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value, step",
+    [("mu", 1e308, 1), ("mu", -1e308, 1), ("horizon", 1e308, 1)],
+    ids=["mu-1e308", "mu--1e308", "horizon-1e308"],
+)
+def test_simulate_summary_overflow_is_a_blowup(tmp_path, recwarn, key, value, step):
+    # Finite states whose mean or spread overflows exited 0 after a
+    # RuntimeWarning, writing Infinity into cost_summary.json and inf into
+    # paths_summary.csv.
+    cfg = _bundled("portfolio_entropic")
+    cfg["problem"][key] = value
+    assert _run(tmp_path, cfg) == 1
+    record = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert record["error"] == "NumericalBlowup"
+    assert record["message"] == f"non-finite path summary at time step {step}"
+    assert not (tmp_path / "o" / "cost_summary.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_n_actions_is_a_key_of_the_portfolio_only(tmp_path, capsys):
+    # It was filled in and hashed for every problem, but read by the
+    # portfolio only.
+    cfg = _bundled("custom_linear")
+    cfg["sim"]["n_actions"] = 31
+    assert _run(tmp_path, cfg) == 2
+    assert "unknown config key 'sim.n_actions'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        ("portfolio_entropic", "57fa95f48869b02c"),
+        ("portfolio_mean_deviation", "16ff790faa62c680"),
+        ("portfolio_riskneutral", "18b85842e54e3c72"),
+        ("custom_linear", "ea4a618a7641aab8"),
+        ("example1", "194577be2d6af4af"),
+        ("example2", "5567f9b217a693e8"),
+    ],
+)
+def test_bundled_config_hashes(config, expected):
+    # The portfolio configs' effective configs, and so their hashes, are
+    # those of every earlier version; the others lost sim.n_actions.
+    cfg = load_config(os.path.join(CONFIGS, f"{config}.json"))
+    assert config_hash(cfg) == expected
+
+
+def _leaves(doc, where=""):
+    """The dotted keys of the values in doc, through objects."""
+    for key, value in doc.items():
+        dotted = f"{where}.{key}" if where else key
+        if isinstance(value, dict):
+            yield from _leaves(value, dotted)
+        else:
+            yield dotted
+
+
+def _schema_keys():
+    """Every dotted key of the schema, with the type of each typed section."""
+    keys = {"init_policy"}  # the string "uniform", which has no type
+    for name, entry in cli._SCHEMA.items():
+        if name in cli._TYPED:
+            keys.add(f"{name}.type")
+            for entries in entry.values():
+                keys.update(_leaves(entries, name))
+        else:
+            keys.update(_leaves({name: entry}))
+    keys.update(_leaves(cli._PROBLEM_KEYS["portfolio"]))
+    return keys
+
+
+def test_config_keys_are_in_the_schema_and_the_readme():
+    keys = _schema_keys()
+    with open(os.path.join(CONFIGS, "..", "README.md")) as fh:
+        section = fh.read().split("## Configuration")[1].split("\n## ")[0]
+    readme = set(re.findall(r"^\| `([\w.]+)` \|", section, re.M))
+    assert readme == keys
+    for name in os.listdir(CONFIGS):
+        with open(os.path.join(CONFIGS, name)) as fh:
+            assert set(_leaves(json.load(fh))) <= keys, name
+    # No name is in two sections, so that a constructor's error, which
+    # starts with a field name, can be given its section.
+    pairs = {tuple(key.split(".")[:2]) for key in keys if "." in key}
+    names = ["seed", *(name for _, name in pairs if name != "type")]
+    assert len(names) == len(set(names)) == len(cli._SECTION_OF) == 32
+
+
+_HOSTILE = [True, "x", None, [], {}, -1, 0, 1.5, math.nan, 1e308, -1e308]
+_DELETE = object()
+
+
+def _scalar_keys(cfg):
+    """The (section, key) pairs of cfg's counts and real numbers; section
+    None at the top level."""
+    for name, entry in cli._entries(cfg).items():
+        pairs = entry.items() if isinstance(entry, dict) else [(None, entry)]
+        for key, sub in pairs:
+            if (sub if isinstance(sub, type) else type(sub)) in (int, float):
+                yield (name, key) if key else (None, name)
+
+
+def _finite_outputs(out):
+    with open(out / "cost_summary.json") as fh:
+        summary = json.load(fh)
+    numbers = [v for v in summary.values() if isinstance(v, (int, float))]
+    _, rows = _read_table(out / "paths_summary.csv")
+    numbers += [float(v) for row in rows for v in row]
+    return all(math.isfinite(v) for v in numbers)
+
+
+@pytest.mark.parametrize("config", sorted(n[:-5] for n in os.listdir(CONFIGS)))
+def test_hostile_scalar_values_end_cleanly(tmp_path, capsys, config):
+    # Each count and real number of the config's types in the schema, set
+    # to each hostile value or deleted: simulate returns 0, 1 or 2, never
+    # raises or warns (RuntimeWarnings are errors in Tier-1), exit 2 names
+    # the dotted key, exit 1 writes error.json and exit 0 finite numbers.
+    # None of the values allocates.
+    base = _bundled(config)
+    runs = 0
+    for section, key in _scalar_keys(base):
+        dotted = f"{section}.{key}" if section else key
+        for value in [*_HOSTILE, _DELETE]:
+            cfg = json.loads(json.dumps(base))
+            target = cfg[section] if section else cfg
+            if value is _DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = value
+            out = tmp_path / f"o{runs}"
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            rc = main(["simulate", "--config", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            case = (dotted, value, rc, err)
+            assert rc in (0, 1, 2), case
+            if rc == 2:
+                assert dotted in err, case
+            elif rc == 1:
+                assert (out / "error.json").exists(), case
+            else:
+                assert _finite_outputs(out), case
+            runs += 1
+    assert runs >= 12 * 12

@@ -414,6 +414,8 @@ def _solve_config(tmp_path, problem, risk, init_policy="uniform", **msa):
         "init_policy": init_policy,
         "seed": 23,
     }
+    if problem["type"] != "portfolio":  # only the portfolio has atoms to count
+        del cfg["sim"]["n_actions"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
