@@ -81,14 +81,11 @@ _SCHEMA = {
     },
     "init_policy": {"dirac": {"atom": int}, "constant": {"weights": list}},
 }
-# The keys a problem type adds to other sections: only the portfolio reads a
-# count of allocation atoms.
-_PROBLEM_KEYS = {"portfolio": {"sim": {"n_actions": 31}}}
 _TYPED = ("problem", "risk", "init_policy")
 # The section of each key name, "" at the top level.  No name is in two
 # sections, so a constructor's error that starts with a name is that key's.
-_SECTION_OF = {"seed": ""}
-for _name, _section in [*_SCHEMA.items(), *_PROBLEM_KEYS["portfolio"].items()]:
+_SECTION_OF = {"seed": "", "n_actions": "sim"}
+for _name, _section in _SCHEMA.items():
     if isinstance(_section, dict):
         for _keys in _section.values() if _name in _TYPED else [_section]:
             _SECTION_OF.update(dict.fromkeys(_keys, _name))
@@ -159,8 +156,9 @@ def _entries(cfg):
         if not isinstance(kind, str) or kind not in types:
             _fail(f"{name}.type must be one of {tuple(types)}")
         entries[name] = {"type": kind, **types[kind]}
-    for name, keys in _PROBLEM_KEYS.get(cfg["problem"]["type"], {}).items():
-        entries[name] = {**entries[name], **keys}
+    if entries["problem"]["type"] == "portfolio":
+        # Only the portfolio reads a count of allocation atoms.
+        entries["sim"] = {**entries["sim"], "n_actions": 31}
     return entries
 
 
@@ -236,9 +234,8 @@ def _build(key, make, *args, **kwargs):
 MAX_PATH_ARRAY_ELEMENTS = 2**30
 
 
-def _check_path_arrays(sim, width, width_key):
+def _check_path_arrays(n_paths, n_steps, width, width_key):
     """Reject path arrays past their bound; width values per path and node."""
-    n_steps, n_paths = sim["n_steps"], sim["n_paths"]
     if n_paths * (n_steps + 1) * width > MAX_PATH_ARRAY_ELEMENTS:
         _fail(
             f"sim.n_paths * (sim.n_steps + 1) * {width_key} must be at most "
@@ -260,11 +257,14 @@ def build_experiment(cfg):
     n_paths = sim["n_paths"]
     if n_paths < 2:
         _fail(f"sim.n_paths must be >= 2, got {n_paths}")
+    # The grid checks its step count and allocates nothing, so the path
+    # arrays' bound below is taken over a valid count.
+    grid = _build("sim.n_steps", build_time_grid, problem["horizon"], sim["n_steps"])
     kind = problem.pop("type")
     params = None
     if kind == "portfolio":
         params = _build("problem", PortfolioParams, **problem)
-        _check_path_arrays(sim, sim["n_actions"], "sim.n_actions")
+        _check_path_arrays(n_paths, grid.n_steps, sim["n_actions"], "sim.n_actions")
         model = _build("sim.n_actions", build_portfolio_model, params, sim["n_actions"])
     else:
         if kind == "custom":
@@ -274,9 +274,8 @@ def build_experiment(cfg):
         else:
             model = on_off_volatility_model()
         width = max(model.n_atoms, model.dim_x * model.dim_w)
-        _check_path_arrays(sim, width, "max(atoms, dim_x * dim_w)")
+        _check_path_arrays(n_paths, grid.n_steps, width, "max(atoms, dim_x * dim_w)")
     risk = _build("risk", getattr(RiskFunction, risk.pop("type")), **risk)
-    grid = _build("sim.n_steps", build_time_grid, problem["horizon"], sim["n_steps"])
     basis = _build("basis", RegressionBasis, **values["basis"])
     # The feature count comb(dim_x + degree, degree) - 1 grows with the
     # degree, and exceeds n_paths at degree n_paths + 1 already, so it is

@@ -13,6 +13,7 @@ paths are requested, and every simulation is deterministic for a fixed seed
 and independent of thread count (reductions are fixed-order numpy ops).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -54,15 +55,22 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, horizon] into n_steps intervals."""
+    """Uniform partition of [0, horizon] into n_steps intervals.
+
+    The nodes are allocated on first use, so that a grid checks its step
+    count before anything sized by it is allocated.
+    """
 
     horizon: float
     n_steps: int
-    nodes: np.ndarray
 
     @property
     def dt(self):
         return self.horizon / self.n_steps
+
+    @functools.cached_property
+    def nodes(self):
+        return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
 def build_time_grid(horizon, n_steps):
@@ -72,8 +80,7 @@ def build_time_grid(horizon, n_steps):
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ZeroSteps(f"n_steps must be >= 1, got {n_steps}")
-    nodes = np.linspace(0.0, float(horizon), n_steps + 1)
-    return TimeGrid(horizon=float(horizon), n_steps=n_steps, nodes=nodes)
+    return TimeGrid(horizon=float(horizon), n_steps=n_steps)
 
 
 def dirac_initial(x0):

@@ -712,6 +712,19 @@ def test_sim_size_out_of_range_is_config_error(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("n_steps", [-1, -2, 0])
+def test_bad_step_count_is_rejected_before_the_atoms(tmp_path, capsys, n_steps):
+    # A step count below 1 made the path arrays' bound 0 or negative, so
+    # 2**40 atoms passed it and numpy was asked for terabytes.
+    cfg = _bundled("portfolio_entropic")
+    cfg["sim"].update(n_steps=n_steps, n_actions=2**40)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert "sim.n_steps must be >= 1" in capsys.readouterr().err
+
+
 def test_overflowing_time_step_is_a_state_blowup(tmp_path, recwarn):
     # A horizon of 1e308 over 3 steps overflows the drift term of the Euler
     # update, which printed a RuntimeWarning before the state check raised.
@@ -899,7 +912,7 @@ def _schema_keys():
                 keys.update(_leaves(entries, name))
         else:
             keys.update(_leaves({name: entry}))
-    keys.update(_leaves(cli._PROBLEM_KEYS["portfolio"]))
+    keys.add("sim.n_actions")  # the portfolio's only
     return keys
 
 
