@@ -48,6 +48,7 @@ from .risk import (
     DirectionalCheck,
     EmpiricalSample,
     RiskFunction,
+    bootstrap_indices,
     bootstrap_standard_error,
     directional_derivative_check,
     evaluate,

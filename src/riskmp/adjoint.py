@@ -203,16 +203,20 @@ class _SliceRegression:
         """
         return np.array([np.add.reduce(t[:, j]) for j in columns]) / self.n
 
-    def _solve(self, t):
+    def _solve(self, t, constant=None):
         """(ybar, beta, coef, intercept) of the (n, r) targets t.
 
-        Path-constant targets (sde._path_constant) fit to their means, with
-        zero beta and coefficients.  Others are copied once into (r, n) rows,
-        which are centered in place: the caller's array is never written,
-        and the bits do not depend on its layout.
+        Path-constant targets fit to their means, with zero beta and
+        coefficients.  constant says whether t is path-constant when the
+        caller knows; None asks the path-constant rule (sde._path_constant).
+        Other targets are copied once into (r, n) rows, which are centered
+        in place: the caller's array is never written, and the bits do not
+        depend on its layout.
         """
         r = t.shape[1]
-        if sde._path_constant(t):
+        if constant is None:
+            constant = sde._path_constant(t)
+        if constant:
             zeros = np.zeros((self.m, r))
             ybar = self._means(t, range(r))
             return ybar, None if self.m == 0 else zeros, zeros, ybar
@@ -226,13 +230,17 @@ class _SliceRegression:
         coef = beta / self._scale[:, None]
         return ybar, beta, coef, ybar - self._mu @ coef
 
-    def fit(self, targets):
-        """Least-squares fitted values of targets, (n,) or (n, r), on the slice."""
+    def fit(self, targets, constant=None):
+        """Least-squares fitted values of targets, (n,) or (n, r), on the slice.
+
+        constant, when given, says whether the targets are path-constant
+        (see _solve), as the backward solves record it.
+        """
         t = np.asarray(targets, dtype=float)
         squeeze = t.ndim == 1
         if squeeze:
             t = t[:, None]
-        ybar, beta, _, _ = self._solve(t)
+        ybar, beta, _, _ = self._solve(t, constant)
         if beta is None:
             fitted = np.broadcast_to(ybar, t.shape).copy()
         else:
@@ -289,7 +297,7 @@ def _slice_regressions(ensemble, basis):
 
 
 def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
-                          out=None):
+                          out=None, constant=None):
     """Backward estimate of the risk-adjustment pair (y', z').
 
     y'_T is pinned to the per-path derivative values; earlier slices regress
@@ -298,6 +306,11 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
     (D - y'_k) dW_k / dt on the same features.  slices optionally reuses
     precomputed per-step regressions.  out, when given, holds step-major
     yprime and zprime arrays of the shapes below, overwritten here.
+
+    D is tested once by the path-constant rule (sde._path_constant): a
+    broadcast row, such as the expectation's derivative, by its row stride
+    alone.  A path-constant D makes every y'_k its mean.  constant, when
+    given, is a (K+1,) bool array set here to that verdict at every node.
 
     Returns:
       (yprime, zprime, residuals): shapes (n, K+1), (n, K, dim_w), both
@@ -321,10 +334,13 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
         yprime, zprime = out.yprime, out.zprime
         zprime.fill(0.0)
     yprime[:, n_steps] = d
+    d_constant = sde._path_constant(d)
+    if constant is not None:
+        constant[:] = d_constant
     residuals = [0.0] * n_steps
     for k in range(n_steps - 1, -1, -1):
         reg = slices[k]
-        fitted = reg.fit(d)
+        fitted = reg.fit(d, d_constant)
         yprime[:, k] = fitted
         residuals[k] = _norm(d - fitted) / math.sqrt(n)
         # Martingale increment between fitted slices; using the fitted
@@ -344,7 +360,8 @@ def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, get_weights):
     get_weights() returns the (n, n_atoms) policy weights.  It runs at most
     once, and only when the weights are read: by the per-atom loop of
     coefficient_tables, or by the average over atoms, which is skipped when
-    every Jacobian table is zero.
+    every Jacobian table is zero.  The gradient is then a read-only
+    broadcast row of zeros.
     """
     weights = functools.cache(get_weights)
     tabs = coefficient_tables(
@@ -358,11 +375,12 @@ def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, get_weights):
     if tabs["diffusion_dx"].any():
         terms.append(np.einsum("nwi,aniwl->anl", z, tabs["diffusion_dx"]))
     if not terms:
-        return np.zeros(states.shape)
+        return sde._all_paths(np.zeros((1,) + states.shape[1:]), states.shape[0])
     return np.einsum("na,anl->nl", weights(), sum(terms[1:], terms[0]))
 
 
-def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None):
+def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
+                  constant=None):
     """Backward regression solve of the adjoint pair (y, z).
 
     Terminal condition y_T = y'_T * grad g(x_T); going backward, z_k projects
@@ -371,6 +389,15 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None):
     weights, to the conditional mean of y_{k+1}.  slices optionally reuses
     precomputed per-step regressions.  out, when given, holds step-major y
     and z arrays of the shapes below, overwritten here.
+
+    constant, when given, is a (K+1,) bool array holding whether each y'_k
+    is path-constant, as solve_risk_adjustment sets it.  It is narrowed
+    here to the nodes where y_k, y'_k and z_k (k < K) are all path-constant
+    by construction, so that no compare over paths confirms them: y_T is
+    when y'_T and grad g are (sde._path_constant, by the row stride of a
+    broadcast row); an earlier y_k is when y_{k+1} is, since its fit is
+    then the mean, and the Hamiltonian's state gradient is a broadcast
+    row; z_k is when the increment of y is exactly zero and z_k stays +0.0.
 
     Returns:
       (y, z, residuals): shapes (n, K+1, dim_x), (n, K, dim_w, dim_x), both
@@ -394,6 +421,15 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None):
         np.asarray(model.terminal_dx(ensemble.states[:, -1]), float), (n, dx)
     )
     y[:, n_steps] = yprime[:, n_steps, None] * g_grad
+    # Whether y at the node above is path-constant by construction.  Where
+    # that is not known, each fit asks the path-constant rule.
+    y_constant = (
+        constant is not None
+        and bool(constant[n_steps])
+        and sde._path_constant(g_grad)
+    )
+    if constant is not None:
+        constant[n_steps] = y_constant
     residuals = [0.0] * n_steps
 
     for k in range(n_steps - 1, -1, -1):
@@ -401,11 +437,12 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None):
         xk = ensemble.states[:, k]
         reg = slices[k]
         upper = y[:, k + 1]
-        yhat = reg.fit(upper)
+        yhat = reg.fit(upper, y_constant or None)
         centered = upper - yhat
         residuals[k] = _norm(centered) / math.sqrt(n)
         # An increment that is exactly zero fits to +0.0, the initial z.
-        if centered.any():
+        z_fitted = bool(centered.any())
+        if z_fitted:
             ztarget = (centered[:, None, :] * dw[:, k, :, None] / dt).reshape(
                 n, dim_w * dx
             )
@@ -417,6 +454,9 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None):
         y[:, k] = yhat + grad_h * dt
         if not np.isfinite(y[:, k]).all():
             raise NumericalBlowup(k, "adjoint state")
+        y_constant = y_constant and sde._path_constant(grad_h)
+        if constant is not None:
+            constant[k] &= y_constant and not z_fitted
     return y, z, residuals
 
 
@@ -434,6 +474,26 @@ class AdjointProcesses:
     zprime: np.ndarray    # (n, K, dim_w)
     residuals_y: list
     residuals_yprime: list
+    # (K+1,) bool: y_k, y'_k and z_k are path-constant by construction, as
+    # solve_adjoint records it; None when not recorded.
+    path_constant: "np.ndarray | None" = None
+
+    def step(self, k):
+        """(y_k, y'_k, z_k) of every path, for a step k < K.
+
+        On a step recorded as path-constant they are path 0's values
+        broadcast to all paths, so the path-constant rule
+        (sde._path_constant) accepts them by their row stride alone.
+        """
+        if self.path_constant is not None and self.path_constant[k]:
+            return tuple(a[:, k] for a in self._path_zero)
+        return self.y[:, k], self.yprime[:, k], self.z[:, k]
+
+    @functools.cached_property
+    def _path_zero(self):
+        """y, y' and z with path 0's values, every step, on all paths."""
+        n = self.yprime.shape[0]
+        return tuple(sde._all_paths(a, n) for a in (self.y, self.yprime, self.z))
 
 
 def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
@@ -441,14 +501,18 @@ def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
     """Run both backward solves and package the four adjoint processes.
 
     out, when given, holds the yprime, zprime, y and z arrays the two
-    solves overwrite.
+    solves overwrite.  The solves record which steps they made
+    path-constant (solve_adjoint), for AdjointProcesses.step.
     """
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
+    constant = np.empty(ensemble.grid.n_steps + 1, dtype=bool)
     yprime, zprime, res_p = solve_risk_adjustment(
-        ensemble, derivative_values, basis, slices, out
+        ensemble, derivative_values, basis, slices, out, constant
     )
-    y, z, res_y = solve_adjoint(model, ensemble, yprime, basis, slices, out)
+    y, z, res_y = solve_adjoint(
+        model, ensemble, yprime, basis, slices, out, constant
+    )
     return AdjointProcesses(
         y=y,
         z=z,
@@ -456,6 +520,7 @@ def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
         zprime=zprime,
         residuals_y=res_y,
         residuals_yprime=res_p,
+        path_constant=constant,
     )
 
 

@@ -299,7 +299,9 @@ def build_experiment(cfg):
     if model.growth is not None:
         report = check_feasibility(model.growth)
         if not report.feasible:
-            bad = "; ".join(name for name, ok, _ in report.checks if not ok)
+            bad = "; ".join(
+                _growth_keys(name) for name, ok, _ in report.checks if not ok
+            )
             _fail(f"problem exponents are infeasible: {bad}")
 
     return {
@@ -313,6 +315,18 @@ def build_experiment(cfg):
         "n_paths": n_paths,
         "seed": values["seed"],
     }
+
+
+def _growth_keys(inequality):
+    """A check_feasibility inequality with its exponents as dotted keys.
+
+    "p1' <= p1" becomes "problem.growth.p1_prime <= problem.growth.p1".
+    """
+    return re.sub(
+        r"\b(p(?:bar)?\d?)(')?",
+        lambda m: f"problem.growth.{m[1]}{'_prime' if m[2] else ''}",
+        inequality,
+    )
 
 
 def _init_policy(spec, n_atoms):

@@ -23,7 +23,13 @@ from .adjoint import (
     martingale_diagnostics,
     solve_adjoint_system,
 )
-from .risk import EmpiricalSample, bootstrap_standard_error, evaluate, l_derivative
+from .risk import (
+    EmpiricalSample,
+    bootstrap_indices,
+    bootstrap_standard_error,
+    evaluate,
+    l_derivative,
+)
 from .sde import (
     MeasurePolicy,
     _all_paths,
@@ -126,12 +132,14 @@ def _path_entropy(w, p=None, out=None):
     here when not given, with the log only where w > 0: 0 log 0 = 0.  The
     sum is an np.add.reduce over the leading axis: in atom order for n >= 2
     paths, pairwise for one.  Path-constant weights follow the path-constant
-    rule (sde._path_constant).
+    rule (sde._path_constant), on the first two columns of p.
     """
     constant = sde._path_constant(w)
-    if constant or p is None:
+    if p is None:
         p = np.ascontiguousarray((w[:2] if constant else w).T)
         out = np.empty_like(p)
+    elif constant:
+        p, out = p[:, :2], out[:, :2]
     out.fill(0.0)
     np.log(p, out=out, where=p > 0.0)
     out *= p
@@ -176,6 +184,16 @@ def _minimize_step(model, t, states, y, yprime, z, wpi, eta, buffers):
         ]
     table = _hamiltonian_atoms(model, t, states, y, yprime, z, out=buffers[0])
     return _near_min_weights(table, eta, wpi, out=buffers[1:])
+
+
+def _path_mean(a):
+    """float(np.mean(a)) of a per-path (n,) array, bit for bit.
+
+    np.mean is the same np.add.reduce divided by n, behind about 3 us of
+    Python-level argument handling a call; msa_solve takes three means per
+    step.
+    """
+    return float(np.add.reduce(a)) / a.shape[0]
 
 
 def policy_entropy(weights):
@@ -325,7 +343,9 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     drops below cfg.tol or after cfg.max_iters iterations, returning the
     policy of the report's best_iter in the latter case.  Every iteration
     writes its per-path arrays into one _Workspace, in place: a fresh array
-    of this size can cost a page fault per 4 KB page each time.
+    of this size can cost a page fault per 4 KB page each time.  The
+    bootstrap's resample indices, the same for every iteration, are drawn
+    once (bootstrap_indices), when they fit its byte budget.
 
     Returns:
       (policy, SolveReport)
@@ -334,6 +354,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     policies = [init]  # the policy simulated at each iteration
     n_steps = grid.n_steps
     ws = _Workspace(model, driver.n_paths, n_steps)
+    resamples = bootstrap_indices(driver.n_paths, cfg.n_boot, cfg.seed)
 
     for it in range(cfg.max_iters):
         policy = policies[-1]
@@ -343,7 +364,9 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         costs = total_cost(ens, model)
         sample = EmpiricalSample(costs)
         obj = evaluate(risk, sample)
-        se = bootstrap_standard_error(risk, sample, cfg.n_boot, cfg.seed)
+        se = bootstrap_standard_error(
+            risk, sample, cfg.n_boot, cfg.seed, resamples
+        )
         deriv = l_derivative(risk, sample)
         slices = _slice_regressions(ens, basis)
         adj = solve_adjoint_system(model, ens, deriv, basis, slices, out=ws)
@@ -355,13 +378,12 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         fitted_steps = []
         for k in range(n_steps):
             wstar, gap, change, entropy = _minimize_step(
-                model, grid.nodes[k], ens.states[:, k], adj.y[:, k],
-                adj.yprime[:, k], adj.z[:, k], ens.weights_at(k), cfg.eta,
-                ws.buffers,
+                model, grid.nodes[k], ens.states[:, k], *adj.step(k),
+                ens.weights_at(k), cfg.eta, ws.buffers,
             )
-            gap_sum += float(np.mean(gap))
-            change_sum += float(np.mean(change)) / model.n_atoms
-            entropy_sum += float(np.mean(entropy))
+            gap_sum += _path_mean(gap)
+            change_sum += _path_mean(change) / model.n_atoms
+            entropy_sum += _path_mean(entropy)
             fitted_steps.append(slices[k].fit_coefficients(wstar))
 
         report.records.append(IterationRecord(

@@ -123,7 +123,9 @@ def _model_on_atoms(params, atoms):
         drift_dx=lambda t, x, a: np.zeros((x.shape[0], 1, 1)),
         diffusion_dx=lambda t, x, a: np.zeros((x.shape[0], 1, 1, 1)),
         cost_dx=lambda t, x, a: np.zeros((x.shape[0], 1)),
-        terminal_dx=lambda x: -np.ones((x.shape[0], 1)),
+        # A broadcast row: the backward solve then knows y_T is path-constant
+        # when y'_T is, without a compare over paths.
+        terminal_dx=lambda x: np.broadcast_to(-1.0, (x.shape[0], 1)),
         initial=dirac_initial(p.x0),
         action_grid=atoms,
         growth=growth,

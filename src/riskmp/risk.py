@@ -4,7 +4,8 @@ Evaluation and derivatives act on the empirical law of a Monte Carlo sample:
 expectations become weighted sums, the L2 deviation becomes the weighted
 standard deviation, and the derivative of the risk at the sample is returned
 pointwise per entry.  Everything here is a pure function of immutable inputs
-and safe to call concurrently.
+and safe to call concurrently; the bootstrap's resample index table
+(bootstrap_indices) is read-only, so callers may share one.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateSample
-from .sde import _BLOCK_ELEMENTS
+from .sde import _BLOCK_ELEMENTS, _INDEX_TABLE_BYTES
 
 __all__ = [
     "RiskFunction",
@@ -23,6 +24,7 @@ __all__ = [
     "evaluate",
     "l_derivative",
     "directional_derivative_check",
+    "bootstrap_indices",
     "bootstrap_standard_error",
 ]
 
@@ -207,13 +209,15 @@ def evaluate(risk, sample):
 def l_derivative(risk, sample):
     """Pointwise derivative of the risk at the sample's empirical law.
 
-    Returns one derivative value per sample entry.  For mean_deviation the
-    derivative does not exist at (near-)constant samples and DegenerateSample
-    is raised.
+    Returns one derivative value per sample entry.  The expectation's, 1 on
+    every entry, is a read-only broadcast row (row stride 0), so the
+    path-constant rule (sde._path_constant) accepts it without a compare.
+    For mean_deviation the derivative does not exist at (near-)constant
+    samples and DegenerateSample is raised.
     """
     v, w = sample.values, sample.weights
     if risk.kind == EXPECTATION:
-        return np.ones_like(v)
+        return np.broadcast_to(1.0, v.shape)
     m = _mean(sample)
     if risk.kind == MEAN_DEVIATION:
         dev = math.sqrt(float(_weighted_sum((v - m) ** 2, w)))
@@ -257,35 +261,79 @@ def directional_derivative_check(risk, sample, direction, h):
     return DirectionalCheck(fd_value=fd, inner_product=ip, abs_error=abs(fd - ip))
 
 
-def bootstrap_standard_error(risk, sample, n_boot=200, seed=0):
+def _resample_rows(n, n_boot):
+    """Resamples per block: their (rows, n) values fill _BLOCK_ELEMENTS."""
+    return min(max(1, _BLOCK_ELEMENTS // n), n_boot)
+
+
+def bootstrap_indices(n, n_boot=200, seed=0):
+    """The uniform resample indices of bootstrap_standard_error, or None.
+
+    Row i is the index draw of resample i that bootstrap_standard_error(risk,
+    sample, n_boot, seed) makes for a uniformly weighted sample of n >= 1
+    values, drawn here a block at a time in the same sequence.  The table is
+    stored in the narrowest unsigned dtype that holds n - 1 and is read-only,
+    so one table serves every bootstrap of a solve, whose sample size and
+    seed do not change.  None when it would take more than
+    _INDEX_TABLE_BYTES: bootstrap_standard_error then draws per call.
+    """
+    dtype = np.min_scalar_type(n - 1)
+    if n_boot * n * dtype.itemsize > _INDEX_TABLE_BYTES:
+        return None
+    table = np.empty((n_boot, n), dtype)
+    rng = np.random.default_rng(seed)
+    rows = _resample_rows(n, n_boot)
+    for start in range(0, n_boot, rows):
+        b = min(rows, n_boot - start)
+        table[start:start + b] = rng.integers(0, n, (b, n))
+    table.flags.writeable = False
+    return table
+
+
+def bootstrap_standard_error(risk, sample, n_boot=200, seed=0, indices=None):
     """Monte Carlo standard error of evaluate(risk, sample) by resampling.
 
     Nonparametric bootstrap with a fixed seed so repeated runs agree exactly.
     Resamples are drawn and evaluated a block of rows at a time; one
     (rows, n) draw takes the same generator output as rows draws of n, so
     the resamples, and each one's risk value, match a draw-per-resample loop.
+    indices, when given, is bootstrap_indices(sample.n, n_boot, seed): a
+    uniformly weighted sample then takes its resamples from that table, a
+    block at a time, instead of drawing them, with the same bits.  A
+    weighted sample always draws its own.
     """
     if n_boot < 2:
         raise ValueError(f"n_boot must be >= 2, got {n_boot}")
-    rng = np.random.default_rng(seed)
     n = sample.n
+    if indices is not None and indices.shape != (n_boot, n):
+        raise ValueError(
+            f"indices must have shape ({n_boot}, {n}), got {indices.shape}"
+        )
     if n < 2:
         return float("nan")
     uniform = np.allclose(sample.weights, 1.0 / n, rtol=0.0, atol=1e-15)
+    if not uniform:
+        indices = None
+    rng = np.random.default_rng(seed) if indices is None else None
     # A resample is an equally weighted sample of n draws from a finite,
     # already validated parent.
     weights = np.full(n, 1.0 / n)
-    rows = min(max(1, _BLOCK_ELEMENTS // n), n_boot)
+    rows = _resample_rows(n, n_boot)
     block = np.empty((rows, n))
     work = np.empty((2, rows, n))
+    if indices is not None:
+        idx = np.empty((rows, n), np.intp)
     vals = np.empty(n_boot)
     for start in range(0, n_boot, rows):
         b = min(rows, n_boot - start)
-        if uniform:
-            idx = rng.integers(0, n, (b, n))
+        if indices is not None:
+            draw = idx[:b]
+            np.copyto(draw, indices[start:start + b])
+        elif uniform:
+            draw = rng.integers(0, n, (b, n))
         else:
-            idx = rng.choice(n, size=(b, n), p=sample.weights)
-        np.take(sample.values, idx, out=block[:b])
+            draw = rng.choice(n, size=(b, n), p=sample.weights)
+        np.take(sample.values, draw, out=block[:b])
         vals[start:start + b] = _evaluate_rows(
             risk, block[:b], weights, work[:, :b]
         )

@@ -86,6 +86,35 @@ def test_infeasible_exponents_rejected(tmp_path, capsys):
     assert "problem exponents are infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, inequality",
+    [
+        ({"p1_prime": 1.5}, "problem.growth.p1_prime <= problem.growth.p1"),
+        ({"p2_prime": 2.0}, "problem.growth.p2_prime <= problem.growth.p2"),
+        ({"p": 8.0}, "problem.growth.p < problem.growth.pbar"),
+        (
+            {"pbar3": 2.0},
+            "problem.growth.pbar <= problem.growth.pbar3; "
+            "problem.growth.pbar2 <= problem.growth.pbar3/problem.growth.pbar",
+        ),
+        (
+            {"p1": 3.0, "p1_prime": 0.0},
+            "problem.growth.p1 < problem.growth.pbar/problem.growth.p - 1",
+        ),
+    ],
+    ids=["p1_prime", "p2_prime", "p", "pbar3", "p1"],
+)
+def test_infeasible_growth_names_the_dotted_keys(tmp_path, capsys, change, inequality):
+    # Each failing inequality of the growth feasibility check is named by
+    # its config keys, as every other config error is, not as "p1' <= p1".
+    problem = _problem("custom", {f"growth.{k}": v for k, v in change.items()})
+    path, _ = _small_portfolio_config(tmp_path, problem=problem)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"problem exponents are infeasible: {inequality}" in err
+    assert "'" not in err.split("infeasible:")[1]
+
+
 def test_solve_emits_stamped_artifacts(tmp_path):
     path, cfg = _small_portfolio_config(tmp_path)
     out = str(tmp_path / "run")

@@ -29,6 +29,7 @@ from riskmp import (
     solve_adjoint_system,
 )
 from riskmp import cli, control, sde
+from riskmp import risk as risk_module
 from riskmp.adjoint import MAX_RIDGE
 from riskmp.control import (
     _hamiltonian_atoms,
@@ -495,6 +496,75 @@ def test_solve_bits_do_not_depend_on_the_collapse(
     assert len(weights) == len(ref_weights)
     assert all(np.array_equal(a, b) for a, b in zip(weights, ref_weights))
     assert files == ref_files
+
+
+def _solve(path):
+    """msa_solve on the experiment of a config file."""
+    exp = cli.build_experiment(cli.load_config(path))
+    model, grid = exp["model"], exp["grid"]
+    driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
+    return msa_solve(
+        model, exp["risk"], exp["init"], exp["msa"], driver, exp["basis"], grid
+    )
+
+
+def test_risk_neutral_solve_confirms_no_path_constant_input_by_compare(
+    tmp_path, monkeypatch
+):
+    # With risk function E, l = 1, so y' = 1 and z' = 0, and on the Merton
+    # portfolio every adjoint slice and every Hamiltonian step is the same
+    # on all paths.  That is known where each value is made: D and grad g
+    # are broadcast rows, the backward solves record the steps they make
+    # path-constant, and a constant policy's weights are broadcast rows.
+    # So every True verdict of the rule must come from the row stride, and
+    # none from a compare over paths.
+    path = _solve_config(tmp_path, {"type": "portfolio"}, {"type": "expectation"})
+    verdicts, steps = [], []
+    is_constant, is_step_constant = sde._path_constant, control._step_is_path_constant
+
+    def spy(a):
+        verdicts.append((is_constant(a), a.shape[0] == 1 or a.strides[0] == 0))
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(sde, "_path_constant", spy)
+    monkeypatch.setattr(
+        control, "_step_is_path_constant",
+        lambda *args: steps.append(is_step_constant(*args)) or steps[-1],
+    )
+    _, report = _solve(path)
+    assert len(steps) == report.n_iters * 8 and all(steps)
+    assert sum(verdict for verdict, _ in verdicts) >= 4 * len(steps)
+    compared = [by_stride for verdict, by_stride in verdicts if verdict]
+    assert all(compared), f"{compared.count(False)} True verdicts by compare"
+
+
+@pytest.mark.parametrize(
+    "risk",
+    [{"type": "expectation"}, {"type": "mean_deviation", "beta": 0.5}],
+    ids=["risk-neutral", "mean-deviation"],
+)
+def test_solve_bits_do_not_depend_on_the_index_table(tmp_path, monkeypatch, risk):
+    # With the byte budget at 0 no resample table is kept, and every
+    # bootstrap draws its own indices: the trace must keep its bits.
+    path = _solve_config(tmp_path, {"type": "portfolio"}, risk)
+    tables = []
+    bootstrap = control.bootstrap_standard_error
+
+    def spy(risk, sample, n_boot, seed, indices=None):
+        tables.append(indices is not None)
+        return bootstrap(risk, sample, n_boot, seed, indices)
+
+    monkeypatch.setattr(control, "bootstrap_standard_error", spy)
+    traces = []
+    for budget in (None, 0):
+        if budget is not None:
+            monkeypatch.setattr(risk_module, "_INDEX_TABLE_BYTES", budget)
+        out = tmp_path / f"out-{budget}"
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+        traces.append((out / "objective_trace.csv").read_bytes())
+        assert set(tables) == {budget is None}
+        tables.clear()
+    assert traces[0] == traces[1]
 
 
 def _read_column(path, name):

@@ -11,13 +11,14 @@ from riskmp import (
     DegenerateSample,
     EmpiricalSample,
     RiskFunction,
+    bootstrap_indices,
     bootstrap_standard_error,
     directional_derivative_check,
     evaluate,
     l_derivative,
 )
 from riskmp.risk import MAX_BETA, MAX_EPSILON, _evaluate_rows, _softplus
-from riskmp.sde import _BLOCK_ELEMENTS
+from riskmp.sde import _BLOCK_ELEMENTS, _INDEX_TABLE_BYTES
 
 from conftest import python_in_subprocess
 
@@ -247,6 +248,68 @@ def test_block_bootstrap_crosses_block_boundaries():
     for risk in RISKS.values():
         got = bootstrap_standard_error(risk, sample, n_boot=3 * rows + 2, seed=9)
         assert got == _loop_bootstrap(risk, sample, 3 * rows + 2, 9)
+
+
+# Sample sizes at the edges of the index table's dtypes: n - 1 = 255 is the
+# largest uint8, 65535 the largest uint16.
+_INDEX_EDGES = {2: np.uint8, 256: np.uint8, 257: np.uint16, 65536: np.uint16,
+                65537: np.uint32}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RISKS)),
+    n=st.sampled_from(sorted(_INDEX_EDGES)),
+    full_blocks=st.integers(0, 2),
+    shift=st.integers(-1, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_resamples_match_the_per_call_draw(name, n, full_blocks, shift, seed):
+    # The once-per-solve index table gives the per-call standard error bit
+    # for bit, with n_boot just below, at and just above a block boundary.
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    n_boot = max(2, full_blocks * rows + shift)
+    table = bootstrap_indices(n, n_boot, seed)
+    assert table.dtype == _INDEX_EDGES[n] and table.shape == (n_boot, n)
+    assert not table.flags.writeable
+    assert np.array_equal(
+        table, np.random.default_rng(seed).integers(0, n, (n_boot, n))
+    )
+    sample = EmpiricalSample(np.random.default_rng(seed + 1).standard_normal(n))
+    got = bootstrap_standard_error(RISKS[name], sample, n_boot, seed, table)
+    assert got == bootstrap_standard_error(RISKS[name], sample, n_boot, seed)
+
+
+def test_index_table_is_kept_only_within_its_byte_budget():
+    # 32 uint16 rows of 65536 paths take the 4 MiB budget exactly; one more
+    # row is over it, and the bootstrap then draws per call.
+    n = 65536
+    assert 32 * n * 2 == _INDEX_TABLE_BYTES
+    within = bootstrap_indices(n, 32, seed=5)
+    assert within is not None and within.nbytes == _INDEX_TABLE_BYTES
+    assert bootstrap_indices(n, 33, seed=5) is None
+    sample = EmpiricalSample(np.random.default_rng(6).standard_normal(n))
+    for risk in RISKS.values():
+        assert bootstrap_standard_error(risk, sample, 32, 5, within) == (
+            bootstrap_standard_error(risk, sample, 32, 5)
+        )
+
+
+def test_index_table_serves_only_uniform_samples_of_its_shape():
+    rng = np.random.default_rng(8)
+    n = 300
+    table = bootstrap_indices(n, 40, seed=2)
+    w = rng.uniform(size=n)
+    weighted = EmpiricalSample(rng.standard_normal(n), w / w.sum())
+    risk = RISKS["mean_deviation"]
+    # A weighted sample draws its own resamples, with its weights.
+    assert bootstrap_standard_error(risk, weighted, 40, 2, table) == (
+        bootstrap_standard_error(risk, weighted, 40, 2)
+    )
+    uniform = EmpiricalSample(weighted.values)
+    for n_boot, sample in ((41, uniform), (40, EmpiricalSample(uniform.values[1:]))):
+        with pytest.raises(ValueError, match="indices must have shape"):
+            bootstrap_standard_error(risk, sample, n_boot, 2, table)
 
 
 _SOFTPLUS_EDGES = [0.0, -0.0, 40.0, -40.0, 750.0, -750.0, 1e308 / 1e-10, -1e308 / 1e-10]
