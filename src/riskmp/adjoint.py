@@ -421,15 +421,12 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
         np.asarray(model.terminal_dx(ensemble.states[:, -1]), float), (n, dx)
     )
     y[:, n_steps] = yprime[:, n_steps, None] * g_grad
+    if constant is None:
+        constant = np.zeros(n_steps + 1, dtype=bool)
     # Whether y at the node above is path-constant by construction.  Where
     # that is not known, each fit asks the path-constant rule.
-    y_constant = (
-        constant is not None
-        and bool(constant[n_steps])
-        and sde._path_constant(g_grad)
-    )
-    if constant is not None:
-        constant[n_steps] = y_constant
+    y_constant = bool(constant[n_steps]) and sde._path_constant(g_grad)
+    constant[n_steps] = y_constant
     residuals = [0.0] * n_steps
 
     for k in range(n_steps - 1, -1, -1):
@@ -455,8 +452,7 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
         if not np.isfinite(y[:, k]).all():
             raise NumericalBlowup(k, "adjoint state")
         y_constant = y_constant and sde._path_constant(grad_h)
-        if constant is not None:
-            constant[k] &= y_constant and not z_fitted
+        constant[k] &= y_constant and not z_fitted
     return y, z, residuals
 
 
