@@ -62,7 +62,8 @@ class RegressionBasis:
     degree is the total polynomial degree of the state monomials (degree 0
     keeps only the intercept).  The effective ridge penalty on standardized,
     non-intercept coefficients is ridge * n_samples; ridge = 0 requests plain
-    least squares and raises RankDeficient on singular normal systems.
+    least squares, fits a feature that is flat on the slice to coefficient
+    0, and raises RankDeficient on normal systems that are still singular.
     ridge is at most MAX_RIDGE.
     """
 
@@ -132,16 +133,21 @@ def _factorize(states, basis, step):
         mu = np.add.reduce(phi, axis=1) / n
         phi -= mu[:, None]
         scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
-        scale[scale < 1e-300] = 1.0
+        flat = scale < 1e-300
+        scale[flat] = 1.0
         phi /= scale[:, None]
         gram = np.einsum("in,jn->ij", phi, phi)
     if not (np.isfinite(scale).all() and np.isfinite(gram).all()):
         raise NumericalBlowup(step, "regression design")
     lam = basis.ridge * n
-    if lam == 0.0 and np.linalg.matrix_rank(gram) < m:
-        raise RankDeficient(
-            f"normal system is singular ({m} features, rank deficient)"
-        )
+    if lam == 0.0:
+        # A feature flat on the slice, such as every monomial of a point-mass
+        # start, has a zero centered row: a unit diagonal fits it to 0.
+        gram[flat, flat] = 1.0
+        if np.linalg.matrix_rank(gram) < m:
+            raise RankDeficient(
+                f"normal system is singular ({m} features, rank deficient)"
+            )
     return phi, mu, scale, gram + lam * np.eye(m)
 
 
@@ -203,20 +209,17 @@ class _SliceRegression:
         """
         return np.array([np.add.reduce(t[:, j]) for j in columns]) / self.n
 
-    def _solve(self, t, constant=None):
+    def _solve(self, t):
         """(ybar, beta, coef, intercept) of the (n, r) targets t.
 
-        Path-constant targets fit to their means, with zero beta and
-        coefficients.  constant says whether t is path-constant when the
-        caller knows; None asks the path-constant rule (sde._path_constant).
-        Other targets are copied once into (r, n) rows, which are centered
-        in place: the caller's array is never written, and the bits do not
-        depend on its layout.
+        Path-constant targets (sde._path_constant; a broadcast row by its
+        row stride alone) fit to their means, with zero beta and
+        coefficients.  Other targets are copied once into (r, n) rows, which
+        are centered in place: the caller's array is never written, and the
+        bits do not depend on its layout.
         """
         r = t.shape[1]
-        if constant is None:
-            constant = sde._path_constant(t)
-        if constant:
+        if sde._path_constant(t):
             zeros = np.zeros((self.m, r))
             ybar = self._means(t, range(r))
             return ybar, None if self.m == 0 else zeros, zeros, ybar
@@ -230,17 +233,13 @@ class _SliceRegression:
         coef = beta / self._scale[:, None]
         return ybar, beta, coef, ybar - self._mu @ coef
 
-    def fit(self, targets, constant=None):
-        """Least-squares fitted values of targets, (n,) or (n, r), on the slice.
-
-        constant, when given, says whether the targets are path-constant
-        (see _solve), as the backward solves record it.
-        """
+    def fit(self, targets):
+        """Least-squares fitted values of targets, (n,) or (n, r), on the slice."""
         t = np.asarray(targets, dtype=float)
         squeeze = t.ndim == 1
         if squeeze:
             t = t[:, None]
-        ybar, beta, _, _ = self._solve(t, constant)
+        ybar, beta, _, _ = self._solve(t)
         if beta is None:
             fitted = np.broadcast_to(ybar, t.shape).copy()
         else:
@@ -297,7 +296,7 @@ def _slice_regressions(ensemble, basis):
 
 
 def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
-                          out=None, constant=None):
+                          out=None):
     """Backward estimate of the risk-adjustment pair (y', z').
 
     y'_T is pinned to the per-path derivative values; earlier slices regress
@@ -307,10 +306,9 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
     precomputed per-step regressions.  out, when given, holds step-major
     yprime and zprime arrays of the shapes below, overwritten here.
 
-    D is tested once by the path-constant rule (sde._path_constant): a
-    broadcast row, such as the expectation's derivative, by its row stride
-    alone.  A path-constant D makes every y'_k its mean.  constant, when
-    given, is a (K+1,) bool array set here to that verdict at every node.
+    A path-constant D (sde._path_constant) makes every y'_k its mean.  A
+    broadcast row, such as the expectation's derivative, is read as one by
+    its row stride alone.
 
     Returns:
       (yprime, zprime, residuals): shapes (n, K+1), (n, K, dim_w), both
@@ -334,13 +332,10 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
         yprime, zprime = out.yprime, out.zprime
         zprime.fill(0.0)
     yprime[:, n_steps] = d
-    d_constant = sde._path_constant(d)
-    if constant is not None:
-        constant[:] = d_constant
     residuals = [0.0] * n_steps
     for k in range(n_steps - 1, -1, -1):
         reg = slices[k]
-        fitted = reg.fit(d, d_constant)
+        fitted = reg.fit(d)
         yprime[:, k] = fitted
         residuals[k] = _norm(d - fitted) / math.sqrt(n)
         # Martingale increment between fitted slices; using the fitted
@@ -391,13 +386,14 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
     and z arrays of the shapes below, overwritten here.
 
     constant, when given, is a (K+1,) bool array holding whether each y'_k
-    is path-constant, as solve_risk_adjustment sets it.  It is narrowed
+    is path-constant, as solve_adjoint_system seeds it.  It is narrowed
     here to the nodes where y_k, y'_k and z_k (k < K) are all path-constant
     by construction, so that no compare over paths confirms them: y_T is
     when y'_T and grad g are (sde._path_constant, by the row stride of a
-    broadcast row); an earlier y_k is when y_{k+1} is, since its fit is
-    then the mean, and the Hamiltonian's state gradient is a broadcast
-    row; z_k is when the increment of y is exactly zero and z_k stays +0.0.
+    broadcast row); an earlier y_k is when y_{k+1} is, since its fit, of
+    y_{k+1} handed over as a broadcast row, is then the mean, and the
+    Hamiltonian's state gradient is a broadcast row; z_k is when the
+    increment of y is exactly zero and z_k stays +0.0.
 
     Returns:
       (y, z, residuals): shapes (n, K+1, dim_x), (n, K, dim_w, dim_x), both
@@ -434,7 +430,7 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
         xk = ensemble.states[:, k]
         reg = slices[k]
         upper = y[:, k + 1]
-        yhat = reg.fit(upper, y_constant or None)
+        yhat = reg.fit(sde._all_paths(upper, n) if y_constant else upper)
         centered = upper - yhat
         residuals[k] = _norm(centered) / math.sqrt(n)
         # An increment that is exactly zero fits to +0.0, the initial z.
@@ -497,15 +493,15 @@ def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
     """Run both backward solves and package the four adjoint processes.
 
     out, when given, holds the yprime, zprime, y and z arrays the two
-    solves overwrite.  The solves record which steps they made
-    path-constant (solve_adjoint), for AdjointProcesses.step.
+    solves overwrite.  The record of the steps made path-constant, for
+    AdjointProcesses.step, is seeded here with whether D is
+    (sde._path_constant), and solve_adjoint narrows it.
     """
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
-    constant = np.empty(ensemble.grid.n_steps + 1, dtype=bool)
-    yprime, zprime, res_p = solve_risk_adjustment(
-        ensemble, derivative_values, basis, slices, out, constant
-    )
+    d = np.asarray(derivative_values, dtype=float).reshape(-1)
+    yprime, zprime, res_p = solve_risk_adjustment(ensemble, d, basis, slices, out)
+    constant = np.full(ensemble.grid.n_steps + 1, sde._path_constant(d))
     y, z, res_y = solve_adjoint(
         model, ensemble, yprime, basis, slices, out, constant
     )

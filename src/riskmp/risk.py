@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateSample
-from .sde import _BLOCK_ELEMENTS, _INDEX_TABLE_BYTES
+from .sde import _BLOCK_ELEMENTS
 
 __all__ = [
     "RiskFunction",
@@ -264,6 +264,14 @@ def directional_derivative_check(risk, sample, direction, h):
 def _resample_rows(n, n_boot):
     """Resamples per block: their (rows, n) values fill _BLOCK_ELEMENTS."""
     return min(max(1, _BLOCK_ELEMENTS // n), n_boot)
+
+
+# Byte budget of the whole-solve resample index table (bootstrap_indices):
+# 4 MiB.  200 resamples of 4,000 paths, as uint16, take 1.6 MB.  A larger
+# table, such as 200 resamples of 20,000 paths (8 MB), is not kept: each
+# bootstrap then draws its indices a block at a time, and the solve's peak
+# memory does not grow by the table.
+_INDEX_TABLE_BYTES = 4 << 20
 
 
 def bootstrap_indices(n, n_boot=200, seed=0):

@@ -384,8 +384,11 @@ class MeasurePolicy:
 
         Each policy checks the weights it makes, so callers check nothing.
         It may write them into out, an (n, n_atoms) array, or return its own
-        array, such as a constant policy's broadcast row.  A fault at step k
-        raises InvalidPolicyWeights or NumericalBlowup(k, "policy weights").
+        array.  Weights that are the same on every path come back as a
+        read-only broadcast row (row stride 0), so that the path-constant
+        rule (_path_constant) reads them by their stride alone.  A fault at
+        step k raises InvalidPolicyWeights or NumericalBlowup(k, "policy
+        weights").
         """
         raise NotImplementedError
 
@@ -482,6 +485,8 @@ class _RulePolicy(MeasurePolicy):
     def weights_at(self, k, t, states, out=None):
         w = np.asarray(self.rule(k, t, states), dtype=float)
         w = np.broadcast_to(w, (states.shape[0], self.n_atoms))
+        if _path_constant(w):
+            w = _all_paths(w, states.shape[0])
         _check_weight_rows(w, f"feedback policy, step {k}", step=k)
         return w
 
@@ -494,16 +499,8 @@ _VANISHED_MASS = 1e-300
 # pre-weight array and the (paths, n_steps, dim_w) driver draws, and in
 # risk.bootstrap_standard_error the (rows, n) resample block and its intp
 # indices: 2**15 float64 = 256 KB, small enough to stay in cache through the
-# block's passes.  The whole solve's resample index table, from which those
-# indices are copied, has its own budget, _INDEX_TABLE_BYTES.
+# block's passes.
 _BLOCK_ELEMENTS = 1 << 15
-
-# Byte budget of the whole-solve resample index table (risk.bootstrap_indices):
-# 4 MiB.  200 resamples of 4,000 paths, as uint16, take 1.6 MB.  A larger
-# table, such as 200 resamples of 20,000 paths (8 MB), is not kept: each
-# bootstrap then draws its indices a block at a time, and the solve's peak
-# memory does not grow by the table.
-_INDEX_TABLE_BYTES = 4 << 20
 
 
 def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms,
@@ -584,7 +581,9 @@ class _MixturePolicy(MeasurePolicy):
 
         out is written only when some component depends on the state; the
         weights of constant components alone are one broadcast row.  Other
-        components' weights must sum to a finite total.
+        components' weights must sum to a finite total.  Summed weights that
+        are the same on every path (_path_constant) are handed out as path
+        0's row, broadcast.
         """
         row = None  # the constant components, summed
         acc = None  # the other components, summed into out when given
@@ -621,7 +620,7 @@ class _MixturePolicy(MeasurePolicy):
             raise NumericalBlowup(k, "policy weights")
         if row is not None:
             acc += row
-        return acc
+        return _all_paths(acc, states.shape[0]) if _path_constant(acc) else acc
 
 
 def _mixture_terms(policy, scale):

@@ -526,62 +526,24 @@ def simulation_determinism():
     return _result("simulation_determinism", same, "bit-identical resimulation")
 
 
-@dataclass(frozen=True)
-class Check:
-    """Row names, in order, and run(rng) -> row(s) at `riskmp verify`'s sizes."""
-
-    names: tuple
-    run: object
-
-
+# The runners of `riskmp verify`, in order: run(rng) -> row(s) at its sizes.
 CHECKS = (
-    Check(("risk_translation_invariance",), risk_translation_invariance),
-    Check(("risk_positive_homogeneity",), risk_positive_homogeneity),
-    Check(("risk_monotonicity",), risk_monotonicity),
-    Check(("risk_convexity",), risk_convexity),
-    Check(("risk_semideviation_sandwich",), risk_semideviation_sandwich),
-    Check(("risk_derivative_range",), risk_derivative_range),
-    Check(("risk_law_invariance",), risk_law_invariance),
-    Check(("risk_degenerate_guard",), lambda rng: risk_degenerate_guard()),
-    Check(
-        ("derivative_fd_mean_dev", "derivative_fd_smoothed", "derivative_fd_entropic"),
-        derivative_fd,
-    ),
-    Check(
-        ("example1_mixed_paths_zero", "example1_strict_variance"),
-        lambda rng: example1_mixed_volatility(SEED + 1, 4000),
-    ),
-    Check(
-        ("example2_perturbation_bound",),
-        lambda rng: example2_perturbation_bound(SEED + 2, 10_000),
-    ),
-    Check(
-        ("variational_linearization",),
-        lambda rng: variational_linearization(SEED + 3, 3000),
-    ),
-    Check(
-        (
-            "hamiltonian_measure_linearity",
-            "hamiltonian_minimizer_optimality",
-            "hamiltonian_tie_mixing",
-        ),
-        hamiltonian_checks,
-    ),
-    Check(
-        (
-            "riskneutral_collapse",
-            "martingale_diagnostics",
-            "positive_risk_adjustment",
-            "portfolio_adjoint_identity",
-            "entropic_premium_closed_form",
-        ),
-        lambda rng: _verify_adjoints(),
-    ),
-    Check(
-        ("portfolio_feasibility", "portfolio_gradient_consistency", "brute_force_merton"),
-        lambda rng: portfolio_checks(),
-    ),
-    Check(("simulation_determinism",), lambda rng: simulation_determinism()),
+    risk_translation_invariance,
+    risk_positive_homogeneity,
+    risk_monotonicity,
+    risk_convexity,
+    risk_semideviation_sandwich,
+    risk_derivative_range,
+    risk_law_invariance,
+    lambda rng: risk_degenerate_guard(),
+    derivative_fd,
+    lambda rng: example1_mixed_volatility(SEED + 1, 4000),
+    lambda rng: example2_perturbation_bound(SEED + 2, 10_000),
+    lambda rng: variational_linearization(SEED + 3, 3000),
+    hamiltonian_checks,
+    lambda rng: _verify_adjoints(),
+    lambda rng: portfolio_checks(),
+    lambda rng: simulation_determinism(),
 )
 
 
@@ -589,7 +551,7 @@ def run_checks():
     """Run CHECKS in order on one seeded rng; returns the CheckResult rows."""
     rng = np.random.default_rng(SEED)
     rows = []
-    for check in CHECKS:
-        got = check.run(rng)
+    for run in CHECKS:
+        got = run(rng)
         rows.extend(got if isinstance(got, list) else [got])
     return rows

@@ -144,7 +144,8 @@ def test_degree_zero_two_points_predicts_mean():
 
 
 def test_rank_deficient_raises_without_ridge():
-    states = np.array([[1.0], [1.0], [1.0]])
+    # Two identical coordinates: varying features that are collinear.
+    states = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0]])
     with pytest.raises(RankDeficient):
         _SliceRegression(states, RegressionBasis(degree=1, ridge=0.0)).fit(
             np.arange(3.0)
@@ -152,13 +153,30 @@ def test_rank_deficient_raises_without_ridge():
 
 
 def test_rank_deficient_slice_raises_only_when_solved(rng):
-    # Every path at one state: singular without a ridge.  A path-constant
+    # Collinear varying features: singular without a ridge.  A path-constant
     # target fits to its mean without the factorization; a varying one
     # needs it, and raises.
-    reg = _SliceRegression(np.ones((50, 1)), RegressionBasis(degree=1, ridge=0.0))
+    x = rng.standard_normal((50, 1))
+    reg = _SliceRegression(
+        np.hstack([x, x]), RegressionBasis(degree=1, ridge=0.0)
+    )
     assert np.array_equal(reg.fit(np.full(50, 2.0)), np.full(50, 2.0))
     with pytest.raises(RankDeficient):
         reg.fit(rng.standard_normal(50))
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_flat_states_fit_a_varying_target_to_its_mean_without_ridge(rng, degree):
+    # Every path at one state, as at a point-mass start: each feature is
+    # flat, so without a ridge it gets a unit diagonal and coefficient 0.
+    reg = _SliceRegression(
+        np.full((50, 2), 0.5), RegressionBasis(degree=degree, ridge=0.0)
+    )
+    targets = rng.standard_normal((50, 3))
+    mean = np.add.reduce(np.ascontiguousarray(targets.T), axis=1) / 50
+    assert np.array_equal(reg.fit(targets), np.broadcast_to(mean, (50, 3)))
+    intercept, coef = reg.fit_coefficients(targets)
+    assert np.array_equal(intercept, mean) and not coef.any()
 
 
 def _spied_slices(monkeypatch, states):

@@ -4,6 +4,7 @@ forward pass."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmp import MeasurePolicy, build_time_grid, convex_combine, sample_brownian
-from riskmp import cli, control
+from riskmp import cli, control, sde
 from riskmp.adjoint import RegressionBasis, _SliceRegression
 from riskmp.control import msa_solve, policy_entropy
 from riskmp.errors import NumericalBlowup
@@ -293,6 +294,55 @@ def test_degraded_fit_keeps_broadcast_weights():
     for k, w in enumerate(ens.policy_weights):
         assert w.shape == (500, 2) and w.strides[0] == 0
         assert np.shares_memory(w, policy.weights[k])
+
+
+@pytest.mark.parametrize("kind", ["fitted", "feedback"])
+def test_path_constant_step_weights_are_a_broadcast_row(monkeypatch, kind):
+    # Step k's weights are the same on every path: the fit's step-k
+    # coefficients are all zero, or the rule tiles one row over the paths.
+    # The policy hands them out as a broadcast row with the bits of the
+    # dense evaluation, so neither the forward averaging nor the entropy
+    # compares them over paths.
+    model = sign_volatility_model()
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 500, 1, seed=6)
+    basis = RegressionBasis(degree=2)
+    k = 2
+    steps = _steps(np.random.default_rng(8), basis, 2, grid.n_steps, 1.0)
+    steps[k] = (steps[k][0], np.zeros_like(steps[k][1]))
+    if kind == "fitted":
+        policy = MeasurePolicy.fitted(steps, basis, 2)
+        assert isinstance(policy, _MixturePolicy)
+
+        def dense(states):
+            intercept, coef = steps[k]
+            return _eval_affine_batch(basis, states, [1.0], [intercept], [coef], 2)
+    else:
+        def dense(states):
+            return np.tile([0.25, 0.75], (states.shape[0], 1))
+
+        def rule(j, t, x):
+            return dense(x) if j == k else np.hstack([x > 0, x <= 0]) * 1.0
+
+        policy = MeasurePolicy.feedback(rule, 2)
+    verdicts = []
+    is_constant = sde._path_constant
+
+    def spy(a):
+        verdict = is_constant(a)
+        verdicts.append((sys._getframe(1).f_code.co_name, verdict, a.strides[0] == 0))
+        return verdict
+
+    monkeypatch.setattr(sde, "_path_constant", spy)
+    ens = simulate_forward(model, policy, driver, grid, keep_weights=True)
+    w, ref = ens.policy_weights[k], dense(ens.states[:, k])
+    assert not is_constant(ens.states[:, k])
+    assert w.strides[0] == 0 and w.tobytes() == ref.tobytes()
+    averaging = [v for v in verdicts if v[0] == "_averaged_coefficients"]
+    assert len(averaging) == grid.n_steps and averaging[k][1:] == (True, True)
+    verdicts.clear()
+    assert policy_entropy(w) == policy_entropy(ref)
+    assert verdicts[0][1:] == (True, True)
 
 
 def _random_tree(rng, depth, basis, n_atoms, n_steps, root=True):

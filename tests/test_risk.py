@@ -17,8 +17,14 @@ from riskmp import (
     evaluate,
     l_derivative,
 )
-from riskmp.risk import MAX_BETA, MAX_EPSILON, _evaluate_rows, _softplus
-from riskmp.sde import _BLOCK_ELEMENTS, _INDEX_TABLE_BYTES
+from riskmp.risk import (
+    _INDEX_TABLE_BYTES,
+    MAX_BETA,
+    MAX_EPSILON,
+    _evaluate_rows,
+    _softplus,
+)
+from riskmp.sde import _BLOCK_ELEMENTS
 
 from conftest import python_in_subprocess
 
