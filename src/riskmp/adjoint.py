@@ -121,7 +121,12 @@ def _factorize(states, basis, step):
     """(phi_rows, mu, scale, solve_mat) of one slice's standardized design.
 
     phi_rows is the design feature-major, centered by the feature means mu
-    and divided by the scales, and solve_mat the ridged Gram matrix.
+    and divided by the scales, and solve_mat the ridged Gram matrix.  A
+    feature flat on the slice (finite and equal to path 0 on every path, as
+    every monomial of a point-mass start is on slice 0) gets a zero
+    standardized row, and without a ridge a unit diagonal, so it fits to
+    coefficient 0.  Its centered row need not be zero: the n-copy mean of a
+    value need not be exact.
     """
     # The monomials of huge states can overflow.  A non-finite design
     # leaves the scale or the Gram matrix non-finite, which raises
@@ -130,19 +135,18 @@ def _factorize(states, basis, step):
     with np.errstate(over="ignore", invalid="ignore"):
         phi = basis.design_rows(states)
         m, n = phi.shape
+        flat = (phi == phi[:, :1]).all(axis=1) & np.isfinite(phi[:, 0])
         mu = np.add.reduce(phi, axis=1) / n
         phi -= mu[:, None]
         scale = np.sqrt(np.add.reduce(phi * phi, axis=1) / n)
-        flat = scale < 1e-300
-        scale[flat] = 1.0
+        scale[scale < 1e-300] = 1.0  # no division by an underflowed scale
         phi /= scale[:, None]
+        phi[flat] = 0.0
         gram = np.einsum("in,jn->ij", phi, phi)
     if not (np.isfinite(scale).all() and np.isfinite(gram).all()):
         raise NumericalBlowup(step, "regression design")
     lam = basis.ridge * n
     if lam == 0.0:
-        # A feature flat on the slice, such as every monomial of a point-mass
-        # start, has a zero centered row: a unit diagonal fits it to 0.
         gram[flat, flat] = 1.0
         if np.linalg.matrix_rank(gram) < m:
             raise RankDeficient(
@@ -222,11 +226,9 @@ class _SliceRegression:
         if sde._path_constant(t):
             zeros = np.zeros((self.m, r))
             ybar = self._means(t, range(r))
-            return ybar, None if self.m == 0 else zeros, zeros, ybar
+            return ybar, zeros, zeros, ybar
         rows = np.array(np.transpose(t), dtype=float, order="C")
         ybar = np.add.reduce(rows, axis=1) / self.n
-        if self.m == 0:
-            return ybar, None, np.empty((0, r)), ybar
         rows -= ybar[:, None]
         rhs = np.einsum("in,rn->ir", self._phi_rows, rows)
         beta = np.linalg.solve(self._solve_mat, rhs)
@@ -240,16 +242,13 @@ class _SliceRegression:
         if squeeze:
             t = t[:, None]
         ybar, beta, _, _ = self._solve(t)
-        if beta is None:
-            fitted = np.broadcast_to(ybar, t.shape).copy()
+        if beta.any():
+            # (r, m) @ (m, n) sums over features only, never over paths.
+            fitted = (beta.T @ self._phi_rows).T
         else:
-            if beta.any():
-                # (r, m) @ (m, n) sums over features only, never over paths.
-                fitted = (beta.T @ self._phi_rows).T
-            else:
-                # A zero beta's product is +0.0 throughout.
-                fitted = np.zeros((t.shape[1], self.n)).T
-            fitted += ybar
+            # A zero beta's product is +0.0 throughout.
+            fitted = np.zeros((t.shape[1], self.n)).T
+        fitted += ybar
         return fitted[:, 0] if squeeze else fitted
 
     def fit_coefficients(self, targets):

@@ -632,15 +632,11 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RiskmpError as exc:
-        record = {
-            "config_hash": stamp[0],
-            "seed": stamp[1],
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        with open(os.path.join(args.out, "error.json"), "w") as fh:
-            json.dump(record, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(
+            os.path.join(args.out, "error.json"),
+            stamp,
+            {"error": type(exc).__name__, "message": str(exc)},
+        )
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

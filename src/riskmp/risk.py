@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DegenerateSample
-from .sde import _BLOCK_ELEMENTS
+from .sde import _row_blocks
 
 __all__ = [
     "RiskFunction",
@@ -261,11 +261,6 @@ def directional_derivative_check(risk, sample, direction, h):
     return DirectionalCheck(fd_value=fd, inner_product=ip, abs_error=abs(fd - ip))
 
 
-def _resample_rows(n, n_boot):
-    """Resamples per block: their (rows, n) values fill _BLOCK_ELEMENTS."""
-    return min(max(1, _BLOCK_ELEMENTS // n), n_boot)
-
-
 # Byte budget of the whole-solve resample index table (bootstrap_indices):
 # 4 MiB.  200 resamples of 4,000 paths, as uint16, take 1.6 MB.  A larger
 # table, such as 200 resamples of 20,000 paths (8 MB), is not kept: each
@@ -290,10 +285,8 @@ def bootstrap_indices(n, n_boot=200, seed=0):
         return None
     table = np.empty((n_boot, n), dtype)
     rng = np.random.default_rng(seed)
-    rows = _resample_rows(n, n_boot)
-    for start in range(0, n_boot, rows):
-        b = min(rows, n_boot - start)
-        table[start:start + b] = rng.integers(0, n, (b, n))
+    for lo, hi in _row_blocks(n_boot, n)[1]:
+        table[lo:hi] = rng.integers(0, n, (hi - lo, n))
     table.flags.writeable = False
     return table
 
@@ -326,25 +319,23 @@ def bootstrap_standard_error(risk, sample, n_boot=200, seed=0, indices=None):
     # A resample is an equally weighted sample of n draws from a finite,
     # already validated parent.
     weights = np.full(n, 1.0 / n)
-    rows = _resample_rows(n, n_boot)
+    rows, blocks = _row_blocks(n_boot, n)
     block = np.empty((rows, n))
     work = np.empty((2, rows, n))
     if indices is not None:
         idx = np.empty((rows, n), np.intp)
     vals = np.empty(n_boot)
-    for start in range(0, n_boot, rows):
-        b = min(rows, n_boot - start)
+    for lo, hi in blocks:
+        b = hi - lo
         if indices is not None:
             draw = idx[:b]
-            np.copyto(draw, indices[start:start + b])
+            np.copyto(draw, indices[lo:hi])
         elif uniform:
             draw = rng.integers(0, n, (b, n))
         else:
             draw = rng.choice(n, size=(b, n), p=sample.weights)
         np.take(sample.values, draw, out=block[:b])
-        vals[start:start + b] = _evaluate_rows(
-            risk, block[:b], weights, work[:, :b]
-        )
+        vals[lo:hi] = _evaluate_rows(risk, block[:b], weights, work[:, :b])
     # Huge risk values overflow the sums of the mean and the squared
     # deviations: the error is then inf or NaN, without a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -316,11 +316,6 @@ def _path_stream(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _driver_block_paths(n_steps, dim_w):
-    """Paths per block of sample_brownian: their draws fill _BLOCK_ELEMENTS."""
-    return max(1, _BLOCK_ELEMENTS // (n_steps * dim_w))
-
-
 def sample_brownian(grid, n_paths, dim_w, seed):
     """Draw Brownian increments for n_paths paths on the given grid.
 
@@ -343,8 +338,8 @@ def sample_brownian(grid, n_paths, dim_w, seed):
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n_steps, dim_w = grid.n_steps, int(dim_w)
     out = _step_major((n_paths, n_steps, dim_w))
-    rows = _driver_block_paths(n_steps, dim_w)
-    buf = np.empty((min(rows, n_paths), n_steps, dim_w))
+    rows, blocks = _row_blocks(n_paths, n_steps * dim_w)
+    buf = np.empty((rows, n_steps, dim_w))
     scale = math.sqrt(grid.dt)
     # One Philox re-keyed per path gives _path_stream(seed, i)'s draws without
     # building a generator, and seeding it from OS entropy, for every path.
@@ -359,13 +354,13 @@ def sample_brownian(grid, n_paths, dim_w, seed):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for lo in range(0, n_paths, rows):
-        block = buf[: min(rows, n_paths - lo)]
+    for lo, hi in blocks:
+        block = buf[: hi - lo]
         for i, draws in enumerate(block, start=lo):
             key[0] = i
             bitgen.state = state
             gen.standard_normal(out=draws)
-        np.multiply(block, scale, out=out[lo : lo + block.shape[0]])
+        np.multiply(block, scale, out=out[lo:hi])
     return BrownianDriver(increments=out, seed=int(seed))
 
 
@@ -495,12 +490,25 @@ class _RulePolicy(MeasurePolicy):
 # then uniform.
 _VANISHED_MASS = 1e-300
 
-# Element budget of one row block, here the (rows, components, atoms)
-# pre-weight array and the (paths, n_steps, dim_w) driver draws, and in
-# risk.bootstrap_standard_error the (rows, n) resample block and its intp
-# indices: 2**15 float64 = 256 KB, small enough to stay in cache through the
-# block's passes.
+# Element budget of one row block (_row_blocks), here the (rows, components,
+# atoms) pre-weight array and the (paths, n_steps, dim_w) driver draws, and
+# in risk's bootstrap the (rows, n) resample block and its indices: 2**15
+# float64 = 256 KB, small enough to stay in cache through the block's passes.
 _BLOCK_ELEMENTS = 1 << 15
+
+
+def _row_blocks(total, width):
+    """(rows, edges): total rows of width elements each, split into blocks.
+
+    edges are the (lo, hi) row ranges in order, each of
+    max(1, _BLOCK_ELEMENTS // width) rows but the last, so a block holds at
+    most _BLOCK_ELEMENTS elements unless one row alone holds more.  rows,
+    that block size capped at total, sizes the buffer the blocks reuse.
+    """
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return min(step, total), [
+        (lo, min(lo + step, total)) for lo in range(0, total, step)
+    ]
 
 
 def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms,
@@ -530,16 +538,15 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms,
     n_act = act.size
     intercept = intercept[:, act].ravel()
     coef = coef[:, :, act].reshape(m, n_comp * n_act)
-    rows = max(1, _BLOCK_ELEMENTS // (n_comp * max(n_act, 1)))
-    raw_buf = np.empty((min(rows, n), n_comp * n_act))
-    mass_buf = np.empty((min(rows, n), n_comp))
-    mix_buf = np.empty((min(rows, n), n_act))
+    rows, blocks = _row_blocks(n, n_comp * max(n_act, 1))
+    raw_buf = np.empty((rows, n_comp * n_act))
+    mass_buf = np.empty((rows, n_comp))
+    mix_buf = np.empty((rows, n_act))
     if out is None:
         out = np.zeros((n, n_atoms))
     else:
         out.fill(0.0)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo, hi in blocks:
         raw = np.matmul(phi[lo:hi], coef, out=raw_buf[: hi - lo])
         raw += intercept
         np.clip(raw, 0.0, None, out=raw)

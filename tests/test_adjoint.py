@@ -143,6 +143,21 @@ def test_degree_zero_two_points_predicts_mean():
     np.testing.assert_allclose(_predict(reg, basis, targets, np.array([[7.0]])), 2.0)
 
 
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_negative_zero_targets_fit_to_positive_zero(rng, degree):
+    # Degree 0 is an empty design on the general path: its fitted values
+    # are a zero beta's +0.0 plus the mean, as at every other degree.  A
+    # path-constant -0.0 target has mean +0.0; a varying one whose sum
+    # underflows has mean -0.0, and still fits to +0.0.
+    reg = _SliceRegression(rng.standard_normal((50, 1)), RegressionBasis(degree))
+    underflow = np.full(50, -0.0)
+    underflow[7] = -5e-324
+    assert np.signbit(np.add.reduce(underflow) / 50)
+    for targets in (np.full(50, -0.0), underflow):
+        fitted = reg.fit(targets)
+        assert not fitted.any() and not np.signbit(fitted).any()
+
+
 def test_rank_deficient_raises_without_ridge():
     # Two identical coordinates: varying features that are collinear.
     states = np.array([[1.0, 1.0], [2.0, 2.0], [4.0, 4.0]])

@@ -1,11 +1,14 @@
 """CLI commands, exit codes, file stamping, and reproducibility."""
 
 import csv
+import functools
+import importlib
 import json
 import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from riskmp import cli
@@ -631,14 +634,33 @@ def test_value_above_its_bound_is_config_error(
 
 
 @pytest.mark.parametrize(
-    "config",
-    ["custom_linear", "portfolio_entropic", "portfolio_mean_deviation", "example2"],
+    "config, x0",
+    [
+        ("custom_linear", None),
+        ("portfolio_entropic", None),
+        ("portfolio_mean_deviation", None),
+        ("example2", None),
+        ("portfolio_entropic", 0.3),
+    ],
+    ids=[
+        "custom_linear", "portfolio_entropic", "portfolio_mean_deviation",
+        "example2", "portfolio_entropic-x0-0.3",
+    ],
 )
-def test_ridge_zero_solves_from_a_point_mass_start(tmp_path, config):
+def test_ridge_zero_solves_from_a_point_mass_start(tmp_path, config, x0):
     # Every path starts at one state, so slice 0's features are flat.  They
     # raised RankDeficient without a ridge; they now fit to coefficient 0.
-    path = _shrunk_config(tmp_path, config, "basis", "ridge", 0)
-    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    # The 50-copy mean of 0.3 is not 0.3, so that start's centered features
+    # are rounding-level constants, not zeros: flatness is read off the
+    # uncentered design.
+    cfg = _bundled(config)
+    cfg["basis"]["ridge"] = 0
+    if x0 is not None:
+        assert np.add.reduce(np.full(50, x0)) / 50 != x0
+        cfg["problem"]["x0"] = x0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -967,6 +989,32 @@ def test_config_keys_are_in_the_schema_and_the_readme():
     pairs = {tuple(key.split(".")[:2]) for key in keys if "." in key}
     names = ["seed", *(name for _, name in pairs if name != "type")]
     assert len(names) == len(set(names)) == len(cli._SECTION_OF) == 32
+
+
+_MODULES = (
+    "sde", "risk", "control", "adjoint", "cli", "models", "portfolio",
+    "verification", "errors",
+)
+
+
+def test_readme_module_references_resolve():
+    # Every backticked `module.name` (or `riskmp.module.name`) in the README
+    # names an existing attribute.  Dotted config keys such as `risk.beta`
+    # are not references.
+    with open(os.path.join(CONFIGS, "..", "README.md")) as fh:
+        text = fh.read()
+    pattern = rf"`(?:riskmp\.)?((?:{'|'.join(_MODULES)})\.[\w.]+)"
+    refs = set(re.findall(pattern, text)) - _schema_keys()
+    assert "sde._path_constant" in refs
+    missing = []
+    for ref in sorted(refs):
+        module, *names = ref.rstrip(".").split(".")
+        obj = importlib.import_module(f"riskmp.{module}")
+        try:
+            functools.reduce(getattr, names, obj)
+        except AttributeError:
+            missing.append(ref)
+    assert not missing
 
 
 _HOSTILE = [True, "x", None, [], {}, -1, 0, 1.5, math.nan, 1e308, -1e308]

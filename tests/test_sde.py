@@ -95,7 +95,7 @@ def test_blocked_driver_draws_each_path_from_its_stream(monkeypatch, blocks, ext
     # stream's draws times sqrt(dt), on either side of a block edge.
     monkeypatch.setattr(sde, "_BLOCK_ELEMENTS", 40)
     grid = build_time_grid(2.0, 5)
-    block = sde._driver_block_paths(grid.n_steps, 2)
+    block = sde._BLOCK_ELEMENTS // (grid.n_steps * 2)
     assert block == 4
     n = blocks * block + extra
     driver = sample_brownian(grid, n, 2, seed=11)
@@ -103,6 +103,17 @@ def test_blocked_driver_draws_each_path_from_its_stream(monkeypatch, blocks, ext
     for i in range(n):
         draws = sde._path_stream(11, i).standard_normal((5, 2)) * math.sqrt(grid.dt)
         assert np.array_equal(driver.increments[i], draws)
+
+
+@pytest.mark.parametrize("width", [1, 3, 40, sde._BLOCK_ELEMENTS + 1])
+def test_row_blocks_match_the_blocked_loops_arithmetic(width):
+    # The blocked loops' arithmetic: range(0, total, rows) with min() edges
+    # and a buffer of min(rows, total) rows.  The bootstrap's generator
+    # draws follow these edges, so they must not move.
+    rows = max(1, sde._BLOCK_ELEMENTS // width)
+    for total in (1, rows - 1, rows, rows + 1, 3 * rows + 1):
+        edges = [(lo, min(lo + rows, total)) for lo in range(0, total, rows)]
+        assert sde._row_blocks(total, width) == (min(rows, total), edges)
 
 
 def test_path_arrays_are_step_major():
