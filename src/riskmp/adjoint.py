@@ -300,10 +300,15 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
 
     y'_T is pinned to the per-path derivative values; earlier slices regress
     those terminal values directly on the slice state (the conditional-mean
-    estimator of the martingale), and z' projects the centered increment
-    (D - y'_k) dW_k / dt on the same features.  slices optionally reuses
-    precomputed per-step regressions.  out, when given, holds step-major
-    yprime and zprime arrays of the shapes below, overwritten here.
+    estimator of the martingale), and z'_k projects the increment
+    (y'_{k+1} - y'_k) dW_k / dt of the fitted values on the same features.
+    slices optionally reuses precomputed per-step regressions.
+
+    out, when given, holds a step-major yprime array of the shape below,
+    overwritten here, and nowhere to put z': z' is then not fitted, and
+    None stands in its place.  msa_solve passes its workspace, since the
+    Hamiltonian reads y', y and z but not z'; without out, z' is fitted
+    into a fresh array, with the same bits wherever it is computed.
 
     A path-constant D (sde._path_constant) makes every y'_k its mean.  A
     broadcast row, such as the expectation's derivative, is read as one by
@@ -328,8 +333,7 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
         yprime = _step_major((n, n_steps + 1))
         zprime = _step_major((n, n_steps, dim_w), np.zeros)
     else:
-        yprime, zprime = out.yprime, out.zprime
-        zprime.fill(0.0)
+        yprime, zprime = out.yprime, None
     yprime[:, n_steps] = d
     residuals = [0.0] * n_steps
     for k in range(n_steps - 1, -1, -1):
@@ -337,6 +341,8 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
         fitted = reg.fit(d)
         yprime[:, k] = fitted
         residuals[k] = _norm(d - fitted) / math.sqrt(n)
+        if zprime is None:
+            continue
         # Martingale increment between fitted slices; using the fitted
         # (k+1)-values rather than raw D strips the future-noise spread from
         # the projection target, without which z' carries O(1/sqrt(n dt))
@@ -462,7 +468,7 @@ class AdjointProcesses:
     y: np.ndarray         # (n, K+1, dim_x), row-covector per path/step
     z: np.ndarray         # (n, K, dim_w, dim_x)
     yprime: np.ndarray    # (n, K+1)
-    zprime: np.ndarray    # (n, K, dim_w)
+    zprime: "np.ndarray | None"  # (n, K, dim_w); None when not fitted
     residuals_y: list
     residuals_yprime: list
     # (K+1,) bool: y_k, y'_k and z_k are path-constant by construction, as
@@ -491,10 +497,10 @@ def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
                          out=None):
     """Run both backward solves and package the four adjoint processes.
 
-    out, when given, holds the yprime, zprime, y and z arrays the two
-    solves overwrite.  The record of the steps made path-constant, for
-    AdjointProcesses.step, is seeded here with whether D is
-    (sde._path_constant), and solve_adjoint narrows it.
+    out, when given, holds the yprime, y and z arrays the two solves
+    overwrite; z' is then not fitted, and zprime is None.  The record of
+    the steps made path-constant, for AdjointProcesses.step, is seeded here
+    with whether D is (sde._path_constant), and solve_adjoint narrows it.
     """
     if slices is None:
         slices = _slice_regressions(ensemble, basis)

@@ -312,12 +312,14 @@ class _Workspace:
 
     The forward pass writes the step-major states and running cost and, for
     a mixture policy, its kept weights as one (K, n, n_atoms) block; the
-    backward solves write y', z', y and z; each Hamiltonian step writes its
-    table, wstar and scratch into buffers.  A fresh set per iteration would
-    keep two iterations' arrays alive while the next forward pass runs, and
-    fault their pages in again each time.  The arrays are allocated here but
-    not touched, so a page that no iteration writes (the weights block of a
-    policy that stays constant) takes no memory.
+    backward solves write y', y and z; each Hamiltonian step writes its
+    table, wstar and scratch into buffers.  There is no z': the Hamiltonian
+    does not read it, so the risk-adjustment solve, given nowhere to put
+    it, does not fit it (solve_risk_adjustment).  A fresh set per iteration
+    would keep two iterations' arrays alive while the next forward pass
+    runs, and fault their pages in again each time.  The arrays are
+    allocated here but not touched, so a page that no iteration writes (the
+    weights block of a policy that stays constant) takes no memory.
     """
 
     def __init__(self, model, n_paths, n_steps):
@@ -326,7 +328,6 @@ class _Workspace:
         self.running_cost = _step_major((n, n_steps + 1))
         self.weights = np.empty((n_steps, n, model.n_atoms))
         self.yprime = _step_major((n, n_steps + 1))
-        self.zprime = _step_major((n, n_steps, dw))
         self.y = _step_major((n, n_steps + 1, dx))
         self.z = _step_major((n, n_steps, dw, dx))
         self.buffers = np.empty((3, model.n_atoms, n))
@@ -337,7 +338,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
 
     Each iteration simulates under the current policy, evaluates the risk and
     its derivative at the empirical cost law, solves the backward regressions
-    for (y', z') and (y, z), minimizes the Hamiltonian at every (path, step),
+    for y' and (y, z), minimizes the Hamiltonian at every (path, step),
     fits the minimizing weights into a feedback policy q*, and updates
     pi <- (1 - alpha_k) pi + alpha_k q*.  Stops when the objective change
     drops below cfg.tol or after cfg.max_iters iterations, returning the

@@ -262,11 +262,11 @@ def directional_derivative_check(risk, sample, direction, h):
 
 
 # Byte budget of the whole-solve resample index table (bootstrap_indices):
-# 4 MiB.  200 resamples of 4,000 paths, as uint16, take 1.6 MB.  A larger
-# table, such as 200 resamples of 20,000 paths (8 MB), is not kept: each
-# bootstrap then draws its indices a block at a time, and the solve's peak
-# memory does not grow by the table.
-_INDEX_TABLE_BYTES = 4 << 20
+# 8 MiB, which holds 200 uint16 resamples of up to 20,971 paths, so the
+# 20k-path solves (8 MB) draw their resamples once, as 4k-path ones (1.6 MB)
+# do.  A larger table is not kept: each bootstrap then draws its indices a
+# block at a time, and the solve's peak memory does not grow by the table.
+_INDEX_TABLE_BYTES = 8 << 20
 
 
 def bootstrap_indices(n, n_boot=200, seed=0):

@@ -1073,3 +1073,40 @@ def test_hostile_scalar_values_end_cleanly(tmp_path, capsys, config):
                 assert _finite_outputs(out), case
             runs += 1
     assert runs >= 12 * 12
+
+
+_SECTIONS = ("problem", "risk", "sim", "basis", "msa", "init_policy")
+
+
+def _section_cases(base):
+    """(dotted key, config) pairs: an unknown key in each object section
+    and at the top level, and each section replaced by null and by a list
+    holding it."""
+    for section in _SECTIONS:
+        if isinstance(base[section], dict):
+            yield f"{section}.unknown_key", {
+                **base, section: {**base[section], "unknown_key": 1}
+            }
+        yield section, {**base, section: None}
+        yield section, {**base, section: [base[section]]}
+    yield "unknown_key", {**base, "unknown_key": 1}
+
+
+@pytest.mark.parametrize("config", sorted(n[:-5] for n in os.listdir(CONFIGS)))
+def test_hostile_sections_and_unknown_keys_are_config_errors(
+    tmp_path, capsys, config
+):
+    # solve rejects each case before anything runs: exit 2, naming the
+    # dotted key.  An unknown key is named in quotes.
+    cases = list(_section_cases(_bundled(config)))
+    for i, (dotted, cfg) in enumerate(cases):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"o{i}"
+        rc = main(["solve", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, (dotted, err)
+        named = f"'{dotted}'" if dotted.endswith("unknown_key") else dotted
+        assert named in err, (dotted, err)
+        assert not out.exists(), dotted
+    assert len(cases) >= 5 + 2 * len(_SECTIONS) + 1

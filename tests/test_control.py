@@ -28,7 +28,7 @@ from riskmp import (
     simulate_forward,
     solve_adjoint_system,
 )
-from riskmp import cli, control, sde
+from riskmp import adjoint, cli, control, sde
 from riskmp import risk as risk_module
 from riskmp.adjoint import MAX_RIDGE
 from riskmp.control import (
@@ -405,11 +405,12 @@ def test_backward_fits_have_the_full_width_bits(monkeypatch, rng, n):
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
-def _solve_config(tmp_path, problem, risk, init_policy="uniform", **msa):
+def _solve_config(tmp_path, problem, risk, init_policy="uniform", sim=(),
+                  **msa):
     cfg = {
         "problem": problem,
         "risk": risk,
-        "sim": {"n_steps": 8, "n_paths": 600, "n_actions": 9},
+        "sim": {"n_steps": 8, "n_paths": 600, "n_actions": 9, **dict(sim)},
         "basis": {"degree": 2, "ridge": 1e-08},
         "msa": {"max_iters": 4, "tol": 1e-12, "n_boot": 20, **msa},
         "init_policy": init_policy,
@@ -538,15 +539,13 @@ def test_risk_neutral_solve_confirms_no_path_constant_input_by_compare(
     assert all(compared), f"{compared.count(False)} True verdicts by compare"
 
 
-@pytest.mark.parametrize(
-    "risk",
-    [{"type": "expectation"}, {"type": "mean_deviation", "beta": 0.5}],
-    ids=["risk-neutral", "mean-deviation"],
-)
-def test_solve_bits_do_not_depend_on_the_index_table(tmp_path, monkeypatch, risk):
-    # With the byte budget at 0 no resample table is kept, and every
-    # bootstrap draws its own indices: the trace must keep its bits.
-    path = _solve_config(tmp_path, {"type": "portfolio"}, risk)
+def _assert_trace_without_the_table(tmp_path, monkeypatch, path):
+    """Solve path twice: with the index table kept, then with none.
+
+    Every bootstrap of the first solve must be handed the table, and every
+    bootstrap of the second, with the byte budget at 0, draws its own
+    indices.  The traces must have the same bytes.
+    """
     tables = []
     bootstrap = control.bootstrap_standard_error
 
@@ -565,6 +564,82 @@ def test_solve_bits_do_not_depend_on_the_index_table(tmp_path, monkeypatch, risk
         assert set(tables) == {budget is None}
         tables.clear()
     assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize(
+    "risk",
+    [
+        {"type": "expectation"},
+        {"type": "mean_deviation", "beta": 0.5},
+        {"type": "smoothed_semideviation", "beta": 0.5, "epsilon": 0.1},
+        {"type": "entropic", "theta": 1.0},
+    ],
+    ids=[
+        "risk-neutral", "mean-deviation", "smoothed-semideviation", "entropic"
+    ],
+)
+def test_solve_bits_do_not_depend_on_the_index_table(tmp_path, monkeypatch, risk):
+    path = _solve_config(tmp_path, {"type": "portfolio"}, risk)
+    _assert_trace_without_the_table(tmp_path, monkeypatch, path)
+
+
+def test_a_20k_path_solve_keeps_its_index_table(tmp_path, monkeypatch):
+    # 200 uint16 resamples of 20,000 paths, 8 MB, fit the byte budget, so a
+    # solve at that size, as the custom-wide benchmark runs, draws its
+    # resamples once.
+    path = _solve_config(
+        tmp_path, _CUSTOM_1D,
+        {"type": "smoothed_semideviation", "beta": 0.5, "epsilon": 0.1},
+        sim={"n_steps": 3, "n_paths": 20_000}, max_iters=2, n_boot=200,
+    )
+    _assert_trace_without_the_table(tmp_path, monkeypatch, path)
+
+
+def test_a_solve_fits_no_z_prime(monkeypatch):
+    # The Hamiltonian reads y', y and z, not z'.  Inside msa_solve the
+    # risk-adjustment solve has nowhere to put z', so with a derivative
+    # that varies over paths (entropic) it fits y' alone: one fit of D per
+    # step.  Without a workspace, z' has the bits of a fresh
+    # solve_risk_adjustment.
+    targets, fits = collections.Counter(), []
+    fit, adjust = adjoint._SliceRegression.fit, adjoint.solve_risk_adjustment
+
+    def counting_fit(self, target):
+        targets[np.ndim(target)] += 1
+        return fit(self, target)
+
+    def counting_adjust(*args, **kwargs):
+        before = targets.copy()
+        result = adjust(*args, **kwargs)
+        fits.append(targets - before)
+        return result
+
+    monkeypatch.setattr(adjoint._SliceRegression, "fit", counting_fit)
+    monkeypatch.setattr(adjoint, "solve_risk_adjustment", counting_adjust)
+    model = model_from_tables(_CUSTOM_1D)
+    grid = build_time_grid(1.0, 5)
+    driver = sample_brownian(grid, 400, 1, seed=13)
+    risk = RiskFunction.entropic(1.0)
+    _, report = msa_solve(
+        model, risk, MeasurePolicy.uniform(3),
+        MsaConfig(max_iters=3, tol=0.0, n_boot=20), driver,
+        RegressionBasis(degree=2), grid,
+    )
+    assert report.n_iters == len(fits) == 3
+    assert all(counts == {1: grid.n_steps} for counts in fits)
+    monkeypatch.undo()
+
+    ens = simulate_forward(
+        model, MeasurePolicy.uniform(3), driver, grid, keep_weights=True
+    )
+    deriv = l_derivative(risk, EmpiricalSample(total_cost(ens, model)))
+    assert not sde._path_constant(deriv)
+    basis = RegressionBasis(degree=2)
+    zprime = solve_adjoint_system(model, ens, deriv, basis).zprime
+    fresh = adjoint.solve_risk_adjustment(ens, deriv, basis)[1]
+    assert zprime.shape == fresh.shape == (400, 5, 1)
+    assert np.abs(fresh).max() > 0.0
+    assert zprime.tobytes() == fresh.tobytes()
 
 
 def _read_column(path, name):
@@ -869,8 +944,9 @@ def _run_into(model, policy, driver, grid, risk, out=None):
 @pytest.mark.parametrize("problem", ["portfolio", "custom"])
 def test_workspace_runs_have_the_fresh_allocation_bits(problem, risk):
     # Every array of a workspace starts as NaN, so an entry the passes do
-    # not write (the running cost at step 0, the zeros of z' and z where an
-    # increment is exactly zero, the kernel's zero fill) shows.
+    # not write (the running cost at step 0, the zeros of z where an
+    # increment is exactly zero, the kernel's zero fill) shows.  The
+    # workspace holds no z', and a run into it hands back none.
     if problem == "portfolio":
         model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
     else:
@@ -889,7 +965,6 @@ def test_workspace_runs_have_the_fresh_allocation_bits(problem, risk):
         (ens.running_cost, fresh_ens.running_cost, ws.running_cost),
         (np.stack(ens.policy_weights), np.stack(fresh_ens.policy_weights), None),
         (adj.yprime, fresh_adj.yprime, ws.yprime),
-        (adj.zprime, fresh_adj.zprime, ws.zprime),
         (adj.y, fresh_adj.y, ws.y),
         (adj.z, fresh_adj.z, ws.z),
     ]
@@ -903,6 +978,8 @@ def test_workspace_runs_have_the_fresh_allocation_bits(problem, risk):
     )
     assert adj.residuals_y == fresh_adj.residuals_y
     assert adj.residuals_yprime == fresh_adj.residuals_yprime
+    assert not hasattr(ws, "zprime")
+    assert adj.zprime is None and fresh_adj.zprime is not None
 
 
 def _address(a):
@@ -911,7 +988,8 @@ def _address(a):
 
 def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
     # Once the policy is a mixture, its kept weights are evaluated into the
-    # workspace's block.  The backward solves write one set of adjoints.
+    # workspace's block.  The backward solves write one set of adjoints,
+    # and none of them is a z'.
     passes, solves = [], []
     forward, backward = control.simulate_forward, control.solve_adjoint_system
 
@@ -927,9 +1005,8 @@ def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
 
     def spy_backward(*args, **kwargs):
         adj = backward(*args, **kwargs)
-        solves.append(tuple(
-            _address(a) for a in (adj.yprime, adj.zprime, adj.y, adj.z)
-        ))
+        assert adj.zprime is None
+        solves.append(tuple(_address(a) for a in (adj.yprime, adj.y, adj.z)))
         return adj
 
     monkeypatch.setattr(control, "simulate_forward", spy_forward)

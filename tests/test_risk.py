@@ -287,17 +287,17 @@ def test_cached_resamples_match_the_per_call_draw(name, n, full_blocks, shift, s
 
 
 def test_index_table_is_kept_only_within_its_byte_budget():
-    # 32 uint16 rows of 65536 paths take the 4 MiB budget exactly; one more
+    # 64 uint16 rows of 65536 paths take the 8 MiB budget exactly; one more
     # row is over it, and the bootstrap then draws per call.
     n = 65536
-    assert 32 * n * 2 == _INDEX_TABLE_BYTES
-    within = bootstrap_indices(n, 32, seed=5)
+    assert 64 * n * 2 == _INDEX_TABLE_BYTES
+    within = bootstrap_indices(n, 64, seed=5)
     assert within is not None and within.nbytes == _INDEX_TABLE_BYTES
-    assert bootstrap_indices(n, 33, seed=5) is None
+    assert bootstrap_indices(n, 65, seed=5) is None
     sample = EmpiricalSample(np.random.default_rng(6).standard_normal(n))
     for risk in RISKS.values():
-        assert bootstrap_standard_error(risk, sample, 32, 5, within) == (
-            bootstrap_standard_error(risk, sample, 32, 5)
+        assert bootstrap_standard_error(risk, sample, 64, 5, within) == (
+            bootstrap_standard_error(risk, sample, 64, 5)
         )
 
 
