@@ -383,10 +383,10 @@ def _policy_step_stats(model, grid, ensemble):
     rows = []
     tables = []
     for k in range(grid.n_steps):
-        w = ensemble.weights_at(k)
-        mean_w = w.mean(axis=0)
+        mean_w = ensemble.weights_at(k).mean(axis=0)
         mean_action = float(mean_w @ atoms[:, 0]) if model.dim_a == 1 else float("nan")
-        rows.append((k, float(grid.nodes[k]), mean_action, policy_entropy(w)))
+        entropy = policy_entropy(ensemble.weight_columns(k))
+        rows.append((k, float(grid.nodes[k]), mean_action, entropy))
         tables.append(mean_w)
     return rows, tables
 

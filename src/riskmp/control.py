@@ -90,19 +90,20 @@ def _near_min_weights(table, eta, wpi, out=None):
 
     wstar is the uniform mixture over the atoms within eta * (1 + |H_min|)
     of each path's minimum H_min.  The diagnostics of the policy weights wpi
-    (n, n_atoms) are per path: the gap sum_a wpi H - H_min, the change
+    are per path: the gap sum_a wpi H - H_min, the change
     sum_a |wstar - wpi| and the entropy, by _path_entropy on the copy of
     wpi below.  msa_solve takes their path means, the change's divided by
-    n_atoms.
+    n_atoms.  wpi is an (n, n_atoms) array or its (row, cols, block) parts
+    (sde._weight_columns), as kept weights give them.
 
-    wpi is copied into an atom-major (n_atoms, n) C-ordered array, and every
-    per-path sum over atoms is an np.add.reduce over the leading axis of
-    such an array, written by the kernel, which adds in atom order.  The
-    table enters only elementwise and through its minimum, which is exact.
-    So the results do not depend on the layout of the inputs.  The mask and
-    its count are exact too, and so is wstar = mask / count.  out, a
-    (2, n_atoms, n) array, receives wstar in out[0] and is scratch
-    otherwise.
+    wpi is copied into an atom-major (n_atoms, n) C-ordered array, straight
+    from its parts, and every per-path sum over atoms is an np.add.reduce
+    over the leading axis of such an array, written by the kernel, which
+    adds in atom order.  The table enters only elementwise and through its
+    minimum, which is exact.  So the results do not depend on the layout of
+    the inputs.  The mask and its count are exact too, and so is
+    wstar = mask / count.  out, a (2, n_atoms, n) array, receives wstar in
+    out[0] and is scratch otherwise.
 
     Returns:
       (wstar, gap, change, entropy): wstar is (n, n_atoms), the transpose of
@@ -111,7 +112,8 @@ def _near_min_weights(table, eta, wpi, out=None):
     n, n_atoms = table.shape
     h = table.T
     wstar, p = np.empty((2, n_atoms, n)) if out is None else out
-    np.copyto(p, wpi.T)
+    wpi = sde._weight_columns(wpi)
+    _atom_major(wpi, p)
     hmin = np.minimum.reduce(h, axis=0)
     gap = np.add.reduce(np.multiply(h, p, out=wstar), axis=0)
     gap -= hmin
@@ -124,41 +126,80 @@ def _near_min_weights(table, eta, wpi, out=None):
     return wstar.T, gap, change, entropy
 
 
-def _path_entropy(w, p=None, out=None):
-    """Entropy -sum_a w log w of each path of (n, n_atoms) weights w.
+def _atom_major(parts, p):
+    """Write step weights, as (row, cols, block) parts, into p (n_atoms, m).
 
-    This is the only entropy formula.  w log w is taken on p, w's atom-major
-    (n_atoms, n) C-ordered copy, into out, scratch of p's shape, both made
-    here when not given, with the log only where w > 0: 0 log 0 = 0.  The
-    sum is an np.add.reduce over the leading axis: in atom order for n >= 2
-    paths, pairwise for one.  Path-constant weights follow the path-constant
-    rule (sde._path_constant), on the first two columns of p.
+    p receives the first m paths: row for an atom that does not vary, the
+    transposed block for those that do.
     """
-    constant = sde._path_constant(w)
+    row, cols, block = parts
+    m = p.shape[1]
+    if cols.size == row.size:
+        np.copyto(p, block[:m].T)
+        return
+    np.copyto(p, row[:, None])
+    if cols.size:
+        p[cols] = block[:m].T
+
+
+def _xlogx(a, out=None):
+    """a log a, elementwise, into out when given, and 0 where a <= 0."""
+    out = np.empty_like(a) if out is None else out
+    out.fill(0.0)
+    np.log(a, out=out, where=a > 0.0)
+    out *= a
+    return out
+
+
+def _path_entropy(w, p=None, out=None):
+    """Entropy -sum_a w log w of each path of step weights w.
+
+    This is the only entropy formula.  w is an (n, n_atoms) array or its
+    (row, cols, block) parts (sde._weight_columns).  out, of p's shape,
+    receives w log w of every atom on every path, taken on p, w's
+    atom-major (n_atoms, n) C-ordered copy, with the log only where w > 0:
+    0 log 0 = 0.  When only the atoms cols vary over paths, w log w of
+    every other atom is taken once, on row.  p and out are made here when
+    not given.  The sum is an np.add.reduce over the leading axis of out:
+    in atom order for n >= 2 paths, pairwise for one.  Path-constant
+    weights follow the path-constant rule (sde._path_constant, on block),
+    on the first two columns of p.
+    """
+    w = sde._weight_columns(w)
+    row, cols, block = w
+    constant = sde._path_constant(block)
     if p is None:
-        p = np.ascontiguousarray((w[:2] if constant else w).T)
+        n = block.shape[0]
+        p = np.empty((row.size, min(n, 2) if constant else n))
+        _atom_major(w, p)
         out = np.empty_like(p)
     elif constant:
         p, out = p[:, :2], out[:, :2]
-    out.fill(0.0)
-    np.log(p, out=out, where=p > 0.0)
-    out *= p
+    if constant or cols.size == row.size:
+        _xlogx(p, out)
+    else:
+        np.copyto(out, _xlogx(row)[:, None])
+        out[cols] = _xlogx(p[cols])
     entropy = -np.add.reduce(out, axis=0)
-    return _all_paths(entropy, w.shape[0]) if constant else entropy
+    return _all_paths(entropy, block.shape[0]) if constant else entropy
 
 
 def _step_is_path_constant(model, t, states, y, yprime, z, wpi):
     """Whether a step's Hamiltonian inputs are the same on every path.
 
     They are when the policy weights wpi, y, y' and z are path-constant
-    (sde._path_constant) and every coefficient table the Hamiltonian reads
-    has path size 1.  The table shapes are read off tables of the first two
+    (sde._path_constant; wpi's varying columns, as sde._weight_columns
+    splits it) and every coefficient table the Hamiltonian reads has path
+    size 1.  The table shapes are read off tables of the first two
     states, and only once the cheaper tests pass.  -0.0 equals 0.0 here; a
     zero's sign can reach only the step's gap, and only when it is zero,
     where msa_solve's sum over steps drops the sign.
     """
     return (
-        all(sde._path_constant(a) for a in (yprime, y, z, wpi))
+        all(
+            sde._path_constant(a)
+            for a in (yprime, y, z, sde._weight_columns(wpi)[2])
+        )
         and all(
             tab.shape[1] == 1
             for tab in coefficient_tables(
@@ -171,16 +212,19 @@ def _step_is_path_constant(model, t, states, y, yprime, z, wpi):
 def _minimize_step(model, t, states, y, yprime, z, wpi, eta, buffers):
     """wstar, gap, change and entropy of one step, as _near_min_weights gives.
 
-    buffers, a (3, n_atoms, n) array, holds the table, wstar and scratch.  A
-    step whose inputs are the same on every path (_step_is_path_constant)
-    has the same table on every path, and the path-constant rule
-    (sde._path_constant) evaluates it once; the buffers are then unused.
+    wpi is an (n, n_atoms) array or its (row, cols, block) parts
+    (sde._weight_columns).  buffers, a (3, n_atoms, n) array, holds the
+    table, wstar and scratch.  A step whose inputs are the same on every
+    path (_step_is_path_constant) has the same table on every path, and the
+    path-constant rule (sde._path_constant) evaluates it once; the buffers
+    are then unused.
     """
     if _step_is_path_constant(model, t, states, y, yprime, z, wpi):
+        row, cols, block = sde._weight_columns(wpi)
         table = _hamiltonian_atoms(model, t, states[:2], y[:2], yprime[:2], z[:2])
         return [
-            _all_paths(a, wpi.shape[0])
-            for a in _near_min_weights(table, eta, wpi[:2])
+            _all_paths(a, states.shape[0])
+            for a in _near_min_weights(table, eta, (row, cols, block[:2]))
         ]
     table = _hamiltonian_atoms(model, t, states, y, yprime, z, out=buffers[0])
     return _near_min_weights(table, eta, wpi, out=buffers[1:])
@@ -197,7 +241,11 @@ def _path_mean(a):
 
 
 def policy_entropy(weights):
-    """Path mean of the entropy of (n, n_atoms) policy weights, msa_solve's."""
+    """Path mean of the entropy of policy weights, msa_solve's.
+
+    weights is an (n, n_atoms) array or its (row, cols, block) parts
+    (sde._weight_columns).
+    """
     return float(np.mean(_path_entropy(weights)))
 
 
@@ -310,27 +358,37 @@ class SolveReport:
 class _Workspace:
     """One solve's per-path arrays, which every iteration overwrites.
 
-    The forward pass writes the step-major states and running cost and, for
-    a mixture policy, its kept weights as one (K, n, n_atoms) block; the
-    backward solves write y', y and z; each Hamiltonian step writes its
-    table, wstar and scratch into buffers.  There is no z': the Hamiltonian
-    does not read it, so the risk-adjustment solve, given nowhere to put
-    it, does not fit it (solve_risk_adjustment).  A fresh set per iteration
-    would keep two iterations' arrays alive while the next forward pass
-    runs, and fault their pages in again each time.  The arrays are
-    allocated here but not touched, so a page that no iteration writes (the
-    weights block of a policy that stays constant) takes no memory.
+    The forward pass writes the step-major states and running cost, offers
+    each step's policy the (n, n_atoms) step_weights scratch, and packs the
+    varying columns of a mixture's kept weights back to back into the flat
+    weights store (sde._KeptWeights); the backward solves write y', y and
+    z; each Hamiltonian step writes its table, wstar and scratch into
+    buffers.  There is no z': the Hamiltonian does not read it, so the
+    risk-adjustment solve, given nowhere to put it, does not fit it
+    (solve_risk_adjustment).  A fresh set per iteration would keep two
+    iterations' arrays alive while the next forward pass runs, and fault
+    their pages in again each time.
+
+    The store has room for every column of every step, but a pass takes
+    only its prefix of sum_k n * v_k elements, v_k the atoms whose weights
+    vary at step k, and none for a policy that stays constant.  Only that
+    prefix is touched and resident.  Untouched pages cost no memory, but an
+    array of 4 MiB or more may be backed by 2 MiB huge pages, where one
+    write makes the whole huge page resident: the packed prefix keeps those
+    writes together, where a (K, n, n_atoms) block written at each step's
+    slice faulted in nearly all of it.
     """
 
     def __init__(self, model, n_paths, n_steps):
-        n, dx, dw = n_paths, model.dim_x, model.dim_w
+        n, dx, dw, n_atoms = n_paths, model.dim_x, model.dim_w, model.n_atoms
         self.states = _step_major((n, n_steps + 1, dx))
         self.running_cost = _step_major((n, n_steps + 1))
-        self.weights = np.empty((n_steps, n, model.n_atoms))
+        self.step_weights = np.empty((n, n_atoms))
+        self.weights = np.empty(n_steps * n * n_atoms)
         self.yprime = _step_major((n, n_steps + 1))
         self.y = _step_major((n, n_steps + 1, dx))
         self.z = _step_major((n, n_steps, dw, dx))
-        self.buffers = np.empty((3, model.n_atoms, n))
+        self.buffers = np.empty((3, n_atoms, n))
 
 
 def msa_solve(model, risk, init, cfg, driver, basis, grid):
@@ -380,7 +438,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         for k in range(n_steps):
             wstar, gap, change, entropy = _minimize_step(
                 model, grid.nodes[k], ens.states[:, k], *adj.step(k),
-                ens.weights_at(k), cfg.eta, ws.buffers,
+                ens.weight_columns(k), cfg.eta, ws.buffers,
             )
             gap_sum += _path_mean(gap)
             change_sum += _path_mean(change) / model.n_atoms

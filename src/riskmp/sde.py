@@ -15,6 +15,7 @@ and independent of thread count (reductions are fixed-order numpy ops).
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -655,14 +656,117 @@ def convex_combine(pi, q, alpha):
     return _MixturePolicy(terms, pi.n_atoms)
 
 
+_NO_COLUMNS = np.empty(0, dtype=np.intp)
+
+
+def _weight_columns(w):
+    """(row, cols, block): step weights split by the atoms that vary over paths.
+
+    row is path 0's (n_atoms,) weights, cols the atoms whose weights may
+    vary and block the (n, cols.size) weights of those atoms, block[:, j]
+    those of atom cols[j]; every other atom's weight is row's on every
+    path.  A kept step (_KeptWeights.columns) is such a triple already, and
+    is returned as it is.  An (n, n_atoms) array is split without a
+    compare: a broadcast row into no columns, any other array into all.
+    """
+    if isinstance(w, tuple):
+        return w
+    if w.strides[0] == 0:
+        return w[0], _NO_COLUMNS, w[:, :0]
+    return w[0], np.arange(w.shape[1]), w
+
+
+def _varying_columns(w):
+    """The atoms whose weight bits differ between paths of (n, n_atoms) w.
+
+    The bits are compared as uint64, so +0.0 and -0.0 differ.  numpy runs
+    one inner loop per row of its operands, whose overhead dominates rows
+    of n_atoms elements, so a C-ordered w is compared 32 paths at a time:
+    as (n // 32, 32 * n_atoms) rows against path 0's row tiled 32 times.
+    """
+    bits = w.view(np.uint64)
+    n, n_atoms = bits.shape
+    r = 32 if bits.flags.c_contiguous else 1
+    head = n - n % r
+    differs = bits[:head].reshape(head // r, r * n_atoms) != np.tile(bits[0], r)
+    varies = np.logical_or.reduce(differs, axis=0).reshape(r, n_atoms)
+    tail = bits[head:] != bits[0]
+    return np.flatnonzero(np.logical_or.reduce(np.vstack([varies, tail]), axis=0))
+
+
+class _KeptWeights(Sequence):
+    """The per-step weights a forward pass kept, stored by the atoms that vary.
+
+    A step whose weights the policy handed out as a broadcast row keeps
+    that row.  Any other step keeps path 0's (n_atoms,) row and an (n, v)
+    block of the v atom columns whose bits, compared as uint64 so that
+    +0.0 and -0.0 differ, are not the same on every path; every other
+    column is row's entry on every path.  The blocks are packed back to
+    back from the start of store, a flat array of n_steps * n * n_atoms
+    elements, so that used, the elements they take, is sum_k n * v_k;
+    without a store each block is allocated at its exact size.
+
+    Item k is the (n, n_atoms) weights of step k: the broadcast row kept,
+    or a fresh C-ordered array with the bits the policy handed out.
+    columns(k) gives the (row, cols, block) parts (_weight_columns) without
+    building that array.
+    """
+
+    def __init__(self, n_paths, store=None):
+        self._n = n_paths
+        self._store = store
+        self._steps = []
+        self.used = 0
+
+    def keep(self, w, scratch):
+        """Keep one step's (n, n_atoms) weights w, which may live in scratch.
+
+        A broadcast row in scratch, which the next step overwrites, is kept
+        as a copy.
+        """
+        n = self._n
+        if w.strides[0] == 0:
+            if np.may_share_memory(w, scratch):
+                w = _all_paths(w[:1].copy(), n)
+            self._steps.append(w)
+            return
+        cols = _varying_columns(w)
+        if self._store is None:
+            block = np.empty((n, cols.size))
+        else:
+            end = self.used + n * cols.size
+            block = self._store[self.used:end].reshape(n, cols.size)
+            self.used = end
+        # mode="raise" would take into a buffer first; cols are in range
+        np.take(w, cols, axis=1, out=block, mode="clip")
+        self._steps.append((w[0].copy(), cols, block))
+
+    def __len__(self):
+        return len(self._steps)
+
+    def __getitem__(self, k):
+        step = self._steps[k]
+        if not isinstance(step, tuple):
+            return step
+        row, cols, block = step
+        w = np.empty((self._n, row.shape[0]))
+        w[:] = row
+        w[:, cols] = block
+        return w
+
+    def columns(self, k):
+        return _weight_columns(self._steps[k])
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated forward system: states, running costs, and their inputs.
 
     simulate_forward stores states and running_cost step-major, so a time
     slice states[:, k] is one contiguous block.  policy_weights optionally
-    carries the per-step weight arrays evaluated during simulation, so
-    downstream passes over the same states need not re-evaluate the policy.
+    carries the per-step weights evaluated during simulation (_KeptWeights,
+    a sequence of (n, n_atoms) arrays), so downstream passes over the same
+    states need not re-evaluate the policy.
     """
 
     states: np.ndarray        # (n_paths, n_steps + 1, dim_x), step-major
@@ -670,7 +774,7 @@ class PathEnsemble:
     grid: TimeGrid
     driver: BrownianDriver
     policy: MeasurePolicy
-    policy_weights: "tuple | None" = None
+    policy_weights: "_KeptWeights | None" = None
 
     @property
     def n_paths(self):
@@ -679,12 +783,22 @@ class PathEnsemble:
     def weights_at(self, k):
         """Step-k weights of the ensemble's policy on its states.
 
-        Returns the kept array when the simulation stored one, so no pass
+        Returns the kept weights when the simulation stored them, so no pass
         over the same states evaluates the policy twice.
         """
         if self.policy_weights is not None:
             return self.policy_weights[k]
         return self.policy.weights_at(k, self.grid.nodes[k], self.states[:, k])
+
+    def weight_columns(self, k):
+        """Step-k weights as (row, cols, block) parts (_weight_columns).
+
+        Kept weights give the parts they are stored in, split by the atoms
+        whose bits vary over paths, with no (n, n_atoms) array built.
+        """
+        if self.policy_weights is not None:
+            return self.policy_weights.columns(k)
+        return _weight_columns(self.weights_at(k))
 
 
 def _averaged_coefficients(model, t, x, weights):
@@ -714,13 +828,16 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
     i.e. coefficients are averaged against the step's measure before touching
     the increments, and the running cost accumulates sum_a w_a c(t_k, x_k, a) dt
     with the left-endpoint rule.  keep_weights stores the evaluated per-step
-    weight arrays on the returned ensemble.  The weights come checked from
-    the policy (MeasurePolicy.weights_at), whose errors pass through.
+    weights on the returned ensemble (_KeptWeights).  The weights come
+    checked from the policy (MeasurePolicy.weights_at), whose errors pass
+    through.  Each step offers the policy one reused (n, n_atoms) scratch
+    array, which only a mixture writes.
 
     out, when given, holds the destinations, overwritten here: step-major
     states (n, n_steps + 1, dim_x) and running_cost (n, n_steps + 1) arrays,
-    and a weights (n_steps, n, n_atoms) block whose slice k each step offers
-    the policy when the weights are kept.  Only a mixture writes it.
+    the (n, n_atoms) step_weights scratch, and the flat weights store of
+    n_steps * n * n_atoms elements that kept weights pack their varying
+    columns into.
 
     Raises:
       NumericalBlowup: if any path hits a NaN/Inf state or cost.
@@ -737,21 +854,22 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
     if out is None:
         x = _step_major((n, grid.n_steps + 1, model.dim_x))
         xp = _step_major((n, grid.n_steps + 1), np.zeros)
+        scratch, store = np.empty((n, model.n_atoms)), None
     else:
         x, xp = out.states, out.running_cost
         xp[:, 0] = 0.0
+        scratch, store = out.step_weights, out.weights
     x[:, 0] = model.initial(_path_stream(driver.seed, _INITIAL_STREAM), n)
     if not np.isfinite(x[:, 0]).all():
         raise NumericalBlowup(0, "initial state")
 
-    kept = [] if keep_weights else None
-    into = out.weights if out is not None and keep_weights else None
+    kept = _KeptWeights(n, store) if keep_weights else None
     for k in range(grid.n_steps):
         t = grid.nodes[k]
         xk = x[:, k]
-        w = policy.weights_at(k, t, xk, None if into is None else into[k])
+        w = policy.weights_at(k, t, xk, scratch)
         if keep_weights:
-            kept.append(w)
+            kept.keep(w, scratch)
         bbar, sbar, cbar = _averaged_coefficients(model, t, xk, w)
         # An update that overflows is caught by the checks below, which
         # raise NumericalBlowup instead of letting RuntimeWarnings through.
@@ -773,7 +891,7 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
         grid=grid,
         driver=driver,
         policy=policy,
-        policy_weights=tuple(kept) if keep_weights else None,
+        policy_weights=kept,
     )
 
 

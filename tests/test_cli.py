@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from riskmp import cli
+from riskmp import cli, sde
 from riskmp.cli import config_hash, load_config, main
 from riskmp.errors import ConfigInvalid
 
@@ -240,6 +240,40 @@ def test_solve_above_blas_split_size_is_thread_independent(tmp_path, config, max
         if _read_lines(outs[0] / name) != _read_lines(outs[1] / name)
     ]
     assert not differ
+
+
+@pytest.mark.parametrize(
+    "config", ["portfolio_entropic", "custom_linear", "portfolio_mean_deviation"]
+)
+def test_solve_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, config):
+    # sde._BLOCK_ELEMENTS sizes the row blocks (sde._row_blocks) of the
+    # driver draws and the mixture kernel, over paths, and of the bootstrap,
+    # over resamples.  No sum is taken block by block, so every output file
+    # has the same bytes at every block size.  The spy sees sde's own calls.
+    with open(os.path.join(CONFIGS, f"{config}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sim"].update(n_steps=10, n_paths=2000)
+    cfg["msa"].update(max_iters=5, n_boot=20)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    row_blocks = sde._row_blocks
+    splits, runs = [], []
+    for elements in (1 << 10, 1 << 15, 1 << 20):
+        monkeypatch.setattr(sde, "_BLOCK_ELEMENTS", elements)
+        edges = []
+
+        def spy(total, width):
+            rows, blocks = row_blocks(total, width)
+            edges.append(len(blocks))
+            return rows, blocks
+
+        monkeypatch.setattr(sde, "_row_blocks", spy)
+        out = tmp_path / f"out-{elements}"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        splits.append(max(edges))
+        runs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert splits[0] > splits[2] == 1
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("n_boot", [-1, 0, 1])

@@ -973,9 +973,17 @@ def test_workspace_runs_have_the_fresh_allocation_bits(problem, risk):
         assert got.tobytes() == ref.tobytes()
         if dest is not None:
             assert got is dest
-    assert all(
-        np.shares_memory(w, ws.weights[k]) for k, w in enumerate(ens.policy_weights)
-    )
+    # The kept weights' varying columns fill a prefix of the store, and
+    # nothing past it is written; without a workspace each block is an
+    # array of its own exact size.
+    used = _packed_prefix(ens.policy_weights, ws.weights)
+    assert 0 < used < ws.weights.size
+    assert not np.isnan(ws.weights[:used]).any()
+    assert np.isnan(ws.weights[used:]).all()
+    for k, w in enumerate(fresh_ens.policy_weights):
+        _, cols, block = fresh_ens.policy_weights.columns(k)
+        if w.strides[0]:
+            assert block.base is None and block.shape == (len(w), cols.size)
     assert adj.residuals_y == fresh_adj.residuals_y
     assert adj.residuals_yprime == fresh_adj.residuals_yprime
     assert not hasattr(ws, "zprime")
@@ -986,20 +994,44 @@ def _address(a):
     return a.__array_interface__["data"][0]
 
 
+def _packed_prefix(kept, store):
+    """The elements of store that kept weights take: each step's block of
+    varying columns, n * v_k elements, packed back to back from its start.
+    A step the policy handed out as a broadcast row takes none."""
+    used = 0
+    for k in range(len(kept)):
+        w = kept[k]
+        _, cols, block = kept.columns(k)
+        if w.strides[0] == 0:
+            assert cols.size == 0 and not np.may_share_memory(w, store)
+            continue
+        assert block.shape == (w.shape[0], cols.size)
+        assert _address(block) == _address(store) + store.itemsize * used
+        used += block.size
+    assert kept.used == used
+    return used
+
+
 def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
-    # Once the policy is a mixture, its kept weights are evaluated into the
-    # workspace's block.  The backward solves write one set of adjoints,
-    # and none of them is a z'.
-    passes, solves = [], []
+    # Once the policy is a mixture, its kept weights are packed into the
+    # store of the solve's one workspace, from its start.  The backward
+    # solves write one set of adjoints, and none of them is a z'.
+    passes, solves, workspaces = [], [], []
     forward, backward = control.simulate_forward, control.solve_adjoint_system
+
+    class SpyWorkspace(control._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workspaces.append(self)
 
     def spy_forward(model, policy, *args, **kwargs):
         ens = forward(model, policy, *args, **kwargs)
+        (ws,) = workspaces
         passes.append((
             isinstance(policy, sde._MixturePolicy),
             _address(ens.states),
             _address(ens.running_cost),
-            _address(ens.policy_weights[0]),
+            _packed_prefix(ens.policy_weights, ws.weights),
         ))
         return ens
 
@@ -1009,6 +1041,7 @@ def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
         solves.append(tuple(_address(a) for a in (adj.yprime, adj.y, adj.z)))
         return adj
 
+    monkeypatch.setattr(control, "_Workspace", SpyWorkspace)
     monkeypatch.setattr(control, "simulate_forward", spy_forward)
     monkeypatch.setattr(control, "solve_adjoint_system", spy_backward)
     model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
@@ -1019,8 +1052,8 @@ def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
         MsaConfig(max_iters=5, tol=0.0, n_boot=20), driver,
         RegressionBasis(degree=2), grid,
     )
-    assert len(passes) == report.n_iters == 5
+    assert len(passes) == report.n_iters == 5 and len(workspaces) == 1
     assert len({(states, cost) for _, states, cost, _ in passes}) == 1
-    mixed = {weights for mixture, *_, weights in passes if mixture}
-    assert sum(mixture for mixture, *_ in passes) >= 3 and len(mixed) == 1
+    assert sum(mixture for mixture, *_ in passes) >= 3
+    assert all((used > 0) == mixture for mixture, *_, used in passes)
     assert len(solves) == 5 and len(set(solves)) == 1

@@ -17,6 +17,7 @@ from riskmp.adjoint import RegressionBasis, _SliceRegression
 from riskmp.control import msa_solve, policy_entropy
 from riskmp.errors import NumericalBlowup
 from riskmp.models import sign_volatility_model
+from riskmp.portfolio import PortfolioParams, build_portfolio_model
 from riskmp.sde import (
     _BLOCK_ELEMENTS,
     _WEIGHT_TOL,
@@ -399,6 +400,105 @@ def test_nested_convex_combinations_are_measures(depth, n_atoms, degree, seed):
             w, _tree_reference(ref, k, states), rtol=0.0, atol=TOL
         )
         _check_rows(w)
+
+
+# ------------------------------------------------------------- kept weights
+
+def _signed_zero_rule(n_atoms, flat_step):
+    """Feedback weights on atoms 0 and 1 that depend on the sign of x, and
+    a last atom's weight of +0.0 on paths with x > 0 and -0.0 elsewhere; at
+    flat_step they are the same on every path."""
+
+    def rule(k, t, x):
+        up = x[:, :1] > 0.0 if k != flat_step else np.ones((len(x), 1), bool)
+        w = np.zeros((len(x), n_atoms))
+        w[:, :1] = np.where(up, 0.75, 0.25)
+        w[:, 1:2] = 1.0 - w[:, :1]
+        w[:, -1:] = np.where(up, 0.0, -0.0)
+        return w
+
+    return MeasurePolicy.feedback(rule, n_atoms)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 1000])
+def test_varying_columns_compare_every_path_by_its_bits(n, layout):
+    # One differing path, anywhere (the blocked head or the tail), puts its
+    # column among the varying ones; so does a -0.0 among +0.0.
+    rng = np.random.default_rng(n)
+    n_atoms = 7
+    base = np.tile(rng.random(n_atoms), (n, 1))
+    base[:, 3] = 0.0
+    # 1000 paths: the ends of the blocked head (992 paths) and of the tail
+    rows = range(n) if n <= 64 else (0, 31, 32, 991, 992, n - 1)
+    for row in rows:
+        for col, value in ((1, np.nextafter(base[0, 1], 2.0)), (3, -0.0)):
+            w = base.copy()
+            w[row, col] = value
+            if layout == "F":
+                w = np.asfortranarray(w)
+            elif layout == "strided":
+                w = np.repeat(w, 2, axis=1)[:, ::2]
+            expected = [col] if n > 1 else []
+            assert list(sde._varying_columns(w)) == expected, (row, col)
+    assert list(sde._varying_columns(base)) == []
+
+
+@pytest.mark.parametrize("workspace", [False, True], ids=["fresh", "workspace"])
+@pytest.mark.parametrize("kind", ["fitted-rule-constant", "signed-zeros", "feedback"])
+def test_kept_weights_have_the_bits_the_policy_gave(kind, workspace):
+    # Kept weights store path 0's row and the columns whose bits vary over
+    # paths.  Every step must come back as the policy's own weights, bit for
+    # bit: a vanished fitted row's uniform fallback, and a column of zeros
+    # whose sign differs between paths, included.  A broadcast row comes
+    # back as one exactly where the policy handed one out: at step 0, where
+    # every path starts at x = 0, and at the flat step.
+    model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
+    grid = build_time_grid(1.0, 5)
+    driver = sample_brownian(grid, 400, 1, seed=3)
+    rng = np.random.default_rng(7)
+    flat = 2
+    rule = _signed_zero_rule(7, flat)
+    basis = RegressionBasis(degree=2)
+    # pre-weights -c x on a random atom subset: they vanish where x >= 0
+    fitted = _fitted(rng, basis, 7, grid.n_steps, half=True)
+    fitted.steps[flat] = (np.zeros(7), np.zeros_like(fitted.steps[flat][1]))
+    if kind == "fitted-rule-constant":
+        policy = _MixturePolicy(
+            [(0.5, fitted), (0.3, rule), (0.2, _constant(rng, 7, grid.n_steps))], 7
+        )
+    elif kind == "signed-zeros":
+        row = np.append(np.full(6, 1.0 / 6.0), -0.0)
+        policy = _MixturePolicy([(0.5, rule), (0.5, MeasurePolicy.constant(row))], 7)
+    else:
+        policy = rule
+    out = None
+    if workspace:
+        out = control._Workspace(model, driver.n_paths, grid.n_steps)
+        for a in vars(out).values():
+            a.fill(np.nan)
+    ens = simulate_forward(model, policy, driver, grid, keep_weights=True, out=out)
+    broadcast, vanished, signed = [], [], []
+    for k in range(grid.n_steps):
+        x = ens.states[:, k]
+        fresh = policy.weights_at(k, grid.nodes[k], x)
+        w = ens.weights_at(k)
+        assert w.shape == fresh.shape == (400, 7)
+        assert (w.strides[0] == 0) == (fresh.strides[0] == 0)
+        assert w.strides[0] == 0 or w.flags.c_contiguous
+        assert np.array_equal(w.view(np.uint64), fresh.view(np.uint64))
+        if w.strides[0] == 0:
+            broadcast.append(k)
+        intercept, coef = fitted.steps[k]
+        mass = np.clip(intercept + basis.design(x) @ coef, 0.0, None).sum(axis=1)
+        vanished.append(0 < np.count_nonzero(mass <= 1e-300) < len(x))
+        last = np.signbit(w[:, -1])
+        if last.any() and not last.all():
+            assert not w[:, -1].any() and 6 in ens.weight_columns(k)[1]
+            signed.append(k)
+    assert broadcast == [0, flat]
+    assert any(vanished)
+    assert bool(signed) == (kind != "fitted-rule-constant")
 
 
 # ------------------------------------------------------- weight validation
