@@ -294,6 +294,20 @@ def _slice_regressions(ensemble, basis):
     ]
 
 
+class AdjointArrays:
+    """The step-major y', y and z, not z', that the backward solves overwrite.
+
+    msa_solve reuses one set for every iteration, as it does its
+    sde.ForwardArrays.  An array a solve does not fill is never written, so
+    its pages are never faulted in.
+    """
+
+    def __init__(self, n_paths, n_steps, dim_x, dim_w):
+        self.yprime = _step_major((n_paths, n_steps + 1))
+        self.y = _step_major((n_paths, n_steps + 1, dim_x))
+        self.z = _step_major((n_paths, n_steps, dim_w, dim_x))
+
+
 def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
                           out=None):
     """Backward estimate of the risk-adjustment pair (y', z').
@@ -304,11 +318,9 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
     (y'_{k+1} - y'_k) dW_k / dt of the fitted values on the same features.
     slices optionally reuses precomputed per-step regressions.
 
-    out, when given, holds a step-major yprime array of the shape below,
-    overwritten here, and nowhere to put z': z' is then not fitted, and
-    None stands in its place.  msa_solve passes its workspace, since the
-    Hamiltonian reads y', y and z but not z'; without out, z' is fitted
-    into a fresh array, with the same bits wherever it is computed.
+    out, an AdjointArrays, receives y' and has nowhere for z', which is
+    then not fitted (None): msa_solve's Hamiltonian does not read it.
+    Without out, y' and z' go into fresh arrays, with the same bits.
 
     A path-constant D (sde._path_constant) makes every y'_k its mean.  A
     broadcast row, such as the expectation's derivative, is read as one by
@@ -329,11 +341,11 @@ def solve_risk_adjustment(ensemble, derivative_values, basis, slices=None,
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
 
+    zprime = None
     if out is None:
-        yprime = _step_major((n, n_steps + 1))
+        out = AdjointArrays(n, n_steps, ensemble.states.shape[2], dim_w)
         zprime = _step_major((n, n_steps, dim_w), np.zeros)
-    else:
-        yprime, zprime = out.yprime, None
+    yprime = out.yprime
     yprime[:, n_steps] = d
     residuals = [0.0] * n_steps
     for k in range(n_steps - 1, -1, -1):
@@ -379,6 +391,8 @@ def _policy_grad_hamiltonian(model, t, states, y, yprime_k, z, get_weights):
     return np.einsum("na,anl->nl", weights(), sum(terms[1:], terms[0]))
 
 
+# Huge costs can overflow the fits; the check of y_k and z_k names that.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
                   constant=None):
     """Backward regression solve of the adjoint pair (y, z).
@@ -387,8 +401,8 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
     the centered increment of y on dW_k / dt and y_k adds the explicit
     state-gradient Hamiltonian drift, averaged under the ensemble's own policy
     weights, to the conditional mean of y_{k+1}.  slices optionally reuses
-    precomputed per-step regressions.  out, when given, holds step-major y
-    and z arrays of the shapes below, overwritten here.
+    precomputed per-step regressions.  out, an AdjointArrays, receives y
+    and z, or a fresh one does.
 
     constant, when given, is a (K+1,) bool array holding whether each y'_k
     is path-constant, as solve_adjoint_system seeds it.  It is narrowed
@@ -413,11 +427,9 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
         slices = _slice_regressions(ensemble, basis)
 
     if out is None:
-        y = _step_major((n, n_steps + 1, dx))
-        z = _step_major((n, n_steps, dim_w, dx), np.zeros)
-    else:
-        y, z = out.y, out.z
-        z.fill(0.0)
+        out = AdjointArrays(n, n_steps, dx, dim_w)
+    y, z = out.y, out.z
+    z.fill(0.0)
     g_grad = np.broadcast_to(
         np.asarray(model.terminal_dx(ensemble.states[:, -1]), float), (n, dx)
     )
@@ -450,7 +462,7 @@ def solve_adjoint(model, ensemble, yprime, basis, slices=None, out=None,
             lambda: ensemble.weights_at(k),
         )
         y[:, k] = yhat + grad_h * dt
-        if not np.isfinite(y[:, k]).all():
+        if not (np.isfinite(y[:, k]).all() and np.isfinite(z[:, k]).all()):
             raise NumericalBlowup(k, "adjoint state")
         y_constant = y_constant and sde._path_constant(grad_h)
         constant[k] &= y_constant and not z_fitted
@@ -497,19 +509,17 @@ def solve_adjoint_system(model, ensemble, derivative_values, basis, slices=None,
                          out=None):
     """Run both backward solves and package the four adjoint processes.
 
-    out, when given, holds the yprime, y and z arrays the two solves
-    overwrite; z' is then not fitted, and zprime is None.  The record of
-    the steps made path-constant, for AdjointProcesses.step, is seeded here
-    with whether D is (sde._path_constant), and solve_adjoint narrows it.
+    out, an AdjointArrays, receives y', y and z when given; z' is then not
+    fitted, and zprime is None.  The record of the steps made path-constant,
+    for AdjointProcesses.step, is seeded here with whether D is
+    (sde._path_constant), and solve_adjoint narrows it.
     """
     if slices is None:
         slices = _slice_regressions(ensemble, basis)
     d = np.asarray(derivative_values, dtype=float).reshape(-1)
     yprime, zprime, res_p = solve_risk_adjustment(ensemble, d, basis, slices, out)
     constant = np.full(ensemble.grid.n_steps + 1, sde._path_constant(d))
-    y, z, res_y = solve_adjoint(
-        model, ensemble, yprime, basis, slices, out, constant
-    )
+    y, z, res_y = solve_adjoint(model, ensemble, yprime, basis, slices, out, constant)
     return AdjointProcesses(
         y=y,
         z=z,

@@ -19,10 +19,12 @@ import numpy as np
 
 from . import sde
 from .adjoint import (
+    AdjointArrays,
     _slice_regressions,
     martingale_diagnostics,
     solve_adjoint_system,
 )
+from .errors import NumericalBlowup
 from .risk import (
     EmpiricalSample,
     bootstrap_indices,
@@ -31,9 +33,9 @@ from .risk import (
     l_derivative,
 )
 from .sde import (
+    ForwardArrays,
     MeasurePolicy,
     _all_paths,
-    _step_major,
     coefficient_tables,
     convex_combine,
     simulate_forward,
@@ -355,42 +357,6 @@ class SolveReport:
         ]
 
 
-class _Workspace:
-    """One solve's per-path arrays, which every iteration overwrites.
-
-    The forward pass writes the step-major states and running cost, offers
-    each step's policy the (n, n_atoms) step_weights scratch, and packs the
-    varying columns of a mixture's kept weights back to back into the flat
-    weights store (sde._KeptWeights); the backward solves write y', y and
-    z; each Hamiltonian step writes its table, wstar and scratch into
-    buffers.  There is no z': the Hamiltonian does not read it, so the
-    risk-adjustment solve, given nowhere to put it, does not fit it
-    (solve_risk_adjustment).  A fresh set per iteration would keep two
-    iterations' arrays alive while the next forward pass runs, and fault
-    their pages in again each time.
-
-    The store has room for every column of every step, but a pass takes
-    only its prefix of sum_k n * v_k elements, v_k the atoms whose weights
-    vary at step k, and none for a policy that stays constant.  Only that
-    prefix is touched and resident.  Untouched pages cost no memory, but an
-    array of 4 MiB or more may be backed by 2 MiB huge pages, where one
-    write makes the whole huge page resident: the packed prefix keeps those
-    writes together, where a (K, n, n_atoms) block written at each step's
-    slice faulted in nearly all of it.
-    """
-
-    def __init__(self, model, n_paths, n_steps):
-        n, dx, dw, n_atoms = n_paths, model.dim_x, model.dim_w, model.n_atoms
-        self.states = _step_major((n, n_steps + 1, dx))
-        self.running_cost = _step_major((n, n_steps + 1))
-        self.step_weights = np.empty((n, n_atoms))
-        self.weights = np.empty(n_steps * n * n_atoms)
-        self.yprime = _step_major((n, n_steps + 1))
-        self.y = _step_major((n, n_steps + 1, dx))
-        self.z = _step_major((n, n_steps, dw, dx))
-        self.buffers = np.empty((3, n_atoms, n))
-
-
 def msa_solve(model, risk, init, cfg, driver, basis, grid):
     """Damped successive approximation of the coupled optimality system.
 
@@ -401,34 +367,39 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
     pi <- (1 - alpha_k) pi + alpha_k q*.  Stops when the objective change
     drops below cfg.tol or after cfg.max_iters iterations, returning the
     policy of the report's best_iter in the latter case.  Every iteration
-    writes its per-path arrays into one _Workspace, in place: a fresh array
-    of this size can cost a page fault per 4 KB page each time.  The
-    bootstrap's resample indices, the same for every iteration, are drawn
-    once (bootstrap_indices), when they fit its byte budget.
+    overwrites one sde.ForwardArrays, one adjoint.AdjointArrays and the
+    Hamiltonian's buffers.  The bootstrap's resample indices, the same for
+    every iteration, are drawn once (bootstrap_indices), when they fit its
+    byte budget.  A non-finite risk value or derivative is a NumericalBlowup.
 
     Returns:
       (policy, SolveReport)
     """
     report = SolveReport()
     policies = [init]  # the policy simulated at each iteration
-    n_steps = grid.n_steps
-    ws = _Workspace(model, driver.n_paths, n_steps)
-    resamples = bootstrap_indices(driver.n_paths, cfg.n_boot, cfg.seed)
+    n, n_steps = driver.n_paths, grid.n_steps
+    forward = ForwardArrays(n, n_steps, model.dim_x, model.n_atoms)
+    backward = AdjointArrays(n, n_steps, model.dim_x, model.dim_w)
+    buffers = np.empty((3, model.n_atoms, n))
+    resamples = bootstrap_indices(n, cfg.n_boot, cfg.seed)
 
     for it in range(cfg.max_iters):
         policy = policies[-1]
         ens = simulate_forward(
-            model, policy, driver, grid, keep_weights=True, out=ws
+            model, policy, driver, grid, keep_weights=True, out=forward
         )
-        costs = total_cost(ens, model)
-        sample = EmpiricalSample(costs)
+        sample = EmpiricalSample(total_cost(ens, model))
         obj = evaluate(risk, sample)
+        if not np.isfinite(obj):
+            raise NumericalBlowup(n_steps, "risk value")
         se = bootstrap_standard_error(
             risk, sample, cfg.n_boot, cfg.seed, resamples
         )
         deriv = l_derivative(risk, sample)
+        if not np.isfinite(deriv).all():
+            raise NumericalBlowup(n_steps, "risk derivative")
         slices = _slice_regressions(ens, basis)
-        adj = solve_adjoint_system(model, ens, deriv, basis, slices, out=ws)
+        adj = solve_adjoint_system(model, ens, deriv, basis, slices, out=backward)
         mart = martingale_diagnostics(adj.yprime)
 
         gap_sum = 0.0
@@ -438,7 +409,7 @@ def msa_solve(model, risk, init, cfg, driver, basis, grid):
         for k in range(n_steps):
             wstar, gap, change, entropy = _minimize_step(
                 model, grid.nodes[k], ens.states[:, k], *adj.step(k),
-                ens.weight_columns(k), cfg.eta, ws.buffers,
+                ens.weight_columns(k), cfg.eta, buffers,
             )
             gap_sum += _path_mean(gap)
             change_sum += _path_mean(change) / model.n_atoms

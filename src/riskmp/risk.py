@@ -52,6 +52,12 @@ MAX_BETA = 1e6
 # smooths away the risk aversion.
 MAX_EPSILON = 1e6
 
+# The range of theta.  The entropic risk (shift + log S) / theta divides the
+# ~1e-16 rounding error of log S by theta: 1e-10 at MIN_THETA, where the risk
+# is the mean to within theta var / 2.  At MAX_THETA it is the sample maximum
+# to within ln(n) / theta; a larger theta only brings theta X near overflow.
+MIN_THETA, MAX_THETA = 1e-6, 1e6
+
 
 @dataclass(frozen=True)
 class RiskFunction:
@@ -63,8 +69,8 @@ class RiskFunction:
       smoothed_semideviation    mean + beta * E[(X - mean) smoothed-positive-part]
       entropic                  log E[exp(theta X)] / theta
 
-    beta is in (0, MAX_BETA] and epsilon in (0, MAX_EPSILON].  Each error
-    names the field it rejects.
+    beta is in (0, MAX_BETA], epsilon in (0, MAX_EPSILON] and theta in
+    [MIN_THETA, MAX_THETA].  Each error names the field it rejects.
     """
 
     kind: str
@@ -87,8 +93,9 @@ class RiskFunction:
             raise ValueError(
                 f"epsilon must be in (0, {MAX_EPSILON:g}], got {self.epsilon!r}"
             )
-        if self.kind == ENTROPIC and self.theta <= 0.0:
-            raise ValueError("theta must be > 0")
+        if self.kind == ENTROPIC and not MIN_THETA <= self.theta <= MAX_THETA:
+            bounds = f"[{MIN_THETA:g}, {MAX_THETA:g}]"
+            raise ValueError(f"theta must be in {bounds}, got {self.theta!r}")
 
     @staticmethod
     def expectation():
@@ -168,6 +175,9 @@ def _softplus(u, out, tail):
     return out
 
 
+# Huge costs overflow this kernel, l_derivative and the bootstrap's standard
+# error quietly, to inf or NaN; msa_solve names such a risk value.
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate_rows(risk, values, weights, work=None):
     """Risk of each row of values, a (rows, n) block of equally weighted samples.
 
@@ -206,6 +216,7 @@ def evaluate(risk, sample):
     return float(_evaluate_rows(risk, sample.values[None, :], sample.weights)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def l_derivative(risk, sample):
     """Pointwise derivative of the risk at the sample's empirical law.
 
@@ -291,6 +302,7 @@ def bootstrap_indices(n, n_boot=200, seed=0):
     return table
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bootstrap_standard_error(risk, sample, n_boot=200, seed=0, indices=None):
     """Monte Carlo standard error of evaluate(risk, sample) by resampling.
 
@@ -336,7 +348,4 @@ def bootstrap_standard_error(risk, sample, n_boot=200, seed=0, indices=None):
             draw = rng.choice(n, size=(b, n), p=sample.weights)
         np.take(sample.values, draw, out=block[:b])
         vals[lo:hi] = _evaluate_rows(risk, block[:b], weights, work[:, :b])
-    # Huge risk values overflow the sums of the mean and the squared
-    # deviations: the error is then inf or NaN, without a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(vals.std(ddof=1))
+    return float(vals.std(ddof=1))

@@ -544,9 +544,8 @@ def _eval_affine_batch(basis, states, scales, intercepts, coefs, n_atoms,
     mass_buf = np.empty((rows, n_comp))
     mix_buf = np.empty((rows, n_act))
     if out is None:
-        out = np.zeros((n, n_atoms))
-    else:
-        out.fill(0.0)
+        out = np.empty((n, n_atoms))
+    out.fill(0.0)
     for lo, hi in blocks:
         raw = np.matmul(phi[lo:hi], coef, out=raw_buf[: hi - lo])
         raw += intercept
@@ -702,9 +701,8 @@ class _KeptWeights(Sequence):
     block of the v atom columns whose bits, compared as uint64 so that
     +0.0 and -0.0 differ, are not the same on every path; every other
     column is row's entry on every path.  The blocks are packed back to
-    back from the start of store, a flat array of n_steps * n * n_atoms
-    elements, so that used, the elements they take, is sum_k n * v_k;
-    without a store each block is allocated at its exact size.
+    back from the start of store (ForwardArrays.weights), so that used, the
+    elements they take, is sum_k n * v_k.
 
     Item k is the (n, n_atoms) weights of step k: the broadcast row kept,
     or a fresh C-ordered array with the bits the policy handed out.
@@ -712,7 +710,7 @@ class _KeptWeights(Sequence):
     building that array.
     """
 
-    def __init__(self, n_paths, store=None):
+    def __init__(self, n_paths, store):
         self._n = n_paths
         self._store = store
         self._steps = []
@@ -731,12 +729,9 @@ class _KeptWeights(Sequence):
             self._steps.append(w)
             return
         cols = _varying_columns(w)
-        if self._store is None:
-            block = np.empty((n, cols.size))
-        else:
-            end = self.used + n * cols.size
-            block = self._store[self.used:end].reshape(n, cols.size)
-            self.used = end
+        end = self.used + n * cols.size
+        block = self._store[self.used:end].reshape(n, cols.size)
+        self.used = end
         # mode="raise" would take into a buffer first; cols are in range
         np.take(w, cols, axis=1, out=block, mode="clip")
         self._steps.append((w[0].copy(), cols, block))
@@ -758,15 +753,35 @@ class _KeptWeights(Sequence):
         return _weight_columns(self._steps[k])
 
 
+class ForwardArrays:
+    """The per-path destinations a forward pass overwrites.
+
+    states (n, n_steps + 1, dim_x) and running_cost (n, n_steps + 1) are
+    step-major (_step_major), and step_weights is the (n, n_atoms) scratch
+    each step offers the policy.  weights is the flat n_steps * n * n_atoms
+    store that kept weights pack into (_KeptWeights), or None for a pass
+    that keeps none.  msa_solve reuses one set for every iteration, so that
+    one iteration's arrays are resident at the peak, not two, and are
+    faulted in once.  The store is packed because an array of 4 MiB or more
+    may be backed by 2 MiB huge pages, which one write makes resident whole.
+    """
+
+    def __init__(self, n_paths, n_steps, dim_x, n_atoms, keep_weights=True):
+        self.states = _step_major((n_paths, n_steps + 1, dim_x))
+        self.running_cost = _step_major((n_paths, n_steps + 1))
+        self.step_weights = np.empty((n_paths, n_atoms))
+        size = n_steps * n_paths * n_atoms
+        self.weights = np.empty(size) if keep_weights else None
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Simulated forward system: states, running costs, and their inputs.
 
-    simulate_forward stores states and running_cost step-major, so a time
-    slice states[:, k] is one contiguous block.  policy_weights optionally
-    carries the per-step weights evaluated during simulation (_KeptWeights,
-    a sequence of (n, n_atoms) arrays), so downstream passes over the same
-    states need not re-evaluate the policy.
+    states and running_cost are a ForwardArrays' (step-major).  The
+    optional policy_weights are the per-step weights the simulation kept
+    (_KeptWeights, a sequence of (n, n_atoms) arrays), so downstream passes
+    over the same states need not re-evaluate the policy.
     """
 
     states: np.ndarray        # (n_paths, n_steps + 1, dim_x), step-major
@@ -831,13 +846,8 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
     weights on the returned ensemble (_KeptWeights).  The weights come
     checked from the policy (MeasurePolicy.weights_at), whose errors pass
     through.  Each step offers the policy one reused (n, n_atoms) scratch
-    array, which only a mixture writes.
-
-    out, when given, holds the destinations, overwritten here: step-major
-    states (n, n_steps + 1, dim_x) and running_cost (n, n_steps + 1) arrays,
-    the (n, n_atoms) step_weights scratch, and the flat weights store of
-    n_steps * n * n_atoms elements that kept weights pack their varying
-    columns into.
+    array, which only a mixture writes.  out, a ForwardArrays with a store
+    when weights are kept, receives the pass, or a fresh one does.
 
     Raises:
       NumericalBlowup: if any path hits a NaN/Inf state or cost.
@@ -852,18 +862,14 @@ def simulate_forward(model, policy, driver, grid, keep_weights=False,
     n = driver.n_paths
     dt = grid.dt
     if out is None:
-        x = _step_major((n, grid.n_steps + 1, model.dim_x))
-        xp = _step_major((n, grid.n_steps + 1), np.zeros)
-        scratch, store = np.empty((n, model.n_atoms)), None
-    else:
-        x, xp = out.states, out.running_cost
-        xp[:, 0] = 0.0
-        scratch, store = out.step_weights, out.weights
+        out = ForwardArrays(n, grid.n_steps, model.dim_x, model.n_atoms, keep_weights)
+    x, xp, scratch = out.states, out.running_cost, out.step_weights
+    xp[:, 0] = 0.0
     x[:, 0] = model.initial(_path_stream(driver.seed, _INITIAL_STREAM), n)
     if not np.isfinite(x[:, 0]).all():
         raise NumericalBlowup(0, "initial state")
 
-    kept = _KeptWeights(n, store) if keep_weights else None
+    kept = _KeptWeights(n, out.weights) if keep_weights else None
     for k in range(grid.n_steps):
         t = grid.nodes[k]
         xk = x[:, k]

@@ -3,10 +3,10 @@
 Each check is a plain function of its sample (an rng, a seed and a path
 count, or an ensemble and its adjoints) that returns named pass/fail
 CheckResult rows, with the check's tolerance fixed inside it.  `riskmp
-verify` runs CHECKS in order on one seeded rng at trimmed sizes; the
-acceptance criteria call the same functions at full size.  Every sample is
-seeded, so the table is reproducible across runs and machines with the same
-numpy version.
+verify` runs CHECKS in order on one seeded rng; the acceptance criteria call
+them too.  The perturbation bound and the 200,000-path adjoint checks run at
+acceptance size, the others trimmed.  Every sample is seeded, so the table
+is reproducible across runs and machines with the same numpy version.
 """
 
 import math

@@ -95,14 +95,14 @@ def python_in_subprocess(args, blas_threads):
     """Run `python <args>` with OpenBLAS pinned to blas_threads; return stdout.
 
     The BLAS thread count is fixed when numpy loads, so only a fresh process
-    can vary it.
+    can vary it.  A RuntimeWarning is an error there, as in the test process.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         env=env,
         capture_output=True,
         text=True,

@@ -703,14 +703,21 @@ def test_ridge_zero_solves_from_a_point_mass_start(tmp_path, config, x0):
         ("custom_linear", "epsilon", 1e308, "must be in (0, 1e+06]"),
         ("custom_linear", "beta", 1e308, "must be in (0, 1e+06]"),
         ("portfolio_mean_deviation", "beta", 1e308, "must be in (0, 1e+06]"),
+        ("portfolio_entropic", "theta", 1e308, "must be in [1e-06, 1e+06]"),
+        ("portfolio_entropic", "theta", 1e-16, "must be in [1e-06, 1e+06]"),
     ],
-    ids=["epsilon-1e308", "semideviation-beta-1e308", "mean-deviation-beta-1e308"],
+    ids=[
+        "epsilon-1e308", "semideviation-beta-1e308", "mean-deviation-beta-1e308",
+        "theta-1e308", "theta-1e-16",
+    ],
 )
 def test_risk_value_above_its_bound_is_config_error(
     tmp_path, capsys, recwarn, config, key, value, message
 ):
     # A huge epsilon exited 0 with an infinite final_objective_se; a huge
-    # beta printed RuntimeWarnings and then failed as a non-finite adjoint.
+    # beta printed RuntimeWarnings and then failed as a non-finite adjoint,
+    # and so did a huge theta.  A tiny theta, below its bound, exited 0 with
+    # a risk value lost to rounding.
     with open(os.path.join(CONFIGS, f"{config}.json")) as fh:
         cfg = json.load(fh)
     cfg["sim"].update(n_steps=3, n_paths=50)
@@ -736,6 +743,38 @@ def test_overflowing_regression_design_names_its_step(tmp_path, recwarn):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "NumericalBlowup"
     assert record["message"] == "non-finite regression design at time step 1"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "epsilon, message",
+    [
+        (0.1, "non-finite adjoint state at time step 1"),
+        (0.01, "non-finite risk value at time step 3"),
+    ],
+    ids=["adjoint-state", "risk-value"],
+)
+def test_costs_near_the_float_limit_name_their_blowup(
+    tmp_path, recwarn, epsilon, message
+):
+    # Finite costs near the float64 limit overflow the smoothed
+    # semideviation's (X - mean) / epsilon, and the adjoint fits of a cost
+    # gradient of 1e308.  RuntimeWarnings reached stderr, and under an
+    # error filter main raised instead of returning 1.  At epsilon 0.1 the
+    # risk value is finite (expit saturates in the derivative) and y blows
+    # up; at 0.01 the risk value itself is infinite.
+    cfg = _bundled("custom_linear")
+    cfg["sim"]["n_paths"] = 40
+    cfg["msa"]["n_boot"] = 5
+    cfg["problem"]["cost"]["x"] = [1e308]
+    cfg["risk"]["epsilon"] = epsilon
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalBlowup"
+    assert record["message"] == message
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

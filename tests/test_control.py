@@ -599,7 +599,7 @@ def test_a_solve_fits_no_z_prime(monkeypatch):
     # The Hamiltonian reads y', y and z, not z'.  Inside msa_solve the
     # risk-adjustment solve has nowhere to put z', so with a derivative
     # that varies over paths (entropic) it fits y' alone: one fit of D per
-    # step.  Without a workspace, z' has the bits of a fresh
+    # step.  Without a destination, z' has the bits of a fresh
     # solve_risk_adjustment.
     targets, fits = collections.Counter(), []
     fit, adjust = adjoint._SliceRegression.fit, adjoint.solve_risk_adjustment
@@ -907,7 +907,7 @@ def test_msa_tie_mixing_recovers_mixed_volatility_control():
     assert all(r.objective == 0.0 for r in report.records)
 
 
-# ------------------------------------------------------- per-solve workspace
+# ---------------------------------------------- per-solve destinations
 
 def _workspace_policy(model, n_steps, rng):
     """A mixture of uniform weights and three fitted components on two
@@ -927,14 +927,27 @@ def _workspace_policy(model, n_steps, rng):
     return policy
 
 
-def _run_into(model, policy, driver, grid, risk, out=None):
+def _run_into(model, policy, driver, grid, risk, forward=None, backward=None):
     """The ensemble and adjoints of one forward and backward pass."""
-    ens = simulate_forward(model, policy, driver, grid, keep_weights=True, out=out)
+    ens = simulate_forward(
+        model, policy, driver, grid, keep_weights=True, out=forward
+    )
     deriv = l_derivative(risk, EmpiricalSample(total_cost(ens, model)))
     adj = solve_adjoint_system(
-        model, ens, deriv, RegressionBasis(degree=2), out=out
+        model, ens, deriv, RegressionBasis(degree=2), out=backward
     )
     return ens, adj
+
+
+def _nan_filled(arrays, names):
+    """arrays, with each of its arrays named in names set to NaN."""
+    for name in names:
+        getattr(arrays, name).fill(np.nan)
+    return arrays
+
+
+_FORWARD = ("states", "running_cost", "step_weights", "weights")
+_BACKWARD = ("yprime", "y", "z")
 
 
 @pytest.mark.parametrize(
@@ -943,50 +956,55 @@ def _run_into(model, policy, driver, grid, risk, out=None):
 )
 @pytest.mark.parametrize("problem", ["portfolio", "custom"])
 def test_workspace_runs_have_the_fresh_allocation_bits(problem, risk):
-    # Every array of a workspace starts as NaN, so an entry the passes do
-    # not write (the running cost at step 0, the zeros of z where an
-    # increment is exactly zero, the kernel's zero fill) shows.  The
-    # workspace holds no z', and a run into it hands back none.
+    # Every array of the given destinations starts as NaN, so an entry the
+    # passes do not write (the running cost at step 0, the zeros of z where
+    # an increment is exactly zero, the kernel's zero fill) shows.  The
+    # backward destinations hold no z', and a run into them hands back none.
     if problem == "portfolio":
         model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
     else:
         model = model_from_tables(_CUSTOM_1D)
     grid = build_time_grid(1.0, 6)
-    driver = sample_brownian(grid, 300, model.dim_w, seed=41)
+    n = 300
+    driver = sample_brownian(grid, n, model.dim_w, seed=41)
     policy = _workspace_policy(model, grid.n_steps, np.random.default_rng(5))
-    ws = control._Workspace(model, driver.n_paths, grid.n_steps)
-    for a in vars(ws).values():
-        a.fill(np.nan)
+    fwd = _nan_filled(
+        sde.ForwardArrays(n, grid.n_steps, model.dim_x, model.n_atoms), _FORWARD
+    )
+    bwd = _nan_filled(
+        adjoint.AdjointArrays(n, grid.n_steps, model.dim_x, model.dim_w),
+        _BACKWARD,
+    )
 
     fresh_ens, fresh_adj = _run_into(model, policy, driver, grid, risk)
-    ens, adj = _run_into(model, policy, driver, grid, risk, out=ws)
+    ens, adj = _run_into(model, policy, driver, grid, risk, fwd, bwd)
     pairs = [
-        (ens.states, fresh_ens.states, ws.states),
-        (ens.running_cost, fresh_ens.running_cost, ws.running_cost),
+        (ens.states, fresh_ens.states, fwd.states),
+        (ens.running_cost, fresh_ens.running_cost, fwd.running_cost),
         (np.stack(ens.policy_weights), np.stack(fresh_ens.policy_weights), None),
-        (adj.yprime, fresh_adj.yprime, ws.yprime),
-        (adj.y, fresh_adj.y, ws.y),
-        (adj.z, fresh_adj.z, ws.z),
+        (adj.yprime, fresh_adj.yprime, bwd.yprime),
+        (adj.y, fresh_adj.y, bwd.y),
+        (adj.z, fresh_adj.z, bwd.z),
     ]
     for got, ref, dest in pairs:
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
         if dest is not None:
             assert got is dest
-    # The kept weights' varying columns fill a prefix of the store, and
-    # nothing past it is written; without a workspace each block is an
-    # array of its own exact size.
-    used = _packed_prefix(ens.policy_weights, ws.weights)
-    assert 0 < used < ws.weights.size
-    assert not np.isnan(ws.weights[:used]).any()
-    assert np.isnan(ws.weights[used:]).all()
-    for k, w in enumerate(fresh_ens.policy_weights):
-        _, cols, block = fresh_ens.policy_weights.columns(k)
-        if w.strides[0]:
-            assert block.base is None and block.shape == (len(w), cols.size)
+    # The kept weights' varying columns fill a prefix of the given store, and
+    # nothing past it is written.  A pass given no destinations packs its
+    # kept weights the same way into a store of its own.
+    used = _packed_prefix(ens.policy_weights, fwd.weights)
+    assert 0 < used < fwd.weights.size
+    assert not np.isnan(fwd.weights[:used]).any()
+    assert np.isnan(fwd.weights[used:]).all()
+    fresh_store = fresh_ens.policy_weights._store
+    assert fresh_store.size == fwd.weights.size
+    assert not np.may_share_memory(fresh_store, fwd.weights)
+    assert _packed_prefix(fresh_ens.policy_weights, fresh_store) == used
     assert adj.residuals_y == fresh_adj.residuals_y
     assert adj.residuals_yprime == fresh_adj.residuals_yprime
-    assert not hasattr(ws, "zprime")
+    assert not hasattr(bwd, "zprime")
     assert adj.zprime is None and fresh_adj.zprime is not None
 
 
@@ -1014,24 +1032,25 @@ def _packed_prefix(kept, store):
 
 def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
     # Once the policy is a mixture, its kept weights are packed into the
-    # store of the solve's one workspace, from its start.  The backward
-    # solves write one set of adjoints, and none of them is a z'.
-    passes, solves, workspaces = [], [], []
+    # store of the solve's one set of forward destinations, from its start.
+    # The backward solves write one set of adjoints, and none of them is a z'.
+    passes, solves, made = [], [], []
     forward, backward = control.simulate_forward, control.solve_adjoint_system
 
-    class SpyWorkspace(control._Workspace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            workspaces.append(self)
+    def spy(cls):
+        def make(*args):
+            made.append(cls(*args))
+            return made[-1]
+        return make
 
     def spy_forward(model, policy, *args, **kwargs):
         ens = forward(model, policy, *args, **kwargs)
-        (ws,) = workspaces
+        fwd = next(a for a in made if isinstance(a, sde.ForwardArrays))
         passes.append((
             isinstance(policy, sde._MixturePolicy),
             _address(ens.states),
             _address(ens.running_cost),
-            _packed_prefix(ens.policy_weights, ws.weights),
+            _packed_prefix(ens.policy_weights, fwd.weights),
         ))
         return ens
 
@@ -1041,7 +1060,8 @@ def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
         solves.append(tuple(_address(a) for a in (adj.yprime, adj.y, adj.z)))
         return adj
 
-    monkeypatch.setattr(control, "_Workspace", SpyWorkspace)
+    monkeypatch.setattr(control, "ForwardArrays", spy(sde.ForwardArrays))
+    monkeypatch.setattr(control, "AdjointArrays", spy(adjoint.AdjointArrays))
     monkeypatch.setattr(control, "simulate_forward", spy_forward)
     monkeypatch.setattr(control, "solve_adjoint_system", spy_backward)
     model = build_portfolio_model(PortfolioParams(phi_low=0.1), 7)
@@ -1052,7 +1072,8 @@ def test_every_forward_pass_of_a_solve_writes_one_workspace(monkeypatch):
         MsaConfig(max_iters=5, tol=0.0, n_boot=20), driver,
         RegressionBasis(degree=2), grid,
     )
-    assert len(passes) == report.n_iters == 5 and len(workspaces) == 1
+    assert len(passes) == report.n_iters == 5
+    assert [type(a) for a in made] == [sde.ForwardArrays, adjoint.AdjointArrays]
     assert len({(states, cost) for _, states, cost, _ in passes}) == 1
     assert sum(mixture for mixture, *_ in passes) >= 3
     assert all((used > 0) == mixture for mixture, *_, used in passes)

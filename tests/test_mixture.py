@@ -474,9 +474,11 @@ def test_kept_weights_have_the_bits_the_policy_gave(kind, workspace):
         policy = rule
     out = None
     if workspace:
-        out = control._Workspace(model, driver.n_paths, grid.n_steps)
-        for a in vars(out).values():
-            a.fill(np.nan)
+        out = sde.ForwardArrays(
+            driver.n_paths, grid.n_steps, model.dim_x, model.n_atoms
+        )
+        for name in ("states", "running_cost", "step_weights", "weights"):
+            getattr(out, name).fill(np.nan)
     ens = simulate_forward(model, policy, driver, grid, keep_weights=True, out=out)
     broadcast, vanished, signed = [], [], []
     for k in range(grid.n_steps):

@@ -21,6 +21,8 @@ from riskmp.risk import (
     _INDEX_TABLE_BYTES,
     MAX_BETA,
     MAX_EPSILON,
+    MAX_THETA,
+    MIN_THETA,
     _evaluate_rows,
     _softplus,
 )
@@ -423,3 +425,24 @@ def test_beta_and_epsilon_bounds():
         RiskFunction.smoothed_semideviation(1e308, 0.1)
     with pytest.raises(ValueError, match="epsilon must be in"):
         RiskFunction.smoothed_semideviation(0.5, np.nextafter(MAX_EPSILON, np.inf))
+
+
+@pytest.mark.parametrize(
+    "theta", [np.nextafter(MIN_THETA, 0.0), np.nextafter(MAX_THETA, np.inf),
+              1e-16, 1e308, 0.0, -1.0, math.nan],
+)
+def test_theta_outside_its_bounds_is_refused(theta):
+    with pytest.raises(ValueError, match=r"theta must be in \[1e-06, 1e\+06\]"):
+        RiskFunction.entropic(theta)
+
+
+def test_entropic_risk_at_the_theta_bounds():
+    # At MIN_THETA the risk is the mean plus theta var / 2 up to a rounding
+    # error of about 1e-10; at MAX_THETA it is within ln(n) / theta of the
+    # sample maximum.
+    x = np.random.default_rng(11).normal(-0.07, 1.0, 1000)
+    sample = EmpiricalSample(x)
+    low = evaluate(RiskFunction.entropic(MIN_THETA), sample)
+    assert abs(low - (x.mean() + MIN_THETA * x.var() / 2.0)) < 1e-9
+    high = evaluate(RiskFunction.entropic(MAX_THETA), sample)
+    assert x.max() - math.log(x.size) / MAX_THETA - 1e-12 <= high <= x.max()
