@@ -384,7 +384,7 @@ def _policy_step_stats(model, grid, ensemble):
     tables = []
     for k in range(grid.n_steps):
         mean_w = ensemble.weights_at(k).mean(axis=0)
-        mean_action = float(mean_w @ atoms[:, 0]) if model.dim_a == 1 else float("nan")
+        mean_action = float(mean_w @ atoms[:, 0])
         entropy = policy_entropy(ensemble.weight_columns(k))
         rows.append((k, float(grid.nodes[k]), mean_action, entropy))
         tables.append(mean_w)

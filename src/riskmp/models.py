@@ -126,7 +126,7 @@ def model_from_tables(tables):
     """Build a ModelSpec from plain coefficient tables.
 
     Expected keys:
-      dim_x, dim_w, action_grid: list of atoms (scalars or dim_a-vectors)
+      dim_x, dim_w, action_grid: list of scalar atoms
       drift:     {"const": (n_atoms, dim_x), "x": (dim_x, dim_x) optional}
       diffusion: {"const": (n_atoms, dim_x, dim_w)}
       cost:      {"const": (n_atoms,), "x": (dim_x,) optional}
@@ -135,8 +135,10 @@ def model_from_tables(tables):
       growth:    optional feasibility exponent dict
 
     CUSTOM_TABLE_KEYS lists these keys and their sub-keys.  Atoms must be
-    distinct.  A missing optional table is zeros, and each error starts with
-    the key at fault, dotted for a sub-key.
+    distinct scalars: coefficients are given per atom index, so an atom only
+    labels the outputs, which report one mean action per step.  A missing
+    optional table is zeros, and each error starts with the key at fault,
+    dotted for a sub-key.
 
     Drift and cost are affine in the state with per-atom intercepts;
     diffusion is a per-atom constant.  Gradients are exact by construction,
@@ -144,13 +146,13 @@ def model_from_tables(tables):
     only the tables it is asked for.
     """
     atoms = _table(tables, "action_grid", required=True)
-    if atoms.ndim == 1:
-        atoms = atoms[:, None]
-    if atoms.ndim != 2 or not atoms.size:
+    if atoms.ndim != 1 or not atoms.size:
         raise ConfigInvalid(
-            f"action_grid must be a nonempty list of atoms, got shape {atoms.shape}"
+            "action_grid must be a nonempty list of scalar atoms, got shape "
+            f"{atoms.shape}"
         )
-    n_atoms, dim_a = atoms.shape
+    n_atoms = atoms.size
+    atoms = atoms[:, None]
     dim_x = _dimension(tables, "dim_x", "drift.const", n_atoms)
     dim_w = _dimension(tables, "dim_w", "diffusion.const", n_atoms * dim_x)
     drift_const = _table(tables, "drift.const", (n_atoms, dim_x))
@@ -204,7 +206,7 @@ def model_from_tables(tables):
     return ModelSpec(
         dim_x=dim_x,
         dim_w=dim_w,
-        dim_a=dim_a,
+        dim_a=1,
         drift=lambda t, x, a: drift_const[atom_of(a)] + x @ drift_x.T,
         diffusion=lambda t, x, a: np.broadcast_to(
             diff_const[atom_of(a)], (x.shape[0], dim_x, dim_w)

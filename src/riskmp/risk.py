@@ -1,11 +1,12 @@
 """Law-invariant risk functions over empirical cost samples.
 
-Evaluation and derivatives act on the empirical law of a Monte Carlo sample:
-expectations become weighted sums, the L2 deviation becomes the weighted
-standard deviation, and the derivative of the risk at the sample is returned
-pointwise per entry.  Everything here is a pure function of immutable inputs
-and safe to call concurrently; the bootstrap's resample index table
-(bootstrap_indices) is read-only, so callers may share one.
+Evaluation and derivatives act on the empirical law of a Monte Carlo sample,
+n equally likely paths: expectations become path means, the L2 deviation
+becomes the sample's standard deviation, and the derivative of the risk at
+the sample is returned pointwise per entry.  Everything here is a pure
+function of immutable inputs and safe to call concurrently; the bootstrap's
+resample index table (bootstrap_indices) is read-only, so callers may share
+one.
 """
 
 import math
@@ -116,10 +117,9 @@ class RiskFunction:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Finite weighted sample standing in for the law of the total cost."""
+    """n equally likely values standing in for the law of the total cost."""
 
     values: np.ndarray
-    weights: np.ndarray = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
@@ -127,35 +127,25 @@ class EmpiricalSample:
             raise ValueError("sample must contain at least one value")
         if not np.isfinite(v).all():
             raise ValueError("sample values must be finite")
-        if self.weights is None:
-            w = np.full(v.size, 1.0 / v.size)
-        else:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape != v.shape:
-                raise ValueError("weights must match values in length")
-            if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
 
     @property
     def n(self):
         return self.values.size
 
 
-def _weighted_sum(values, weights, scratch=None):
-    """Sum of values * weights over the last axis, one result per row.
+def _row_mean(values, scratch=None):
+    """Mean over the last axis, one result per row of n entries.
 
-    np.add.reduce runs numpy's pairwise summation along each row and calls no
-    BLAS, so a row's sum depends neither on the BLAS thread count nor on how
-    many rows share the call (a BLAS dot splits long vectors across threads).
-    scratch, shaped like values and possibly values itself, takes the product.
+    Each entry is scaled by the one double 1/n before the sum, which has
+    other bits than dividing the sum by n.  np.add.reduce runs numpy's
+    pairwise summation along each row and calls no BLAS, so a row's mean
+    depends neither on the BLAS thread count nor on how many rows share the
+    call (a BLAS dot splits long vectors across threads).  scratch, shaped
+    like values and possibly values itself, takes the scaled entries.
     """
-    return np.add.reduce(np.multiply(values, weights, out=scratch), axis=-1)
-
-
-def _mean(sample):
-    return float(_weighted_sum(sample.values, sample.weights))
+    scale = 1.0 / values.shape[-1]
+    return np.add.reduce(np.multiply(values, scale, out=scratch), axis=-1)
 
 
 def _softplus(u, out, tail):
@@ -178,42 +168,42 @@ def _softplus(u, out, tail):
 # Huge costs overflow this kernel, l_derivative and the bootstrap's standard
 # error quietly, to inf or NaN; msa_solve names such a risk value.
 @np.errstate(over="ignore", invalid="ignore")
-def _evaluate_rows(risk, values, weights, work=None):
-    """Risk of each row of values, a (rows, n) block of equally weighted samples.
+def _evaluate_rows(risk, values, work=None):
+    """Risk of each row of values, a (rows, n) block of samples.
 
-    weights (n,) is shared by all rows.  Every reduction runs along a row, so
-    row i's result is bit-identical to evaluating that row alone.  work is
-    (2, rows, n) scratch the kernel overwrites; callers that evaluate many
-    blocks pass one, so that no block allocates (and page-faults) its own.
+    Every reduction runs along a row, so row i's result is bit-identical to
+    evaluating that row alone.  work is (2, rows, n) scratch the kernel
+    overwrites; callers that evaluate many blocks pass one, so that no block
+    allocates (and page-faults) its own.
     """
     if work is None:
         work = np.empty((2,) + values.shape)
     buf, tail = work
-    m = _weighted_sum(values, weights, buf)
+    m = _row_mean(values, buf)
     if risk.kind == EXPECTATION:
         return m
     if risk.kind == MEAN_DEVIATION:
         dev = np.subtract(values, m[:, None], out=buf)
         np.square(dev, out=dev)
-        return m + risk.beta * np.sqrt(_weighted_sum(dev, weights, dev))
+        return m + risk.beta * np.sqrt(_row_mean(dev, dev))
     if risk.kind == SMOOTHED_SEMIDEVIATION:
         # eps * softplus((X - mean) / eps), the smoothed positive part.
         u = np.subtract(values, m[:, None], out=buf)
         u /= risk.epsilon
         smooth = _softplus(u, u, tail)
         smooth *= risk.epsilon
-        return m + risk.beta * _weighted_sum(smooth, weights, smooth)
+        return m + risk.beta * _row_mean(smooth, smooth)
     # Entropic: log-mean-exp shifted by the row maximum, overflow-safe.
     z = np.multiply(values, risk.theta, out=buf)
     shift = z.max(axis=-1)
     z -= shift[:, None]
     np.exp(z, out=z)
-    return (shift + np.log(_weighted_sum(z, weights, z))) / risk.theta
+    return (shift + np.log(_row_mean(z, z))) / risk.theta
 
 
 def evaluate(risk, sample):
     """Risk of the empirical sample; total on finite samples."""
-    return float(_evaluate_rows(risk, sample.values[None, :], sample.weights)[0])
+    return float(_evaluate_rows(risk, sample.values[None, :])[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -226,12 +216,12 @@ def l_derivative(risk, sample):
     For mean_deviation the derivative does not exist at (near-)constant
     samples and DegenerateSample is raised.
     """
-    v, w = sample.values, sample.weights
+    v = sample.values
     if risk.kind == EXPECTATION:
         return np.broadcast_to(1.0, v.shape)
-    m = _mean(sample)
+    m = float(_row_mean(v))
     if risk.kind == MEAN_DEVIATION:
-        dev = math.sqrt(float(_weighted_sum((v - m) ** 2, w)))
+        dev = math.sqrt(float(_row_mean((v - m) ** 2)))
         if dev <= _TOL_SIGMA * (1.0 + abs(m)):
             raise DegenerateSample(
                 f"deviation {dev:.3e} below floor; derivative undefined at constants"
@@ -239,10 +229,10 @@ def l_derivative(risk, sample):
         return 1.0 + risk.beta * (v - m) / dev
     if risk.kind == SMOOTHED_SEMIDEVIATION:
         u = expit((v - m) / risk.epsilon)
-        return 1.0 + risk.beta * (u - float(_weighted_sum(u, w)))
+        return 1.0 + risk.beta * (u - float(_row_mean(u)))
     shift = float(np.max(risk.theta * v))
     e = np.exp(risk.theta * v - shift)
-    return e / float(_weighted_sum(e, w))
+    return e / float(_row_mean(e))
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ def directional_derivative_check(risk, sample, direction, h):
     """Compare a central finite difference of the risk against <D, direction>.
 
     The first-order expansion of the risk predicts that perturbing the sample
-    by h * direction moves the risk by h * sum_i w_i D_i direction_i; this
+    by h * direction moves the risk by h * mean_i D_i direction_i; this
     probes that prediction with a symmetric difference of width h.
     """
     if h <= 0.0:
@@ -265,10 +255,10 @@ def directional_derivative_check(risk, sample, direction, h):
     if d.shape != sample.values.shape:
         raise ValueError("direction must match the sample length")
     deriv = l_derivative(risk, sample)
-    up = EmpiricalSample(sample.values + h * d, sample.weights)
-    dn = EmpiricalSample(sample.values - h * d, sample.weights)
+    up = EmpiricalSample(sample.values + h * d)
+    dn = EmpiricalSample(sample.values - h * d)
     fd = (evaluate(risk, up) - evaluate(risk, dn)) / (2.0 * h)
-    ip = float(_weighted_sum(deriv * d, sample.weights))
+    ip = float(_row_mean(deriv * d))
     return DirectionalCheck(fd_value=fd, inner_product=ip, abs_error=abs(fd - ip))
 
 
@@ -280,24 +270,43 @@ def directional_derivative_check(risk, sample, direction, h):
 _INDEX_TABLE_BYTES = 8 << 20
 
 
+def _resamples(n, n_boot, seed, table=None):
+    """(lo, hi, draw) per block: the intp indices of resamples lo..hi - 1.
+
+    The n_boot resamples of n indices each are drawn from default_rng(seed)
+    a block of rows at a time (_row_blocks).  One (rows, n) draw takes the
+    same generator output as rows draws of n, so the blocks, stacked, are a
+    draw-per-resample loop's.  Given table, bootstrap_indices's copy of that
+    sequence, each block is read from it into one reused intp buffer.
+    """
+    rows, blocks = _row_blocks(n_boot, n)
+    if table is None:
+        rng = np.random.default_rng(seed)
+        for lo, hi in blocks:
+            yield lo, hi, rng.integers(0, n, (hi - lo, n))
+        return
+    idx = np.empty((rows, n), np.intp)
+    for lo, hi in blocks:
+        np.copyto(idx[: hi - lo], table[lo:hi])
+        yield lo, hi, idx[: hi - lo]
+
+
 def bootstrap_indices(n, n_boot=200, seed=0):
-    """The uniform resample indices of bootstrap_standard_error, or None.
+    """The resample indices of bootstrap_standard_error, or None.
 
     Row i is the index draw of resample i that bootstrap_standard_error(risk,
-    sample, n_boot, seed) makes for a uniformly weighted sample of n >= 1
-    values, drawn here a block at a time in the same sequence.  The table is
-    stored in the narrowest unsigned dtype that holds n - 1 and is read-only,
-    so one table serves every bootstrap of a solve, whose sample size and
-    seed do not change.  None when it would take more than
+    sample, n_boot, seed) makes for a sample of n >= 1 values (_resamples).
+    The table is stored in the narrowest unsigned dtype that holds n - 1 and
+    is read-only, so one table serves every bootstrap of a solve, whose
+    sample size and seed do not change.  None when it would take more than
     _INDEX_TABLE_BYTES: bootstrap_standard_error then draws per call.
     """
     dtype = np.min_scalar_type(n - 1)
     if n_boot * n * dtype.itemsize > _INDEX_TABLE_BYTES:
         return None
     table = np.empty((n_boot, n), dtype)
-    rng = np.random.default_rng(seed)
-    for lo, hi in _row_blocks(n_boot, n)[1]:
-        table[lo:hi] = rng.integers(0, n, (hi - lo, n))
+    for lo, hi, draw in _resamples(n, n_boot, seed):
+        table[lo:hi] = draw
     table.flags.writeable = False
     return table
 
@@ -307,13 +316,10 @@ def bootstrap_standard_error(risk, sample, n_boot=200, seed=0, indices=None):
     """Monte Carlo standard error of evaluate(risk, sample) by resampling.
 
     Nonparametric bootstrap with a fixed seed so repeated runs agree exactly.
-    Resamples are drawn and evaluated a block of rows at a time; one
-    (rows, n) draw takes the same generator output as rows draws of n, so
-    the resamples, and each one's risk value, match a draw-per-resample loop.
-    indices, when given, is bootstrap_indices(sample.n, n_boot, seed): a
-    uniformly weighted sample then takes its resamples from that table, a
-    block at a time, instead of drawing them, with the same bits.  A
-    weighted sample always draws its own.
+    Resamples are drawn (_resamples) and evaluated a block of rows at a time,
+    and each one's risk value matches a draw-per-resample loop's.  indices,
+    when given, is bootstrap_indices(sample.n, n_boot, seed): the resamples
+    are then read from that table instead of drawn, with the same bits.
     """
     if n_boot < 2:
         raise ValueError(f"n_boot must be >= 2, got {n_boot}")
@@ -324,28 +330,12 @@ def bootstrap_standard_error(risk, sample, n_boot=200, seed=0, indices=None):
         )
     if n < 2:
         return float("nan")
-    uniform = np.allclose(sample.weights, 1.0 / n, rtol=0.0, atol=1e-15)
-    if not uniform:
-        indices = None
-    rng = np.random.default_rng(seed) if indices is None else None
-    # A resample is an equally weighted sample of n draws from a finite,
-    # already validated parent.
-    weights = np.full(n, 1.0 / n)
-    rows, blocks = _row_blocks(n_boot, n)
+    rows = _row_blocks(n_boot, n)[0]
     block = np.empty((rows, n))
     work = np.empty((2, rows, n))
-    if indices is not None:
-        idx = np.empty((rows, n), np.intp)
     vals = np.empty(n_boot)
-    for lo, hi in blocks:
+    for lo, hi, draw in _resamples(n, n_boot, seed, indices):
         b = hi - lo
-        if indices is not None:
-            draw = idx[:b]
-            np.copyto(draw, indices[lo:hi])
-        elif uniform:
-            draw = rng.integers(0, n, (b, n))
-        else:
-            draw = rng.choice(n, size=(b, n), p=sample.weights)
         np.take(sample.values, draw, out=block[:b])
-        vals[lo:hi] = _evaluate_rows(risk, block[:b], weights, work[:, :b])
+        vals[lo:hi] = _evaluate_rows(risk, block[:b], work[:, :b])
     return float(vals.std(ddof=1))

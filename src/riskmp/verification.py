@@ -29,11 +29,13 @@ from .portfolio import (
     brute_force_constant_policy,
     build_portfolio_model,
     merton_allocation,
+    optimal_allocation_from_adjoints,
     risk_premium,
 )
 from .risk import (
     EmpiricalSample,
     RiskFunction,
+    _row_mean,
     directional_derivative_check,
     evaluate,
     l_derivative,
@@ -152,7 +154,7 @@ def risk_derivative_range(rng):
     ok = (
         np.all(d_s > 0.5)
         and np.all(d_s < 1.5)
-        and abs(float(x.weights @ d_e) - 1.0) <= 1e-10
+        and abs(float(_row_mean(d_e)) - 1.0) <= 1e-10
         and np.all(d_e > 0)
     )
     return _result("risk_derivative_range", ok, "smoothed in (1-b,1+b); entropic mean 1")
@@ -402,6 +404,18 @@ def _entropic_allocation(params, theta):
     return float(np.clip(phi, params.phi_low, params.phi_high))
 
 
+def _entropic_value(params, phi, theta):
+    """-x0 - (r + (mu - r) phi - sigma^2 phi^2 / 2) T + theta sigma^2 phi^2 T / 2:
+    the entropic risk of the Gaussian cost -x_T under the constant allocation
+    phi, and at theta = 0 its mean."""
+    drift = params.r + (params.mu - params.r) * phi - 0.5 * params.sigma**2 * phi**2
+    return (
+        -params.x0
+        - drift * params.horizon
+        + 0.5 * theta * params.sigma**2 * phi**2 * params.horizon
+    )
+
+
 def _half_spacing(model):
     return 0.5 * float(np.diff(model.action_grid[:, 0]).max())
 
@@ -436,6 +450,31 @@ def entropic_premium_closed_form(params, theta, model, phi, adj):
         "entropic_premium_closed_form",
         worst <= tol,
         f"worst |mean iota - iota*| {worst:.5f}, iota* {target:.4f}, tol {tol:.5f}",
+    )
+
+
+def allocation_from_adjoints(params, model, ensemble, adj):
+    """With y = -y' and z = -z', the portfolio Hamiltonian is least at the
+    allocation (mu - r + iota) / sigma^2, clipped, for the premium iota =
+    sigma z' / y' (optimal_allocation_from_adjoints).  Each step's path mean
+    of it on adj is within half an atom spacing, plus 2 standard errors of
+    that mean, of the path-mean allocation of the policy ensemble kept."""
+    atoms = model.action_grid[:, 0]
+    gaps, tols = [], []
+    for k in range(ensemble.grid.n_steps):
+        solved = float((ensemble.weights_at(k) @ atoms).mean())
+        phi = optimal_allocation_from_adjoints(
+            adj.yprime[:, k : k + 1], adj.zprime[:, k : k + 1], params
+        )
+        se = float(phi.std(ddof=1)) / math.sqrt(phi.size)
+        gaps.append(abs(float(phi.mean()) - solved))
+        tols.append(_half_spacing(model) + 2.0 * se)
+    k = int(np.argmax(np.subtract(gaps, tols)))
+    return _result(
+        "allocation_from_adjoints",
+        all(g <= t for g, t in zip(gaps, tols)),
+        f"worst step {k}: |mean phi(iota) - mean phi| {gaps[k]:.4f}, "
+        f"tol {tols[k]:.4f}",
     )
 
 

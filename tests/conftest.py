@@ -91,18 +91,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+# The warnings pyproject.toml's filterwarnings turns into errors.
+_ERROR_WARNINGS = (
+    "RuntimeWarning",
+    "DeprecationWarning",
+    "PendingDeprecationWarning",
+    "FutureWarning",
+)
+
+
 def python_in_subprocess(args, blas_threads):
     """Run `python <args>` with OpenBLAS pinned to blas_threads; return stdout.
 
     The BLAS thread count is fixed when numpy loads, so only a fresh process
-    can vary it.  A RuntimeWarning is an error there, as in the test process.
+    can vary it.  The warnings that are errors in the test process
+    (_ERROR_WARNINGS) are errors there too.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        [sys.executable, *(f"-Werror::{w}" for w in _ERROR_WARNINGS), *args],
         env=env,
         capture_output=True,
         text=True,

@@ -7,6 +7,7 @@ adjoint ensemble) live in module-scoped fixtures.  Each test prints a single
 PASS/FAIL line; run with `pytest -s` to see them inline.
 """
 
+import dataclasses
 import json
 import time
 
@@ -35,6 +36,8 @@ from riskmp.cli import main as cli_main
 from riskmp.portfolio import PortfolioParams, build_portfolio_model, merton_allocation
 from riskmp.verification import (
     _entropic_allocation,
+    _entropic_value,
+    allocation_from_adjoints,
     derivative_fd,
     entropic_allocation_closed_form,
     entropic_premium_closed_form,
@@ -241,14 +244,7 @@ def test_criterion_09_risk_aware_optimality(setup, mean_dev_run, entropic_run):
     from riskmp.portfolio import _model_on_atoms
 
     for phi, value in zip(bf.phis, bf.values):
-        drift_phi = (
-            params.r + (params.mu - params.r) * phi - 0.5 * params.sigma**2 * phi**2
-        )
-        closed = (
-            -params.x0
-            - drift_phi * params.horizon
-            + 0.5 * theta * params.sigma**2 * phi**2 * params.horizon
-        )
+        closed = _entropic_value(params, phi, theta)
         m = _model_on_atoms(params, np.array([[phi]]))
         ens = simulate_forward(m, MeasurePolicy.dirac(0, 1), driver, grid)
         se = bootstrap_standard_error(
@@ -282,17 +278,25 @@ def test_entropic_premium_matches_closed_form(
     assert result.passed, result.detail
 
 
+def test_allocation_from_adjoints_matches_the_solved_allocation(
+    setup, entropic_run, wide_entropic_adjoint
+):
+    params, model = setup["params"], setup["model"]
+    ens, adj = entropic_run["ensemble"], wide_entropic_adjoint["adjoint"]
+    result = allocation_from_adjoints(params, model, ens, adj)
+    assert result.passed, result.detail
+    # Risk-neutral adjoints (iota = 0) and a premium z' / y' that dropped its
+    # sigma each move the adjoint allocation off the solved one.
+    for scale in (0.0, 1.0 / params.sigma):
+        mutant = dataclasses.replace(adj, zprime=scale * adj.zprime)
+        result = allocation_from_adjoints(params, model, ens, mutant)
+        assert not result.passed, (scale, result.detail)
+
+
 def test_entropic_objective_matches_closed_form(setup, entropic_run):
-    # The entropic risk of -x_T under the constant allocation phi* is
-    # -x0 - (r + (mu - r) phi* - sigma^2 phi*^2 / 2) T + theta sigma^2 phi*^2 T / 2.
+    # The entropic risk of -x_T under the constant allocation phi*.
     params, theta = setup["params"], entropic_run["risk"].theta
-    phi = _entropic_allocation(params, theta)
-    drift = params.r + (params.mu - params.r) * phi - 0.5 * params.sigma**2 * phi**2
-    closed = (
-        -params.x0
-        - drift * params.horizon
-        + 0.5 * theta * params.sigma**2 * phi**2 * params.horizon
-    )
+    closed = _entropic_value(params, _entropic_allocation(params, theta), theta)
     last = entropic_run["report"].records[-1]
     assert abs(last.objective - closed) <= 2.0 * last.objective_se, (
         f"objective {last.objective:.6f} vs closed form {closed:.6f}, "

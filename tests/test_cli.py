@@ -500,6 +500,22 @@ def test_custom_non_finite_value_is_config_error(tmp_path, capsys, overrides, me
     assert not (out / "solve_summary.json").exists()
 
 
+def test_vector_action_atoms_are_config_error(tmp_path, capsys):
+    # Coefficients are given per atom index, so an atom only labels the
+    # outputs; a vector atom solved and wrote "mean_action_min": NaN.
+    grid = [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.5]]
+    path, _ = _small_portfolio_config(
+        tmp_path, problem=_problem("custom", {"action_grid": grid}),
+        sim={"n_steps": 5, "n_paths": 200},
+        msa={"max_iters": 2, "n_boot": 10},
+    )
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "problem.action_grid must be a nonempty list of scalar atoms" in err
+    assert not (out / "solve_summary.json").exists()
+
+
 def test_custom_growth_accepts_an_infinite_number(tmp_path):
     path, _ = _small_portfolio_config(
         tmp_path, problem=_problem("custom", {"growth.pbar3": math.inf})

@@ -27,17 +27,9 @@ from riskmp import (
     validate_gradients,
 )
 from riskmp.portfolio import MAX_X0, PortfolioParams
+from riskmp.verification import _entropic_value
 
 PARAMS = PortfolioParams()
-
-
-def _entropic_closed_form(params, phi, theta):
-    drift = params.r + (params.mu - params.r) * phi - 0.5 * params.sigma**2 * phi**2
-    return (
-        -params.x0
-        - drift * params.horizon
-        + 0.5 * theta * params.sigma**2 * phi**2 * params.horizon
-    )
 
 
 # -------------------------------------------------------------------- model
@@ -198,7 +190,7 @@ def test_brute_force_finds_merton_under_expectation():
     spacing = phis[1] - phis[0]
     assert abs(res.best_phi - merton_allocation(PARAMS)) <= spacing + 1e-12
     # cross-check against the analytic mean cost curve
-    analytic = np.array([_entropic_closed_form(PARAMS, p, 0.0) for p in phis])
+    analytic = np.array([_entropic_value(PARAMS, p, 0.0) for p in phis])
     assert abs(phis[np.argmin(analytic)] - merton_allocation(PARAMS)) <= spacing
 
 
@@ -211,7 +203,7 @@ def test_brute_force_entropic_matches_closed_form():
     res = brute_force_constant_policy(PARAMS, risk, phis, driver, grid)
     model = build_portfolio_model(PARAMS, 15)
     for phi, value in zip(res.phis, res.values):
-        closed = _entropic_closed_form(PARAMS, phi, theta)
+        closed = _entropic_value(PARAMS, phi, theta)
         # bootstrap SE of the simulated entropic estimate at this phi
         from riskmp.portfolio import _model_on_atoms
 

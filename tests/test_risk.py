@@ -24,6 +24,7 @@ from riskmp.risk import (
     MAX_THETA,
     MIN_THETA,
     _evaluate_rows,
+    _row_mean,
     _softplus,
 )
 from riskmp.sde import _BLOCK_ELEMENTS
@@ -59,16 +60,6 @@ def test_entropic_is_overflow_safe():
     val = evaluate(risk, EmpiricalSample([1000.0, 2000.0]))
     assert math.isfinite(val)
     assert val == pytest.approx(2000.0 - math.log(2.0), abs=1e-9)
-
-
-def test_weighted_sample_matches_replication():
-    values = np.array([0.3, -1.2, 2.0])
-    weights = np.array([0.5, 0.25, 0.25])
-    replicated = np.array([0.3, 0.3, -1.2, 2.0])
-    for risk in RISKS.values():
-        a = evaluate(risk, EmpiricalSample(values, weights))
-        b = evaluate(risk, EmpiricalSample(replicated))
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 # ------------------------------------------------------------- l_derivative
@@ -183,11 +174,18 @@ def test_convexity_property(name, seed, n, lam):
 
 # ------------------------------------------------------------- row kernel
 
-def _weights(rng, n, weighted):
-    if not weighted:
-        return None
-    w = rng.uniform(0.0, 1.0, n) + 0.01
-    return w / w.sum()
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 24),
+    n=st.one_of(st.integers(1, 300), st.integers(300, 5000)),
+)
+def test_row_mean_scales_each_entry_by_one_over_n(seed, rows, n):
+    # Scaling by 1/n before the sum is what an (n,) vector of 1/n weights
+    # did; dividing the sum by n instead has other bits.
+    block = np.random.default_rng(seed).standard_normal((rows, n))
+    want = np.add.reduce(block * np.full(n, 1.0 / n), axis=-1)
+    assert np.array_equal(_row_mean(block), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,31 +194,24 @@ def _weights(rng, n, weighted):
     seed=st.integers(0, 2**32 - 1),
     rows=st.integers(1, 24),
     n=st.one_of(st.integers(1, 300), st.integers(300, 5000)),
-    weighted=st.booleans(),
     scale=st.sampled_from([1e-6, 1.0, 1e3]),
 )
-def test_row_kernel_rows_equal_single_evaluations(name, seed, rows, n, weighted, scale):
+def test_row_kernel_rows_equal_single_evaluations(name, seed, rows, n, scale):
     rng = np.random.default_rng(seed)
     block = scale * rng.standard_normal((rows, n))
-    sample0 = EmpiricalSample(block[0], _weights(rng, n, weighted))
-    got = _evaluate_rows(RISKS[name], block, sample0.weights)
+    got = _evaluate_rows(RISKS[name], block)
     assert got.shape == (rows,)
     for i in range(rows):
-        one = evaluate(RISKS[name], EmpiricalSample(block[i], sample0.weights))
+        one = evaluate(RISKS[name], EmpiricalSample(block[i]))
         assert got[i] == one, (i, got[i], one)
 
 
 def _loop_bootstrap(risk, sample, n_boot, seed):
     """The per-resample reference: one draw and one EmpiricalSample each."""
     rng = np.random.default_rng(seed)
-    n = sample.n
-    uniform = np.allclose(sample.weights, 1.0 / n, rtol=0.0, atol=1e-15)
     vals = np.empty(n_boot)
     for b in range(n_boot):
-        if uniform:
-            idx = rng.integers(0, n, n)
-        else:
-            idx = rng.choice(n, size=n, p=sample.weights)
+        idx = rng.integers(0, sample.n, sample.n)
         vals[b] = evaluate(risk, EmpiricalSample(sample.values[idx]))
     return float(vals.std(ddof=1))
 
@@ -228,7 +219,6 @@ def _loop_bootstrap(risk, sample, n_boot, seed):
 @settings(max_examples=30, deadline=None)
 @given(
     name=st.sampled_from(sorted(RISKS)),
-    weighted=st.booleans(),
     which_n=st.integers(0, 4),
     k=st.integers(1, 40),
     full_blocks=st.integers(0, 1),
@@ -236,14 +226,14 @@ def _loop_bootstrap(risk, sample, n_boot, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_bootstrap_matches_per_resample_loop(
-    name, weighted, which_n, k, full_blocks, partial, seed
+    name, which_n, k, full_blocks, partial, seed
 ):
     n = (2, 3, _BLOCK_ELEMENTS // k - 1, _BLOCK_ELEMENTS // k + 1, 20_000)[which_n]
     rows = max(1, _BLOCK_ELEMENTS // n)
     # The last block is partial whenever a block holds more than one row.
     n_boot = max(2, full_blocks * rows + 1 + partial % max(rows - 1, 1))
     rng = np.random.default_rng(seed)
-    sample = EmpiricalSample(rng.standard_normal(n), _weights(rng, n, weighted))
+    sample = EmpiricalSample(rng.standard_normal(n))
     got = bootstrap_standard_error(RISKS[name], sample, n_boot=n_boot, seed=seed)
     assert got == _loop_bootstrap(RISKS[name], sample, n_boot, seed)
 
@@ -303,21 +293,14 @@ def test_index_table_is_kept_only_within_its_byte_budget():
         )
 
 
-def test_index_table_serves_only_uniform_samples_of_its_shape():
-    rng = np.random.default_rng(8)
+def test_index_table_serves_only_samples_of_its_shape():
     n = 300
     table = bootstrap_indices(n, 40, seed=2)
-    w = rng.uniform(size=n)
-    weighted = EmpiricalSample(rng.standard_normal(n), w / w.sum())
+    values = np.random.default_rng(8).standard_normal(n)
     risk = RISKS["mean_deviation"]
-    # A weighted sample draws its own resamples, with its weights.
-    assert bootstrap_standard_error(risk, weighted, 40, 2, table) == (
-        bootstrap_standard_error(risk, weighted, 40, 2)
-    )
-    uniform = EmpiricalSample(weighted.values)
-    for n_boot, sample in ((41, uniform), (40, EmpiricalSample(uniform.values[1:]))):
+    for n_boot, sample in ((41, values), (40, values[1:])):
         with pytest.raises(ValueError, match="indices must have shape"):
-            bootstrap_standard_error(risk, sample, n_boot, 2, table)
+            bootstrap_standard_error(risk, EmpiricalSample(sample), n_boot, 2, table)
 
 
 _SOFTPLUS_EDGES = [0.0, -0.0, 40.0, -40.0, 750.0, -750.0, 1e308 / 1e-10, -1e308 / 1e-10]
@@ -355,17 +338,16 @@ from riskmp.verification import portfolio_adjoint_identity
 
 rng = np.random.default_rng(11)
 x = rng.standard_normal(20_000)
-w = rng.uniform(0.0, 1.0, x.size)
-for sample in (EmpiricalSample(x), EmpiricalSample(x, w / w.sum())):
-    for risk in (
-        RiskFunction.expectation(),
-        RiskFunction.mean_deviation(0.5),
-        RiskFunction.smoothed_semideviation(0.5, 0.1),
-        RiskFunction.entropic(1.0),
-    ):
-        print(repr(evaluate(risk, sample)))
-        print(hashlib.sha256(l_derivative(risk, sample).tobytes()).hexdigest())
-        print(repr(bootstrap_standard_error(risk, sample, n_boot=20, seed=3)))
+sample = EmpiricalSample(x)
+for risk in (
+    RiskFunction.expectation(),
+    RiskFunction.mean_deviation(0.5),
+    RiskFunction.smoothed_semideviation(0.5, 0.1),
+    RiskFunction.entropic(1.0),
+):
+    print(repr(evaluate(risk, sample)))
+    print(hashlib.sha256(l_derivative(risk, sample).tobytes()).hexdigest())
+    print(repr(bootstrap_standard_error(risk, sample, n_boot=20, seed=3)))
 states = rng.standard_normal((x.size, 1))
 t = x + states[:, 0]
 print(repr(_norm(t - _SliceRegression(states, RegressionBasis(degree=2)).fit(t))))
@@ -386,7 +368,7 @@ def test_risk_kernel_is_blas_thread_independent():
     # 20k entries, and the 22k of the adjoint identity's arrays, are above
     # the 10,000-entry size where OpenBLAS splits a dot product across threads.
     runs = [python_in_subprocess(["-c", _KERNEL_SCRIPT], n) for n in (1, 2)]
-    assert runs[0].count("\n") == 2 + 2 * 4 * 3
+    assert runs[0].count("\n") == 2 + 4 * 3
     assert runs[0] == runs[1]
 
 
@@ -408,8 +390,8 @@ def test_sample_validation():
         EmpiricalSample([])
     with pytest.raises(ValueError):
         EmpiricalSample([1.0, np.inf])
-    with pytest.raises(ValueError):
-        EmpiricalSample([1.0, 2.0], [0.7, 0.7])
+    with pytest.raises(TypeError):  # the law is n equally likely values
+        EmpiricalSample([1.0, 2.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         RiskFunction.mean_deviation(-1.0)
     with pytest.raises(ValueError):
