@@ -126,7 +126,9 @@ def _factorize(states, basis, step):
     every monomial of a point-mass start is on slice 0) gets a zero
     standardized row, and without a ridge a unit diagonal, so it fits to
     coefficient 0.  Its centered row need not be zero: the n-copy mean of a
-    value need not be exact.
+    value need not be exact.  Degree 0 is an ordinary, empty design: m = 0
+    features, a (0, n) design and a (0, 0) normal system, which numpy
+    factorizes and solves, so a varying target fits to its mean.
     """
     # The monomials of huge states can overflow.  A non-finite design
     # leaves the scale or the Gram matrix non-finite, which raises

@@ -363,6 +363,14 @@ def _write_json(path, stamp, payload):
         fh.write("\n")
 
 
+def _remove(path):
+    """Remove the file at path, if there is one."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
 def _read_stamp(path):
     with open(path) as fh:
         line = fh.readline().strip()
@@ -431,6 +439,13 @@ def cmd_simulate(exp, out_dir, stamp):
 
 
 def cmd_solve(exp, out_dir, stamp):
+    """Solve, then write the trace, policy, adjoint and premium tables.
+
+    The returned policy is simulated once more, keeping its weights, and
+    both adjoints are solved on it, z' included, for the output tables.
+    risk_premium.csv is written for a portfolio whose y' stays positive,
+    and an earlier run's is removed first, so that report cannot read it.
+    """
     model, grid, risk, basis = exp["model"], exp["grid"], exp["risk"], exp["basis"]
     driver = sample_brownian(grid, exp["n_paths"], model.dim_w, exp["seed"])
     policy, report = msa_solve(
@@ -487,11 +502,13 @@ def cmd_solve(exp, out_dir, stamp):
     )
 
     premium_stats = None
+    premium_path = os.path.join(out_dir, "risk_premium.csv")
+    _remove(premium_path)
     if exp["params"] is not None:
         try:
             iota = risk_premium(adj.yprime, adj.zprime, exp["params"].sigma)
             _write_csv(
-                os.path.join(out_dir, "risk_premium.csv"),
+                premium_path,
                 stamp,
                 ["step", "time", "iota_mean", "iota_std"],
                 [
@@ -552,7 +569,12 @@ def cmd_verify(exp, out_dir, stamp):
 
 
 def cmd_report(exp, out_dir, stamp):
-    """Render plot-ready tables from a prior solve in the same directory."""
+    """Render plot-ready tables from a prior solve in the same directory.
+
+    Every input's stamp is checked before any table is written.  A table
+    whose optional input is missing is removed, so none is left from an
+    earlier run.
+    """
     wanted = {
         "objective_trace.csv": (
             "report_objective.csv", ["iter", "objective", "objective_se"]
@@ -562,12 +584,13 @@ def cmd_report(exp, out_dir, stamp):
             "report_risk_premium.csv", ["time", "iota_mean", "iota_std"]
         ),
     }
-    rendered = 0
+    tables = {}
     for name, (out_name, columns) in wanted.items():
         src = os.path.join(out_dir, name)
         if not os.path.exists(src):
             if name == "risk_premium.csv":
-                continue  # not produced for non-portfolio problems
+                tables[out_name] = None  # not produced for non-portfolio problems
+                continue
             _fail(f"missing input {name}; run `solve` first")
         file_hash, file_seed = _read_stamp(src)
         if file_hash != stamp[0] or file_seed != stamp[1]:
@@ -578,8 +601,14 @@ def cmd_report(exp, out_dir, stamp):
         with open(src) as fh:
             fh.readline()
             rows = [[row[c] for c in columns] for row in csv.DictReader(fh)]
-        _write_csv(os.path.join(out_dir, out_name), stamp, columns, rows)
-        rendered += 1
+        tables[out_name] = (columns, rows)
+    for out_name, table in tables.items():
+        path = os.path.join(out_dir, out_name)
+        if table is None:
+            _remove(path)
+        else:
+            _write_csv(path, stamp, *table)
+    rendered = sum(table is not None for table in tables.values())
     print(f"rendered {rendered} report tables in {out_dir}")
     return 0
 
@@ -619,6 +648,8 @@ def main(argv=None):
     try:
         if args.command != "report":
             # `report` only reads an existing run; do not touch its record.
+            # A failure record of an earlier run would outlive this one's.
+            _remove(os.path.join(args.out, "error.json"))
             with open(os.path.join(args.out, "run_config.json"), "w") as fh:
                 json.dump(
                     {"config_hash": stamp[0], "effective_config": cfg},

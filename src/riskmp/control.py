@@ -189,10 +189,12 @@ def _path_entropy(w, p=None, out=None):
 def _step_is_path_constant(model, t, states, y, yprime, z, wpi):
     """Whether a step's Hamiltonian inputs are the same on every path.
 
-    They are when the policy weights wpi, y, y' and z are path-constant
+    They are when y', y, z and the policy weights wpi are path-constant
     (sde._path_constant; wpi's varying columns, as sde._weight_columns
-    splits it) and every coefficient table the Hamiltonian reads has path
-    size 1.  The table shapes are read off tables of the first two
+    splits it), tested in that order, and every coefficient table the
+    Hamiltonian reads has path size 1.  The weights come last: theirs is
+    the costliest compare, and under mean-deviation risk y' is the input
+    that varies.  The table shapes are read off tables of the first two
     states, and only once the cheaper tests pass.  -0.0 equals 0.0 here; a
     zero's sign can reach only the step's gap, and only when it is zero,
     where msa_solve's sum over steps drops the sign.

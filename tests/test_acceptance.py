@@ -32,12 +32,14 @@ from riskmp import (
     solve_risk_adjustment,
     total_cost,
 )
+from riskmp.adjoint import AdjointArrays
 from riskmp.cli import main as cli_main
 from riskmp.portfolio import PortfolioParams, build_portfolio_model, merton_allocation
 from riskmp.verification import (
     _entropic_allocation,
     _entropic_value,
     allocation_from_adjoints,
+    conditional_expectation,
     derivative_fd,
     entropic_allocation_closed_form,
     entropic_premium_closed_form,
@@ -209,6 +211,31 @@ def test_criterion_06_martingale_property(wide_entropic_adjoint):
         riskneutral_collapse(ens, RegressionBasis(degree=2)),
     ]
     _conclude_all(6, "martingale property of y'", rows)
+
+
+def test_yprime_is_the_conditional_expectation_of_the_derivative(
+    setup, mean_dev_run, wide_entropic_adjoint
+):
+    # The paper's y'_k = E[D | x_k], on criterion 06's adjoint (degree 2)
+    # and on the mean-deviation solve's ensemble, fitted on its degree-3
+    # basis.  A degree-0 fit, y'_k the mean of D, fails it on both.
+    wide, adj = wide_entropic_adjoint["ensemble"], wide_entropic_adjoint["adjoint"]
+    ens = mean_dev_run["ensemble"]
+    costs = EmpiricalSample(total_cost(ens, setup["model"]))
+    deriv = l_derivative(mean_dev_run["risk"], costs)
+
+    def fitted(ensemble, d, degree):
+        out = AdjointArrays(ensemble.n_paths, N_STEPS, 1, 1)  # fits no z'
+        return solve_risk_adjustment(ensemble, d, RegressionBasis(degree), out=out)[0]
+
+    rows = [
+        conditional_expectation(wide, adj.yprime),
+        conditional_expectation(ens, fitted(ens, deriv, setup["basis"].degree)),
+    ]
+    assert all(r.passed for r in rows), [r.detail for r in rows]
+    for ensemble, d in ((wide, adj.yprime[:, -1]), (ens, deriv)):
+        result = conditional_expectation(ensemble, fitted(ensemble, d, 0))
+        assert not result.passed, result.detail
 
 
 def test_criterion_07_adjoint_identity(wide_entropic_adjoint):

@@ -14,6 +14,7 @@ import pytest
 from riskmp import cli, sde
 from riskmp.cli import config_hash, load_config, main
 from riskmp.errors import ConfigInvalid
+from riskmp.verification import CheckResult
 
 from conftest import solve_in_subprocess
 
@@ -203,6 +204,62 @@ def test_runtime_error_writes_record(tmp_path):
     assert main(["solve", "--config", str(path), "--out", out]) == 1
     record = json.load(open(os.path.join(out, "error.json")))
     assert record["error"] == "DegenerateSample"
+
+
+def _tiny_config(tmp_path, name, **problem):
+    """A bundled config at 300 paths, 5 steps and 2 iterations."""
+    with open(os.path.join(CONFIGS, f"{name}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sim"].update(n_paths=300, n_steps=5)
+    cfg["msa"] = {**cfg.get("msa", {}), "max_iters": 2}
+    cfg["problem"].update(problem)
+    path = tmp_path / f"{name}-{'-'.join(problem)}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_solve_leaves_no_risk_premium_of_an_earlier_run(tmp_path):
+    # A solve that writes no risk_premium.csv removes an earlier run's, so
+    # report renders this run's tables only, and none of the earlier run's.
+    out = str(tmp_path / "o")
+    portfolio = _tiny_config(tmp_path, "portfolio_riskneutral")
+    example = _tiny_config(tmp_path, "example1")
+    assert main(["solve", "--config", portfolio, "--out", out]) == 0
+    assert main(["report", "--config", portfolio, "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "report_risk_premium.csv"))
+    assert main(["solve", "--config", example, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "risk_premium.csv"))
+    assert main(["report", "--config", example, "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "report_risk_premium.csv"))
+
+
+def test_report_checks_every_stamp_before_it_writes(tmp_path):
+    # A risk_premium.csv of another run beside this run's inputs: report
+    # refuses them and writes no table.
+    out = tmp_path / "o"
+    portfolio = _tiny_config(tmp_path, "portfolio_riskneutral")
+    example = _tiny_config(tmp_path, "example1")
+    assert main(["solve", "--config", portfolio, "--out", str(tmp_path / "p")]) == 0
+    assert main(["solve", "--config", example, "--out", str(out)]) == 0
+    premium = (tmp_path / "p" / "risk_premium.csv").read_bytes()
+    (out / "risk_premium.csv").write_bytes(premium)
+    before = sorted(p.name for p in out.iterdir())
+    assert main(["report", "--config", example, "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+def test_a_good_run_removes_an_earlier_failure_record(tmp_path, monkeypatch):
+    # A failed solve leaves error.json; the next simulate, solve or verify
+    # in the same directory removes it.  verify runs a one-row catalogue.
+    monkeypatch.setattr(cli, "run_checks", lambda: [CheckResult("row", True, "")])
+    out = str(tmp_path / "o")
+    bad = _tiny_config(tmp_path, "portfolio_entropic", mu=1e308)
+    good = _tiny_config(tmp_path, "portfolio_entropic")
+    for command in ("simulate", "solve", "verify"):
+        assert main(["solve", "--config", bad, "--out", out]) == 1
+        assert os.path.exists(os.path.join(out, "error.json"))
+        assert main([command, "--config", good, "--out", out]) == 0
+        assert not os.path.exists(os.path.join(out, "error.json")), command
 
 
 def test_repeated_runs_byte_identical(tmp_path):
@@ -1104,6 +1161,27 @@ def test_readme_module_references_resolve():
         except AttributeError:
             missing.append(ref)
     assert not missing
+
+
+def test_readme_guards_and_configs_exist():
+    # Every backticked `test_...` name in the README, parametrize ids
+    # stripped, is a test defined under tests/ or bench/, and every
+    # backticked `configs/*.json` path exists.
+    root = os.path.join(CONFIGS, "..")
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    defined = set()
+    for folder in ("tests", "bench"):
+        for name in os.listdir(os.path.join(root, folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, folder, name)) as fh:
+                    defined.update(re.findall(r"^\s*def (test_\w+)", fh.read(), re.M))
+    named = set(re.findall(r"`(test_\w+)(?:\[[^\]`]*\])?`", text))
+    assert len(named) >= 10
+    assert named - defined == set()
+    paths = set(re.findall(r"`(configs/[\w.-]+\.json)`", text))
+    assert paths
+    assert {p for p in paths if not os.path.exists(os.path.join(root, p))} == set()
 
 
 _HOSTILE = [True, "x", None, [], {}, -1, 0, 1.5, math.nan, 1e308, -1e308]

@@ -503,6 +503,20 @@ def test_kept_weights_have_the_bits_the_policy_gave(kind, workspace):
     assert bool(signed) == (kind != "fitted-rule-constant")
 
 
+def test_kept_weights_need_an_out_with_a_store():
+    # Arrays made without a kept-weights store cannot keep weights that vary
+    # over paths; the pair is refused before anything is simulated.
+    model = build_portfolio_model(PortfolioParams(), 7)
+    grid = build_time_grid(1.0, 3)
+    driver = sample_brownian(grid, 50, 1, seed=3)
+    out = sde.ForwardArrays(50, grid.n_steps, 1, 7, keep_weights=False)
+    out.states.fill(np.nan)
+    policy = _signed_zero_rule(7, 1)
+    with pytest.raises(ValueError, match="keep_weights"):
+        simulate_forward(model, policy, driver, grid, keep_weights=True, out=out)
+    assert np.isnan(out.states).all()
+
+
 # ------------------------------------------------------- weight validation
 
 def test_nan_feedback_weights_blow_up_at_their_step():
