@@ -644,11 +644,12 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     try:
         if args.command != "report":
-            # `report` only reads an existing run; do not touch its record.
-            # A failure record of an earlier run would outlive this one's.
+            # `report` only reads an existing run; do not make or touch its
+            # directory.  A failure record of an earlier run would outlive
+            # this one's.
+            os.makedirs(args.out, exist_ok=True)
             _remove(os.path.join(args.out, "error.json"))
             with open(os.path.join(args.out, "run_config.json"), "w") as fh:
                 json.dump(

@@ -344,13 +344,15 @@ def sample_brownian(grid, n_paths, dim_w, seed):
     scale = math.sqrt(grid.dt)
     # One Philox re-keyed per path gives _path_stream(seed, i)'s draws without
     # building a generator, and seeding it from OS entropy, for every path.
+    # The state holds Python ints: the setter converts each element, and a
+    # numpy uint64 element costs about 1 us more per path than an int.
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    key = np.array([0, int(seed) % (1 << 64)], dtype=np.uint64)
+    key = [0, int(seed) % (1 << 64)]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,

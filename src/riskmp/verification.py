@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .adjoint import (
     RegressionBasis,
@@ -412,6 +411,8 @@ def conditional_expectation(ensemble, yprime):
             b = int(np.argmax(stat))
             if stat[b] > worst:
                 worst, where = float(stat[b]), (k, b)
+    from scipy.special import ndtri  # only this row needs scipy
+
     tests = (n_nodes - 2) * dim_x * 10
     z = float(ndtri(1.0 - 0.005 / tests))
     return _result(

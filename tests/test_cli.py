@@ -16,7 +16,7 @@ from riskmp.cli import config_hash, load_config, main
 from riskmp.errors import ConfigInvalid
 from riskmp.verification import CheckResult
 
-from conftest import solve_in_subprocess
+from conftest import python_in_subprocess, solve_in_subprocess
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -187,6 +187,13 @@ def test_report_without_solve_is_config_error(tmp_path):
     assert main(["report", "--config", path, "--out", str(tmp_path / "empty")]) == 2
 
 
+def test_report_makes_no_output_directory(tmp_path):
+    path, _ = _small_portfolio_config(tmp_path)
+    missing = tmp_path / "missing"
+    assert main(["report", "--config", path, "--out", str(missing)]) == 2
+    assert not missing.exists()
+
+
 def test_runtime_error_writes_record(tmp_path):
     # Pure-diffusion sign problem under a uniform start has identically zero
     # cost, where the mean-deviation derivative does not exist: the solver
@@ -246,6 +253,44 @@ def test_report_checks_every_stamp_before_it_writes(tmp_path):
     before = sorted(p.name for p in out.iterdir())
     assert main(["report", "--config", example, "--out", str(out)]) == 2
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, os, sys
+import riskmp, riskmp.cli
+from riskmp import RiskFunction
+
+configs, tmp = sys.argv[1:]
+loaded = {"import": "scipy.special" in sys.modules}
+for name in ("portfolio_riskneutral", "portfolio_entropic", "portfolio_mean_deviation"):
+    with open(os.path.join(configs, name + ".json")) as fh:
+        cfg = json.load(fh)
+    cfg["sim"].update(n_paths=300, n_steps=5)
+    cfg["msa"].update(max_iters=2, n_boot=20)
+    path = os.path.join(tmp, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    out = os.path.join(tmp, name)
+    assert riskmp.cli.main(["solve", "--config", path, "--out", out]) == 0
+    loaded[name] = "scipy.special" in sys.modules
+RiskFunction.smoothed_semideviation(0.5, 0.1)
+loaded["smoothed_semideviation"] = "scipy.special" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_smoothed_semideviation_loads_scipy_special(tmp_path):
+    # scipy.special is most of riskmp's import cost and memory, so a solve
+    # whose risk does not need it never loads it; the smoothed
+    # semideviation loads it when built, before a solve allocates.
+    out = python_in_subprocess(["-c", _IMPORT_GRAPH_SCRIPT, CONFIGS, str(tmp_path)], 1)
+    assert json.loads(out.splitlines()[-1]) == {
+        "import": False,
+        "portfolio_riskneutral": False,
+        "portfolio_entropic": False,
+        "portfolio_mean_deviation": False,
+        "smoothed_semideviation": True,
+    }
 
 
 def test_a_good_run_removes_an_earlier_failure_record(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from riskmp import (
     DegenerateSample,
@@ -87,6 +88,25 @@ def test_mean_deviation_degenerate_at_constants():
             RiskFunction.mean_deviation(0.5),
             EmpiricalSample([1.0, 1.0 + 1e-13, 1.0]),
         )
+
+
+def test_semideviation_derivative_has_scipy_expit_bits():
+    # The logistic is scipy's expit, pinned to the bit: numpy's
+    # 1 / (1 + exp(-u)) differs from it in the last bits of some entries,
+    # which would move every smoothed-semideviation output.
+    risk = RiskFunction.smoothed_semideviation(0.5, 0.1)
+    v = np.random.default_rng(3).uniform(-4.0, 4.0, 20_000)
+    v[:2] = -4.0, 4.0
+    m = float(_row_mean(v))
+    z = (v - m) / risk.epsilon
+    assert z.min() < -39.0 and z.max() > 39.0
+    u = expit(z)
+    want = 1.0 + risk.beta * (u - float(_row_mean(u)))
+    got = l_derivative(risk, EmpiricalSample(v))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    u = 1.0 / (1.0 + np.exp(-z))
+    numpy_logistic = 1.0 + risk.beta * (u - float(_row_mean(u)))
+    assert not np.array_equal(got.view(np.uint64), numpy_logistic.view(np.uint64))
 
 
 # ------------------------------------------------- directional derivatives

@@ -105,6 +105,19 @@ def test_blocked_driver_draws_each_path_from_its_stream(monkeypatch, blocks, ext
         assert np.array_equal(driver.increments[i], draws)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, 2**64 + 11])
+@pytest.mark.parametrize("dim_w", [1, 3])
+def test_driver_draws_each_path_from_its_stream_at_any_seed(seed, dim_w):
+    # The re-keyed generator takes the seed mod 2**64, as _path_stream does:
+    # a zero key word, a set top bit, the largest key and a wrapped seed.
+    grid = build_time_grid(1.0, 4)
+    driver = sample_brownian(grid, 9, dim_w, seed)
+    for i in range(9):
+        stream = sde._path_stream(seed, i)
+        draws = stream.standard_normal((4, dim_w)) * math.sqrt(grid.dt)
+        assert np.array_equal(driver.increments[i], draws)
+
+
 @pytest.mark.parametrize("width", [1, 3, 40, sde._BLOCK_ELEMENTS + 1])
 def test_row_blocks_match_the_blocked_loops_arithmetic(width):
     # The blocked loops' arithmetic: range(0, total, rows) with min() edges
