@@ -183,11 +183,7 @@ def test_report_renders_and_refuses_mismatch(tmp_path):
 
 
 def test_report_without_solve_is_config_error(tmp_path):
-    path, _ = _small_portfolio_config(tmp_path)
-    assert main(["report", "--config", path, "--out", str(tmp_path / "empty")]) == 2
-
-
-def test_report_makes_no_output_directory(tmp_path):
+    # report only reads a run, so it makes no output directory either.
     path, _ = _small_portfolio_config(tmp_path)
     missing = tmp_path / "missing"
     assert main(["report", "--config", path, "--out", str(missing)]) == 2
