@@ -7,9 +7,17 @@ the sample is returned pointwise per entry.  Everything here is a pure
 function of immutable inputs and safe to call concurrently; the bootstrap's
 resample index table (bootstrap_indices) is read-only, so callers may share
 one.
+
+The smoothed semideviation's derivative is a logistic, 1 / (1 + exp(-z)),
+computed with C's exp, one value at a time through math.exp (_logistic).
+That is scipy.special.expit's arithmetic, so the derivative keeps expit's
+bits without loading scipy.  numpy's vectorised exp is a SIMD kernel whose
+last bit differs from C's on about 2% of normal draws, and each such bit
+moves every smoothed-semideviation output.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +102,6 @@ class RiskFunction:
                 raise ValueError(
                     f"epsilon must be in (0, {MAX_EPSILON:g}], got {self.epsilon!r}"
                 )
-            # Only this kind's derivative needs scipy (expit), so only it
-            # loads scipy.special, and here rather than in l_derivative: a
-            # solve builds its risk before its path arrays, and a module
-            # loaded after them raised a 20k-path solve's peak RSS by 10.6%.
-            import scipy.special  # noqa: F401
         if self.kind == ENTROPIC and not MIN_THETA <= self.theta <= MAX_THETA:
             bounds = f"[{MIN_THETA:g}, {MAX_THETA:g}]"
             raise ValueError(f"theta must be in {bounds}, got {self.theta!r}")
@@ -170,6 +173,29 @@ def _softplus(u, out, tail):
     return out
 
 
+# The largest argument for which C's exp is finite; math.exp raises
+# OverflowError above it where C's exp returns inf.
+_EXP_MAX_ARG = math.log(sys.float_info.max)
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)) for each entry of the 1-d float array z, with C's
+    exp: scipy's expit bits.
+
+    Each exp is one math.exp call, not numpy's SIMD exp, whose last bit
+    differs from C's on some entries.  Where -z exceeds _EXP_MAX_ARG, C's
+    exp is inf and the logistic 0; NaN stays NaN.  No input makes a
+    floating-point warning.
+    """
+    t = np.negative(z)
+    over = t > _EXP_MAX_ARG
+    t[over] = 0.0
+    e = np.fromiter(map(math.exp, t.tolist()), float, t.size)
+    e[over] = np.inf
+    e += 1.0
+    return np.divide(1.0, e, out=e)
+
+
 # Huge costs overflow this kernel, l_derivative and the bootstrap's standard
 # error quietly, to inf or NaN; msa_solve names such a risk value.
 @np.errstate(over="ignore", invalid="ignore")
@@ -219,7 +245,10 @@ def l_derivative(risk, sample):
     every entry, is a read-only broadcast row (row stride 0), so the
     path-constant rule (sde._path_constant) accepts it without a compare.
     For mean_deviation the derivative does not exist at (near-)constant
-    samples and DegenerateSample is raised.
+    samples and DegenerateSample is raised.  The smoothed semideviation's is
+    1 + beta (u - mean u) with u the logistic of (X - mean) / epsilon, taken
+    with C's exp (_logistic), so it has scipy.special.expit's bits; numpy's
+    exp would move the last bit of some entries.
     """
     v = sample.values
     if risk.kind == EXPECTATION:
@@ -233,9 +262,7 @@ def l_derivative(risk, sample):
             )
         return 1.0 + risk.beta * (v - m) / dev
     if risk.kind == SMOOTHED_SEMIDEVIATION:
-        from scipy.special import expit  # loaded by RiskFunction
-
-        u = expit((v - m) / risk.epsilon)
+        u = _logistic((v - m) / risk.epsilon)
         return 1.0 + risk.beta * (u - float(_row_mean(u)))
     shift = float(np.max(risk.theta * v))
     e = np.exp(risk.theta * v - shift)

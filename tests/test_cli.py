@@ -258,7 +258,10 @@ from riskmp import RiskFunction
 
 configs, tmp = sys.argv[1:]
 loaded = {"import": "scipy.special" in sys.modules}
-for name in ("portfolio_riskneutral", "portfolio_entropic", "portfolio_mean_deviation"):
+for name in (
+    "portfolio_riskneutral", "portfolio_entropic", "portfolio_mean_deviation",
+    "custom_linear",
+):
     with open(os.path.join(configs, name + ".json")) as fh:
         cfg = json.load(fh)
     cfg["sim"].update(n_paths=300, n_steps=5)
@@ -275,17 +278,18 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_the_smoothed_semideviation_loads_scipy_special(tmp_path):
-    # scipy.special is most of riskmp's import cost and memory, so a solve
-    # whose risk does not need it never loads it; the smoothed
-    # semideviation loads it when built, before a solve allocates.
+def test_no_solve_loads_scipy_special(tmp_path):
+    # scipy.special is most of riskmp's import cost and memory, so no solve
+    # loads it: the smoothed semideviation (custom_linear's risk) takes its
+    # logistic with C's exp instead of scipy's expit.
     out = python_in_subprocess(["-c", _IMPORT_GRAPH_SCRIPT, CONFIGS, str(tmp_path)], 1)
     assert json.loads(out.splitlines()[-1]) == {
         "import": False,
         "portfolio_riskneutral": False,
         "portfolio_entropic": False,
         "portfolio_mean_deviation": False,
-        "smoothed_semideviation": True,
+        "custom_linear": False,
+        "smoothed_semideviation": False,
     }
 
 

@@ -1,6 +1,7 @@
 """Risk evaluation, derivatives, and the coherence-axiom properties."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from riskmp.risk import (
     MAX_THETA,
     MIN_THETA,
     _evaluate_rows,
+    _logistic,
     _row_mean,
     _softplus,
 )
@@ -107,6 +109,29 @@ def test_semideviation_derivative_has_scipy_expit_bits():
     u = 1.0 / (1.0 + np.exp(-z))
     numpy_logistic = 1.0 + risk.beta * (u - float(_row_mean(u)))
     assert not np.array_equal(got.view(np.uint64), numpy_logistic.view(np.uint64))
+
+
+def test_logistic_has_scipy_expit_bits_at_extremes():
+    # _logistic takes each exp with C's exp, as expit does: the same bits on
+    # the overflow edge of exp (709.78...) and its neighbours, on +-0, the
+    # smallest subnormal, +-inf and the largest doubles, and on wide normal
+    # draws, with no floating-point warning.  NaN stays NaN.
+    edge = math.log(sys.float_info.max)
+    z = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 40.0, -40.0, 800.0, -800.0,
+        1e308, -1e308, sys.float_info.max, -sys.float_info.max,
+        math.inf, -math.inf,
+    ] + [
+        s * np.nextafter(edge, to) for s in (1.0, -1.0) for to in (0.0, edge, math.inf)
+    ])
+    rng = np.random.default_rng(11)
+    draws = [rng.standard_normal(200_000) * scale for scale in (0.1, 1.0, 10.0, 300.0)]
+    for x in [z] + draws:
+        with np.errstate(all="raise", under="ignore"):
+            got = _logistic(x)
+        assert np.array_equal(got.view(np.uint64), expit(x).view(np.uint64))
+    assert (np.abs(draws[-1]) > edge).sum() > 1000
+    assert np.isnan(_logistic(np.array([math.nan, 0.0]))).tolist() == [True, False]
 
 
 # ------------------------------------------------- directional derivatives
