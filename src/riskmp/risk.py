@@ -12,8 +12,9 @@ The smoothed semideviation's derivative is a logistic, 1 / (1 + exp(-z)),
 computed with C's exp, one value at a time through math.exp (_logistic).
 That is scipy.special.expit's arithmetic, so the derivative keeps expit's
 bits without loading scipy.  numpy's vectorised exp is a SIMD kernel whose
-last bit differs from C's on about 2% of normal draws, and each such bit
-moves every smoothed-semideviation output.
+last bit differs from C's on about 5% of normal draws, which moves the
+logistic on about 2%, and each such bit moves every smoothed-semideviation
+output.
 """
 
 import math
